@@ -1,11 +1,11 @@
 """Command-line surface: parse configs, dispatch to the solvers, and emit
 machine-readable JSON/CSV results.
 
-Exit codes: 0 success, 2 validation error (malformed input, infeasible
-model, unknown fields), 3 numerical non-convergence.  Outputs are written
-atomically (temp file + rename), embed a metadata block echoing the exact
-configuration, and are byte-identical across runs given the same config and
-seed.
+Exit codes: 0 success, 2 validation error (malformed input, non-finite or
+overflowing numbers, infeasible model, unknown fields), 3 numerical
+non-convergence.  Outputs are written atomically (temp file + rename),
+embed a metadata block echoing the exact configuration, and are
+byte-identical across runs given the same config and seed.
 """
 
 from __future__ import annotations
@@ -327,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, output=True):
+    def common(p):
         p.add_argument("--output", help="write result here (default: stdout)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
@@ -405,6 +405,9 @@ def main(argv=None) -> int:
         return EXIT_NONCONVERGENCE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except OverflowError as exc:
+        print(f"error: arithmetic overflow, input magnitudes too large: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

@@ -5,6 +5,26 @@ matrix U describes the game: U[i, j] is the expected utility of an agent
 playing action i while the other plays action j.  The module detects
 super/submodularity in the productivity order, runs extremal best-response
 dynamics, enumerates equilibria, and applies equilibrium-selection rules.
+
+The payoff is bilinear: with S_j = q_j*w11 + (1-q_j)*w10 and
+F_j = q_j*w01 + (1-q_j)*w00 the pay after own success and own failure
+against opponent action j (success probability q_j),
+
+    U[i, j] = p_i*s_j - c_i + F_j,    s_j = S_j - F_j.
+
+F_j does not depend on i, so the best response to j maximises the line
+x -> p_i*x - c_i at x = s_j: a query on the upper envelope of the n lines.
+Each game builds that envelope once, in O(n log n), and answers all n
+queries with one ``searchsorted``.  A query's answer is used only when a
+certificate proves it is the unique maximiser of the column that
+``payoff_column`` computes in floating point: its margin over its two
+envelope neighbours and over the best line below the envelope must clear
+``tau``, a bound on the rounding error of both formulas.  Queries that fail
+(near-ties, duplicate actions, equal probabilities) are rescored from the
+column with the productivity-rank tie rule, so every best response equals
+the dense one bit for bit.  Best responses take O(n) memory; the dense
+n x n matrix ``InducedGame.payoff`` is built only for equilibrium
+enumeration, profile verification, the modularity check and the game dump.
 """
 
 from __future__ import annotations
@@ -30,6 +50,14 @@ EQ_TOL = 1e-9
 
 # Default action-count cap for mixed-equilibrium enumeration.
 MIXED_CAP = 12
+
+# Best-response certificate threshold per unit of the game's magnitude
+# max(wages) + max(costs), which bounds every |p_i*s_j|, |S_j|, |F_j| and c_i.
+# With unit roundoff u = 2**-53, an entry of ``payoff_column`` is within
+# 8u of its exact value and an envelope line value p_i*s_j - c_i within 10u
+# (per unit), so an envelope margin above 36u proves the column's maximiser
+# is unique and the same.  128u leaves room for the envelope's own rounding.
+_TAU_UNITS = 2.0 ** -46
 
 
 @dataclass(frozen=True)
@@ -64,6 +92,24 @@ class InducedGame:
         pay_failure = q * w.w01 + (1.0 - q) * w.w00
         p = self.probs[:, None]
         return p * pay_success[None, :] + (1.0 - p) * pay_failure[None, :] - self.costs[:, None]
+
+    @cached_property
+    def _rank_pos(self) -> np.ndarray:
+        """Position of each action in ``ActionSet.ranking`` (0 = largest)."""
+        order = np.lexsort((self.costs, -self.probs))  # stable: index breaks ties
+        pos = np.empty(len(order), dtype=np.intp)
+        pos[order] = np.arange(len(order))
+        return pos
+
+    @cached_property
+    def _envelope_br(self) -> np.ndarray:
+        """Certified best response to every opponent action, -1 where the
+        envelope answer must be rescored from the payoff column."""
+        w = self.contract
+        q = self.probs
+        s = (q * w.w11 + (1.0 - q) * w.w10) - (q * w.w01 + (1.0 - q) * w.w00)
+        scale = max(w.as_tuple()) + float(self.costs.max())
+        return _certified_argmax(self.probs, self.costs, s, _TAU_UNITS * scale)
 
     def __len__(self) -> int:
         return len(self.actions)
@@ -120,29 +166,82 @@ def check_modularity(game: InducedGame, tol: float = 1e-12) -> str:
     return NEITHER
 
 
-def _rank_positions(actions: ActionSet) -> np.ndarray:
-    pos = np.empty(len(actions), dtype=int)
-    for rank, idx in enumerate(actions.ranking()):
-        pos[idx] = rank
-    return pos
+def _upper_envelope(p: list, c: list, lines: list) -> tuple[list, list, list]:
+    """Upper envelope of the lines x -> p[i]*x - c[i] for i in ``lines``,
+    which must be sorted by slope, then cost.
+
+    Returns the envelope lines in slope order, the strictly increasing
+    breakpoints between consecutive ones, and the lines left below it.
+    """
+    hull: list = []
+    breaks: list = []
+    below: list = []
+    for i in lines:
+        if hull and p[hull[-1]] == p[i]:  # parallel and no cheaper
+            below.append(i)
+            continue
+        while hull:
+            k = hull[-1]
+            x = (c[i] - c[k]) / (p[i] - p[k])
+            if breaks and x <= breaks[-1]:
+                below.append(hull.pop())
+                breaks.pop()
+                continue
+            breaks.append(x)
+            break
+        hull.append(i)
+    return hull, breaks, below
 
 
-def max_best_response(game: InducedGame, j: int, rank_pos=None) -> int:
+def _certified_argmax(probs: np.ndarray, costs: np.ndarray, s: np.ndarray,
+                      tau: float) -> np.ndarray:
+    """For each query x = s[j], the line p_i*x - c_i that beats every other
+    line by more than ``tau``, or -1 when no line provably does.
+
+    Along the envelope the line values at any x rise to the maximiser and
+    fall after it, so its two envelope neighbours are the best envelope
+    rivals; the best rival below the envelope is a query on the envelope of
+    the remaining lines.
+    """
+    p, c = probs.tolist(), costs.tolist()
+    order = np.lexsort((costs, probs)).tolist()
+    hull, breaks, below = _upper_envelope(p, c, order)
+    hull = np.array(hull, dtype=np.intp)
+    at = np.searchsorted(np.array(breaks), s)
+    best = probs[hull[at]] * s - costs[hull[at]]
+    rival = np.full_like(s, -np.inf)
+    for nb in (at - 1, at + 1):
+        ok = (nb >= 0) & (nb < len(hull))
+        k = hull[np.where(ok, nb, at)]
+        rival = np.where(ok, np.maximum(rival, probs[k] * s - costs[k]), rival)
+    if below:
+        below.sort(key=lambda i: (p[i], c[i]))
+        hull2, breaks2, _ = _upper_envelope(p, c, below)
+        k = np.array(hull2, dtype=np.intp)[np.searchsorted(np.array(breaks2), s)]
+        rival = np.maximum(rival, probs[k] * s - costs[k])
+    # NaN margins (overflowed inputs) fail the comparison and are rescored.
+    return np.where(best - rival > tau, hull[at], -1)
+
+
+def _rescored_best_response(game: InducedGame, j: int, largest: bool) -> int:
+    """Best response to j from the payoff column; ties go to the largest
+    (or smallest) tied action in the productivity order."""
+    col = game.payoff_column(j)
+    ties = np.flatnonzero(col == col.max())
+    pos = game._rank_pos[ties]
+    return int(ties[np.argmin(pos) if largest else np.argmax(pos)])
+
+
+def max_best_response(game: InducedGame, j: int) -> int:
     """Largest best response (productivity order) to opponent action j."""
-    if rank_pos is None:
-        rank_pos = _rank_positions(game.actions)
-    col = game.payoff_column(j)
-    ties = np.flatnonzero(col == col.max())
-    return int(ties[np.argmin(rank_pos[ties])])
+    i = int(game._envelope_br[j])
+    return i if i >= 0 else _rescored_best_response(game, j, largest=True)
 
 
-def min_best_response(game: InducedGame, j: int, rank_pos=None) -> int:
+def min_best_response(game: InducedGame, j: int) -> int:
     """Smallest best response (productivity order) to opponent action j."""
-    if rank_pos is None:
-        rank_pos = _rank_positions(game.actions)
-    col = game.payoff_column(j)
-    ties = np.flatnonzero(col == col.max())
-    return int(ties[np.argmax(rank_pos[ties])])
+    i = int(game._envelope_br[j])
+    return i if i >= 0 else _rescored_best_response(game, j, largest=False)
 
 
 def extremal_br_path(game: InducedGame, start: str = "MAX") -> tuple[int, list[int]]:
@@ -157,13 +256,16 @@ def extremal_br_path(game: InducedGame, start: str = "MAX") -> tuple[int, list[i
     """
     if start not in ("MAX", "MIN"):
         raise ValueError(f"start must be MAX or MIN, got {start!r}")
-    rank_pos = _rank_positions(game.actions)
+    certified = game._envelope_br.tolist()
     br = max_best_response if start == "MAX" else min_best_response
-    cur = game.actions.max_index if start == "MAX" else game.actions.min_index
+    rank_pos = game._rank_pos
+    cur = int(np.argmin(rank_pos) if start == "MAX" else np.argmax(rank_pos))
     path = [cur]
     seen = {cur}
     for _ in range(len(game) + 1):
-        nxt = br(game, cur, rank_pos)
+        nxt = certified[cur]
+        if nxt < 0:
+            nxt = br(game, cur)
         if nxt == cur:
             return cur, path
         if nxt in seen:
@@ -180,11 +282,13 @@ def paired_br_limit(game: InducedGame) -> tuple[int, int]:
     For a submodular game both orderings of the limit pair are Nash
     equilibria and bracket every other equilibrium action.
     """
-    rank_pos = _rank_positions(game.actions)
-    a, b = game.actions.max_index, game.actions.min_index
+    certified = game._envelope_br.tolist()
+    rank_pos = game._rank_pos
+    a, b = int(np.argmin(rank_pos)), int(np.argmax(rank_pos))
     seen = {(a, b)}
     for _ in range((len(game) + 1) ** 2):
-        nxt = (max_best_response(game, b, rank_pos), min_best_response(game, a, rank_pos))
+        nxt = (certified[b] if certified[b] >= 0 else max_best_response(game, b),
+               certified[a] if certified[a] >= 0 else min_best_response(game, a))
         if nxt == (a, b):
             return a, b
         if nxt in seen:

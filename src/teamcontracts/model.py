@@ -9,6 +9,7 @@ none of the three (OTHER).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import AssumptionError
@@ -31,8 +32,8 @@ class ActionSpec:
     prob: float
 
     def __post_init__(self):
-        if self.cost < 0.0:
-            raise ValueError(f"action cost must be >= 0, got {self.cost}")
+        if not 0.0 <= self.cost < math.inf:  # also rejects NaN
+            raise ValueError(f"action cost must be finite and >= 0, got {self.cost}")
         if not 0.0 <= self.prob <= 1.0:
             raise ValueError(f"success probability must be in [0, 1], got {self.prob}")
 
@@ -150,8 +151,11 @@ class Contract:
 
     def __post_init__(self):
         for name in ("w11", "w10", "w01", "w00"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0 (limited liability)")
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:  # also rejects NaN
+                raise ValueError(
+                    f"{name} must be finite and >= 0 (limited liability), got {value}"
+                )
 
     @property
     def base_wage(self) -> float:

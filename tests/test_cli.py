@@ -84,6 +84,20 @@ class TestEvaluate:
         bad.write_text("{not json")
         assert main(["evaluate", "--input", str(bad)]) == 2
 
+    def test_overflowing_wage_exits_2(self, tmp_path, capsys):
+        inp = write(tmp_path, "in.json", {
+            "contract": {"w11": 1e308, "w10": 0.2, "w01": 0.0, "w00": 0.0},
+            "actions": A0_JSON,
+        })
+        assert main(["evaluate", "--input", inp]) == 2
+        assert capsys.readouterr().err.startswith("error: arithmetic overflow")
+
+    def test_non_finite_wage_exits_2(self, tmp_path):
+        inp = tmp_path / "in.json"
+        inp.write_text('{"contract": {"w11": NaN, "w10": 0, "w01": 0, "w00": 0}, '
+                       '"actions": {"actions": [{"cost": 0.25, "prob": 1.0}]}}')
+        assert main(["evaluate", "--input", str(inp)]) == 2
+
     def test_unknown_field_rejected(self, tmp_path):
         inp = write(tmp_path, "in.json", {
             "contract": {"w11": 0.5, "w10": 0, "w01": 0, "w00": 0},
@@ -103,6 +117,13 @@ class TestOptimize:
         assert res["w10"] == pytest.approx(0.0, abs=1e-3)
         assert res["per_agent"] == pytest.approx(1 / 3, abs=1e-3)
         assert res["regime"] == "POOLED"
+
+    def test_infinite_cost_exits_2(self, tmp_path, capsys):
+        inp = tmp_path / "a0.json"
+        inp.write_text('{"actions": [{"cost": 0.25, "prob": 1.0}, '
+                       '{"cost": Infinity, "prob": 0.5}]}')
+        assert main(["optimize", "--input", str(inp)]) == 2
+        assert "finite" in capsys.readouterr().err
 
     def test_infeasible_exits_2(self, tmp_path):
         inp = write(tmp_path, "a0.json",

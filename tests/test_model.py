@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,11 @@ class TestClassify:
     def test_limited_liability_enforced(self):
         with pytest.raises(ValueError):
             Contract(0.5, -0.1, 0.0, 0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_wages_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Contract(0.5, 0.0, bad, 0.0)
 
 
 class TestReduceFailureWages:
@@ -169,6 +176,11 @@ class TestActionSet:
             ActionSpec(-0.1, 0.5)
         with pytest.raises(ValueError):
             ActionSpec(0.1, 1.5)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                ActionSpec(bad, 0.5)
+            with pytest.raises(ValueError):
+                ActionSpec(0.1, bad)
 
     def test_known_assumptions(self):
         check_known_assumptions(ActionSet.from_pairs([(0.25, 1.0)]))

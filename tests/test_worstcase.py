@@ -380,3 +380,76 @@ class TestCalibrationLimits:
 
         deriv = (profit(1e-4) - base) / 1e-4
         assert deriv == pytest.approx(0.125, abs=1e-2)
+
+
+def _rk4_reference(w11, w10, p0, budget, steps):
+    """ode_quadrature's loop as first written, kept as the bitwise reference."""
+    w11 = np.atleast_1d(np.asarray(w11, dtype=float))
+    w10, p0, budget = (np.broadcast_to(np.asarray(a, dtype=float), w11.shape).copy()
+                       for a in (w10, p0, budget))
+    gap = w11 - w10
+    p = p0.copy()
+    h = budget / steps
+    d_min = w10 + gap * p
+
+    def f(x):
+        return -1.0 / np.clip(w10 + gap * x, 1e-300, None)
+
+    for _ in range(steps):
+        k1 = f(p)
+        k2 = f(p + 0.5 * h * k1)
+        k3 = f(p + 0.5 * h * k2)
+        k4 = f(p + h * k3)
+        p = p + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        d_min = np.minimum(d_min, w10 + gap * p)
+    return p, d_min
+
+
+def _rk4_w00_reference(w11, w00, p0, budget, steps):
+    """ode_quadrature_w00's loop as first written, kept as the bitwise reference."""
+    w11 = np.atleast_1d(np.asarray(w11, dtype=float))
+    w00, p0, budget = (np.broadcast_to(np.asarray(a, dtype=float), w11.shape).copy()
+                       for a in (w00, p0, budget))
+    p = p0.copy()
+    h = budget / steps
+    sing_tol = 1e-7
+    frozen = (p * w11 - (1.0 - p) * w00) <= sing_tol
+
+    def f(x):
+        return -1.0 / np.clip(x * w11 - (1.0 - x) * w00, sing_tol, None)
+
+    for _ in range(steps):
+        k1 = f(p)
+        k2 = f(p + 0.5 * h * k1)
+        k3 = f(p + 0.5 * h * k2)
+        k4 = f(p + h * k3)
+        step = h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        nxt = np.where(frozen, p, p + step)
+        frozen |= (nxt * w11 - (1.0 - nxt) * w00) <= sing_tol
+        p = nxt
+    return np.where(frozen, 0.0, p)
+
+
+class TestQuadratureBits:
+    """The RK4 oracles give the bits of their original loops."""
+
+    def test_undercut_quadrature(self):
+        rng = np.random.default_rng(41)
+        w10 = np.concatenate([[0.0, 0.0], rng.uniform(0.0, 0.7, 30)])
+        w11 = w10 + np.concatenate([[0.5, 1.0], rng.uniform(0.05, 1.0, 30)])
+        p0 = np.concatenate([[0.5, 1.0], rng.uniform(0.3, 1.0, 30)])
+        # budgets up to and past the collapse point, where the clamp acts
+        budget = (w10 * p0 + (w11 - w10) * p0 * p0 / 2) * rng.uniform(0.1, 1.2, 32)
+        got = ode_quadrature(w11, w10, p0, budget, steps=2000)
+        want = _rk4_reference(w11, w10, p0, budget, steps=2000)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    def test_joint_failure_quadrature(self):
+        rng = np.random.default_rng(43)
+        w11 = rng.uniform(0.2, 1.0, 32)
+        w00 = np.concatenate([[0.0], rng.uniform(0.0, 0.5, 31)])
+        p0 = rng.uniform(0.1, 1.0, 32)
+        budget = rng.uniform(0.0, 0.5, 32)
+        got = ode_quadrature_w00(w11, w00, p0, budget, steps=2000)
+        want = _rk4_w00_reference(w11, w00, p0, budget, steps=2000)
+        assert np.array_equal(got, want)
