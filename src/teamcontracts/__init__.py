@@ -62,6 +62,7 @@ from .worstcase import (
     OdeSolution,
     Witness,
     WorstCaseResult,
+    best_known_solution,
     euler_adversary,
     euler_error_bound,
     ipe_adversary,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -71,6 +72,11 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+def _dumps(obj) -> str:
+    """JSON text of ``obj``; NaN and infinities are not JSON, so they raise."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def _emit(args, result: dict, csv_rows=None, csv_header=None) -> None:
     """Write (or print) the result with a config-echo metadata block."""
     # The output path is where the file lives, not part of what it records.
@@ -92,7 +98,7 @@ def _emit(args, result: dict, csv_rows=None, csv_header=None) -> None:
             "meta": {"tool": "teamcontracts", "version": __version__, "config": config},
             "result": result,
         }
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        text = _dumps(doc)
     if args.output:
         _atomic_write(args.output, text)
     else:
@@ -129,44 +135,40 @@ def cmd_evaluate(args) -> int:
     cls = md.classify(reduced)
     w11, w10, w01, w00 = reduced.as_tuple()
 
-    try:
-        if w01 == 0.0 and w00 == 0.0:
-            if w11 > w10:
-                res = wc.jpe_value(reduced, a0, with_witness=True, witness_eps=eps)
-            elif w11 < w10:
-                res = wc.rpe_value(reduced, a0, with_witness=True, witness_eps=eps)
-            else:
-                res = wc.ipe_value(w11, a0, with_witness=True, witness_eps=eps)
-        elif w10 == 0.0 and w01 == 0.0 and w11 > 0.0:
-            res = wc.jpe_value_w00(reduced, a0)
+    if w01 == 0.0 and w00 == 0.0:
+        if w11 > w10:
+            res = wc.jpe_value(reduced, a0, with_witness=True, witness_eps=eps)
+        elif w11 < w10:
+            res = wc.rpe_value(reduced, a0, with_witness=True, witness_eps=eps)
         else:
-            raise CliError(
-                EXIT_VALIDATION,
-                "worst-case evaluation is not defined for this wage pattern "
-                f"even after reduction (class {cls.tag}); "
-                "supported: zero failure wages, or w11/w00 with w10=w01=0",
-            )
-    except AssumptionError as exc:
-        raise CliError(EXIT_VALIDATION, f"infeasible model: {exc}")
+            res = wc.ipe_value(w11, a0, with_witness=True, witness_eps=eps)
+    elif w10 == 0.0 and w01 == 0.0 and w11 > 0.0:
+        res = wc.jpe_value_w00(reduced, a0)
+    else:
+        raise CliError(
+            EXIT_VALIDATION,
+            "worst-case evaluation is not defined for this wage pattern "
+            f"even after reduction (class {cls.tag}); "
+            "supported: zero failure wages, or w11/w00 with w10=w01=0",
+        )
 
     out = res.to_json()
     out["classification"] = cls.tag
     out["contract_evaluated"] = reduced.to_json()
     out["reduction_applied"] = was_reduced
+    dump = None
     if args.dump_game:
         base = res.witness.actions if res.witness is not None else a0
-        dump = induce_game(reduced, base).to_json()
-        _atomic_write(args.dump_game, json.dumps(dump, indent=2, sort_keys=True) + "\n")
+        dump = _dumps(induce_game(reduced, base).to_json())
     _emit(args, out)
+    if dump is not None:
+        _atomic_write(args.dump_game, dump)
     return EXIT_OK
 
 
 def cmd_optimize(args) -> int:
     a0 = _parse_actions(_load_json(args.input))
-    try:
-        res = opt.optimize_jpe(a0, coarse=args.grid_step, refine_rounds=args.refine)
-    except AssumptionError as exc:
-        raise CliError(EXIT_VALIDATION, f"infeasible model: {exc}")
+    res = opt.optimize_jpe(a0, coarse=args.grid_step, refine_rounds=args.refine)
     _emit(args, res.to_json())
     return EXIT_OK
 
@@ -176,13 +178,7 @@ def cmd_adversary(args) -> int:
     _require_keys(payload, {"contract", "actions"})
     contract = _parse_contract(payload["contract"])
     a0 = _parse_actions(payload["actions"])
-    if not a0.known:
-        raise CliError(EXIT_VALIDATION, "action set has no known prefix")
-    try:
-        sols = [wc.pbar_closed_form(contract.w11, contract.w10, a) for a in a0.known]
-    except Exception as exc:
-        raise CliError(EXIT_VALIDATION, str(exc))
-    best = max(sols, key=lambda s: s.p_end)
+    best = wc.best_known_solution(contract.w11, contract.w10, a0)
     adv = wc.euler_adversary(contract, best.a0, args.n, rho=args.rho)
     if adv.verified is False:
         raise CliError(
@@ -228,10 +224,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_discriminate(args) -> int:
     a0 = _parse_actions(_load_json(args.input))
-    try:
-        res = opt.discriminatory_ipe(a0, grid=args.grid_step)
-    except AssumptionError as exc:
-        raise CliError(EXIT_VALIDATION, f"infeasible model: {exc}")
+    res = opt.discriminatory_ipe(a0, grid=args.grid_step)
     _emit(args, res.to_json())
     return EXIT_OK
 
@@ -249,10 +242,7 @@ def cmd_bayes(args) -> int:
         raise CliError(EXIT_VALIDATION, f"bad environment: {exc}")
     w_star = env.c0 / env.p0
     w0 = float(payload.get("w0", w_star / 2.0))
-    try:
-        jpe_val = ext.bayesian_eval(env, ext.JPE_SCHEME, w0)
-    except ValueError as exc:
-        raise CliError(EXIT_VALIDATION, str(exc))
+    jpe_val = ext.bayesian_eval(env, ext.JPE_SCHEME, w0)
     result = {
         "zero": ext.bayesian_eval(env, ext.ZERO),
         "ipe_mixed": ext.bayesian_eval(env, ext.IPE_MIXED),
@@ -318,6 +308,23 @@ def cmd_selftest(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+def _checked(convert, ok, rule: str):
+    """Argument type: ``convert`` the text, then refuse values failing ``ok``."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid ... value"
+    return parse
+
+
+_positive = _checked(float, lambda x: math.isfinite(x) and x > 0.0, "finite and > 0")
+_non_negative = _checked(float, lambda x: math.isfinite(x) and x >= 0.0, "finite and >= 0")
+_count = _checked(int, lambda n: n >= 0, ">= 0")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="teamcontracts",
@@ -334,35 +341,35 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="worst-case value of a contract on a known set")
     p.add_argument("--input", required=True, help='JSON {"contract":..., "actions":...}')
-    p.add_argument("--eps", type=float, help="witness approximation scale")
+    p.add_argument("--eps", type=_positive, help="witness approximation scale")
     p.add_argument("--dump-game", help="also dump the witness game as JSON")
     common(p)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("optimize", help="worst-case optimal team contract")
     p.add_argument("--input", required=True, help="JSON action set")
-    p.add_argument("--grid-step", type=float, default=1e-2)
-    p.add_argument("--refine", type=int, default=3)
+    p.add_argument("--grid-step", type=_positive, default=1e-2)
+    p.add_argument("--refine", type=_count, default=3)
     common(p)
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("adversary", help="undercut chain realizing the worst case")
     p.add_argument("--input", required=True, help='JSON {"contract":..., "actions":...}')
     p.add_argument("--n", type=int, required=True, help="chain length")
-    p.add_argument("--rho", type=float, help="override the rounding margin")
+    p.add_argument("--rho", type=_non_negative, help="override the rounding margin")
     common(p)
     p.set_defaults(func=cmd_adversary)
 
     p = sub.add_parser("sweep", help="optimal wages over a (p0, c0) grid")
     p.add_argument("--input", required=True, help='JSON {"p_grid":..., "c_grid":...}')
-    p.add_argument("--grid-step", type=float, default=1e-2)
-    p.add_argument("--refine", type=int, default=3)
+    p.add_argument("--grid-step", type=_positive, default=1e-2)
+    p.add_argument("--refine", type=_count, default=3)
     common(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("discriminate", help="agent-specific success wages max-min")
     p.add_argument("--input", required=True, help="JSON action set")
-    p.add_argument("--grid-step", type=float, default=1e-2)
+    p.add_argument("--grid-step", type=_positive, default=1e-2)
     common(p)
     p.set_defaults(func=cmd_discriminate)
 

@@ -24,7 +24,8 @@ envelope neighbours and over the best line below the envelope must clear
 column with the productivity-rank tie rule, so every best response equals
 the dense one bit for bit.  Best responses take O(n) memory; the dense
 n x n matrix ``InducedGame.payoff`` is built only for equilibrium
-enumeration, profile verification, the modularity check and the game dump.
+enumeration, profile verification and the game dump.  Modularity is read
+off the sign of the payoff's cross-partial, in O(n).
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .model import ActionSet, Contract
 SUPERMODULAR = "SUPERMODULAR"
 SUBMODULAR = "SUBMODULAR"
 BOTH = "BOTH"
-NEITHER = "NEITHER"
 
 PRINCIPAL_BEST = "PRINCIPAL_BEST"
 PESSIMISTIC_PARETO = "PESSIMISTIC_PARETO"
@@ -138,32 +138,20 @@ def expected_wage(contract: Contract, p_own: float, p_other: float) -> float:
 
 
 def check_modularity(game: InducedGame, tol: float = 1e-12) -> str:
-    """Test increasing/decreasing differences over all ordered action pairs.
+    """Increasing/decreasing differences in the productivity order.
 
-    Returns SUPERMODULAR, SUBMODULAR, BOTH (all differences vanish, e.g. any
-    independent evaluation), or NEITHER.
+    By the bilinear payoff every difference
+    U[i2,j2] - U[i1,j2] - U[i2,j1] + U[i1,j1] equals
+    kappa*(p_i2 - p_i1)*(q_j2 - q_j1) with kappa = w11 - w10 - w01 + w00,
+    so its extremes over ordered pairs are 0 and kappa*(p_max - p_min)^2.
+    Returns SUPERMODULAR, SUBMODULAR, or BOTH when that extreme is within
+    ``tol`` of zero (e.g. any independent evaluation).
     """
-    asc = list(reversed(game.actions.ranking()))
-    v = game.payoff[np.ix_(asc, asc)]
-    m = len(asc)
-    lo, hi = 0.0, 0.0
-    iu, ju = np.triu_indices(m, 1)
-    for i1 in range(m):
-        for i2 in range(i1 + 1, m):
-            d = v[i2] - v[i1]
-            inc = d[ju] - d[iu]
-            if inc.size:
-                lo = min(lo, float(inc.min()))
-                hi = max(hi, float(inc.max()))
-    is_super = lo >= -tol
-    is_sub = hi <= tol
-    if is_super and is_sub:
+    w11, w10, w01, w00 = game.contract.as_tuple()
+    extreme = (w11 - w10 - w01 + w00) * float(game.probs.max() - game.probs.min()) ** 2
+    if abs(extreme) <= tol:
         return BOTH
-    if is_super:
-        return SUPERMODULAR
-    if is_sub:
-        return SUBMODULAR
-    return NEITHER
+    return SUPERMODULAR if extreme > 0.0 else SUBMODULAR
 
 
 def _upper_envelope(p: list, c: list, lines: list) -> tuple[list, list, list]:

@@ -263,8 +263,7 @@ def suite_lower_bound_tightness(rng, trials=200, chain_n=2000) -> SuiteResult:
     for t in range(trials):
         w = draw_jpe(rng)
         a0 = draw_known_set(rng)
-        sols = [wc.pbar_closed_form(w.w11, w.w10, a) for a in a0.known]
-        best = max(sols, key=lambda s: s.p_end)
+        best = wc.best_known_solution(w.w11, w.w10, a0)
         pbar = best.p_end
 
         acts = draw_superset(rng, a0, 3)

@@ -11,12 +11,19 @@ solution is a quadratic root and is never integrated numerically here;
 quadrature appears only as a test oracle.  Adversaries realizing the bound
 are finite chains of progressively cheaper, less productive actions, each a
 best response to its predecessor.
+
+The endpoint is written once, as the array kernel ``_endpoint``, which
+broadcasts over wages and targets.  Its joint branch (w11 > w10) is the
+quadratic root; every other cell takes the constant-slope branch at wage
+w10, where a zero wage leaves a free target at p(a0) and sends a costly one
+to zero.  ``pbar_closed_form`` calls it for one target, ``pbar_grid`` for a
+wage grid, and ``best_known_solution`` for every known target.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -82,49 +89,83 @@ class WorstCaseResult:
         return out
 
 
-def pbar_closed_form(w11: float, w10: float, a0: ActionSpec) -> OdeSolution:
-    """Closed-form endpoint of the undercut dynamics started at a0.
+def _endpoint(w11, w10, p0, c0):
+    """Endpoint ``(t_hat, p_end, t_zero)`` of the undercut dynamics started
+    at (cost c0, probability p0), elementwise over the broadcast inputs.
 
-    For w11 > w10 the implicit solution gives
+    Joint cells (w11 > w10) reach zero at t_zero = w10*p0 + (w11-w10)*p0^2/2
+    and before that end at
 
-        p_end = [sqrt((p0*w11 + (1-p0)*w10)^2 - 2*c0*(w11-w10)) - w10] / (w11-w10)
+        p_end = [sqrt((p0*w11 + (1-p0)*w10)^2 - 2*c0*(w11-w10)) - w10] / (w11-w10).
 
-    while the budget lasts, and 0 once the budget c0 reaches
-    t_zero = w10*p0 + (w11-w10)*p0^2/2.  With w11 == w10 == w the dynamics
-    have constant slope and p_end = max(0, p0 - c0/w).
+    Every other cell has constant slope at wage w10: t_zero = w10*p0 and
+    p_end = max(0, p0 - c0/w10), or, at zero wage, p0 for a free target and
+    0 for a costly one.  t_hat = min(c0, t_zero) is the budget used.
+
+    NumPy evaluates ``** 2`` with libm ``pow`` on scalars, as Python floats
+    do, and as an exact product on arrays; the two differ in the last bit on
+    about 0.05 % of inputs.  Scalar calls thus keep the bits of the scalar
+    code this kernel replaced, and array calls those of the grid code.
+
+    Raises OverflowError when an output is not finite.
     """
+    w11, w10, p0, c0 = (np.asarray(x, dtype=float) for x in (w11, w10, p0, c0))
+    joint = w11 > w10
+    paid = w10 > 0.0
+    with np.errstate(all="ignore"):
+        gap = w11 - w10
+        flat_zero = w10 * p0
+        t_zero = np.where(joint, flat_zero + gap * p0 * p0 / 2.0,
+                          np.where(paid, flat_zero, 0.0))
+        spent = c0 >= t_zero
+        disc = (p0 * w11 + (1.0 - p0) * w10) ** 2 - 2.0 * c0 * gap
+        root = np.where(joint, (np.sqrt(np.maximum(disc, 0.0)) - w10) / gap,
+                        p0 - c0 / w10)
+    # Python's max(0.0, root), but keeping NaN for the check below
+    p_end = np.where((root <= 0.0) | (joint & spent), 0.0, root)
+    p_end = np.where(joint | paid, p_end, np.where(c0 == 0.0, p0, 0.0))
+    t_hat = np.where(np.where(joint, spent, t_zero < c0), t_zero, c0)
+    # t_hat is t_zero or the finite cost c0
+    if not (np.isfinite(p_end).all() and np.isfinite(t_zero).all()):
+        raise OverflowError("undercut endpoint is not finite")
+    return t_hat, p_end, t_zero
+
+
+def pbar_closed_form(w11: float, w10: float, a0: ActionSpec) -> OdeSolution:
+    """Closed-form endpoint of the undercut dynamics started at a0 (see
+    ``_endpoint``); needs w11 >= w10."""
     if w11 < w10:
         raise ContractPatternError(f"need w11 >= w10, got w11={w11} < w10={w10}")
-    p0, c0 = a0.prob, a0.cost
-    if w11 == w10:
-        w = w11
-        if w <= 0.0:
-            p_end = p0 if c0 == 0.0 else 0.0
-            t_zero = 0.0
-        else:
-            t_zero = w * p0
-            p_end = max(0.0, p0 - c0 / w)
-        return OdeSolution(a0, w11, w10, min(c0, t_zero), p_end, t_zero)
-
-    gap = w11 - w10
-    t_zero = w10 * p0 + gap * p0 * p0 / 2.0
-    if c0 >= t_zero:
-        return OdeSolution(a0, w11, w10, t_zero, 0.0, t_zero)
-    disc = (p0 * w11 + (1.0 - p0) * w10) ** 2 - 2.0 * c0 * gap
-    p_end = (math.sqrt(max(disc, 0.0)) - w10) / gap
-    return OdeSolution(a0, w11, w10, c0, max(0.0, p_end), t_zero)
+    t_hat, p_end, t_zero = _endpoint(w11, w10, a0.prob, a0.cost)
+    return OdeSolution(a0, w11, w10, float(t_hat), float(p_end), float(t_zero))
 
 
-def shirk_branch(pbar: float, w11: float, w10: float) -> float:
+def best_known_solution(w11: float, w10: float, a0_set: ActionSet) -> OdeSolution:
+    """Endpoint of the known target whose dynamics end highest (the first
+    such target on ties)."""
+    if not a0_set.known:
+        raise ValueError("action set has no known prefix to target")
+    # One scalar call per target keeps the scalar bits of ``_endpoint``.
+    sols = [pbar_closed_form(w11, w10, a) for a in a0_set.known]
+    return sols[int(np.argmax([s.p_end for s in sols]))]
+
+
+def shirk_branch(pbar, w11, w10):
     """Per-agent principal payoff when both agents succeed w.p. pbar."""
     return pbar * (pbar * (1.0 - w11) + (1.0 - pbar) * (1.0 - w10))
 
 
-def _best_known_solution(w11: float, w10: float, a0_set: ActionSet) -> OdeSolution:
-    if not a0_set.known:
-        raise ValueError("action set has no known prefix to target")
-    sols = [pbar_closed_form(w11, w10, a) for a in a0_set.known]
-    return max(sols, key=lambda s: s.p_end)
+def _min_branch(pbar: float, full: float, shirk: float, a0_set: ActionSet,
+                with_witness: bool) -> WorstCaseResult:
+    """Result min{full, shirk} with the branch that binds, carrying the free
+    full-success witness when asked for and that branch binds."""
+    per_agent = min(full, shirk)
+    binding = FULL_SUCCESS if full < shirk else SHIRK_EQ
+    witness = None
+    if with_witness and binding == FULL_SUCCESS:
+        witness = Witness(a0_set.extend([ActionSpec(0.0, 1.0)]), 0.0,
+                          "free full-success action is dominant")
+    return WorstCaseResult(pbar, per_agent, 2.0 * per_agent, binding, witness)
 
 
 def _require_pattern(contract: Contract, jpe: bool) -> None:
@@ -152,26 +193,16 @@ def jpe_value(
     """
     w11, w10 = contract.w11, contract.w10
     _require_pattern(contract, jpe=True)
-    best = _best_known_solution(w11, w10, a0_set)
+    best = best_known_solution(w11, w10, a0_set)
     pbar = best.p_end
-    full = 1.0 - w11
-    shirk = shirk_branch(pbar, w11, w10)
-    per_agent = min(full, shirk)
-    binding = FULL_SUCCESS if full < shirk else SHIRK_EQ
-
-    witness = None
-    if with_witness:
-        if binding == FULL_SUCCESS:
-            adv = a0_set.extend([ActionSpec(0.0, 1.0)])
-            witness = Witness(adv, 0.0, "free full-success action is dominant")
-        elif best.t_hat > 0.0:
-            n = int(min(max(2, math.ceil(best.t_hat / witness_eps)), MAX_WITNESS_CHAIN))
-            chain = euler_adversary(contract, best.a0, n, verify=False)
-            tail = chain.actions.actions[1:]
-            witness = Witness(
-                a0_set.extend(tail), witness_eps, f"undercut chain of {n} steps"
-            )
-    return WorstCaseResult(pbar, per_agent, 2.0 * per_agent, binding, witness)
+    res = _min_branch(pbar, 1.0 - w11, shirk_branch(pbar, w11, w10), a0_set, with_witness)
+    if with_witness and res.binding == SHIRK_EQ and best.t_hat > 0.0:
+        n = int(min(max(2, math.ceil(best.t_hat / witness_eps)), MAX_WITNESS_CHAIN))
+        chain = euler_adversary(contract, best.a0, n, verify=False)
+        tail = chain.actions.actions[1:]
+        res = replace(res, witness=Witness(
+            a0_set.extend(tail), witness_eps, f"undercut chain of {n} steps"))
+    return res
 
 
 def jpe_value_w00(contract: Contract, a0_set: ActionSet) -> WorstCaseResult:
@@ -211,11 +242,8 @@ def jpe_value_w00(contract: Contract, a0_set: ActionSet) -> WorstCaseResult:
                 p_end = (w00 + math.sqrt(max(disc, 0.0))) / (w11 + w00)
         pbar = max(pbar, p_end)
 
-    full = 1.0 - w11
     shirk = pbar * pbar * (1.0 - w11) + (1.0 - pbar) ** 2 * (-w00)
-    per_agent = min(full, shirk)
-    binding = FULL_SUCCESS if full < shirk else SHIRK_EQ
-    return WorstCaseResult(pbar, per_agent, 2.0 * per_agent, binding, None)
+    return _min_branch(pbar, 1.0 - w11, shirk, a0_set, False)
 
 
 @dataclass(frozen=True)
@@ -256,25 +284,14 @@ def ipe_value(
     """Worst case of the independent evaluation paying w for own success."""
     if w < 0.0:
         raise ContractPatternError("wage must be non-negative")
-    if not a0_set.known:
-        raise ValueError("action set has no known prefix")
-    pbar = max(pbar_closed_form(w, w, a).p_end for a in a0_set.known)
-    full = 1.0 - w
-    shirk = pbar * (1.0 - w)
-    per_agent = min(full, shirk)
-    binding = FULL_SUCCESS if full < shirk else SHIRK_EQ
-    witness = None
-    if with_witness:
-        if binding == FULL_SUCCESS:
-            witness = Witness(
-                a0_set.extend([ActionSpec(0.0, 1.0)]),
-                0.0,
-                "free full-success action is dominant",
-            )
-        elif w > 0.0:
-            adv = ipe_adversary(w, a0_set, witness_eps)
-            witness = Witness(adv.actions, witness_eps, "single free undercut action")
-    return WorstCaseResult(pbar, per_agent, 2.0 * per_agent, binding, witness)
+    pbar = best_known_solution(w, w, a0_set).p_end
+    # shirk_branch(pbar, w, w) in fewer roundings, which the output bits rest on
+    res = _min_branch(pbar, 1.0 - w, pbar * (1.0 - w), a0_set, with_witness)
+    if with_witness and res.binding == SHIRK_EQ and w > 0.0:
+        adv = ipe_adversary(w, a0_set, witness_eps)
+        res = replace(res, witness=Witness(adv.actions, witness_eps,
+                                           "single free undercut action"))
+    return res
 
 
 def rpe_value(
@@ -507,28 +524,14 @@ def ipe_adversary(w: float, a0_set: ActionSet, eps: float) -> AdversarySet:
 # ---------------------------------------------------------------------------
 
 def pbar_grid(w11: np.ndarray, w10: np.ndarray, a0_set: ActionSet) -> np.ndarray:
-    """Elementwise max over known actions of the closed-form endpoint."""
-    w11 = np.asarray(w11, dtype=float)
-    w10 = np.asarray(w10, dtype=float)
-    gap = w11 - w10
+    """Elementwise max over known actions of the undercut endpoint."""
     out = np.zeros(np.broadcast(w11, w10).shape)
     for a in a0_set.known:
-        p0, c0 = a.prob, a.cost
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_zero = w10 * p0 + gap * p0 * p0 / 2.0
-            disc = (p0 * w11 + (1.0 - p0) * w10) ** 2 - 2.0 * c0 * gap
-            safe_gap = np.where(gap > 0.0, gap, 1.0)
-            jpe_end = (np.sqrt(np.clip(disc, 0.0, None)) - w10) / safe_gap
-            jpe_end = np.where(c0 >= t_zero, 0.0, np.clip(jpe_end, 0.0, None))
-            safe_w = np.where(w10 > 0.0, w10, 1.0)
-            ipe_end = np.where(w10 > 0.0, np.clip(p0 - c0 / safe_w, 0.0, None), 0.0)
-        p_end = np.where(gap > 0.0, jpe_end, ipe_end)
-        out = np.maximum(out, p_end)
+        out = np.maximum(out, _endpoint(w11, w10, a.prob, a.cost)[1])
     return out
 
 
 def value_grid(w11: np.ndarray, w10: np.ndarray, a0_set: ActionSet) -> np.ndarray:
     """Per-agent worst-case value min{1-w11, shirking branch} on a grid."""
-    pbar = pbar_grid(w11, w10, a0_set)
-    shirk = pbar * (pbar * (1.0 - w11) + (1.0 - pbar) * (1.0 - w10))
-    return np.minimum(1.0 - np.asarray(w11, dtype=float), shirk)
+    w11 = np.asarray(w11, dtype=float)
+    return np.minimum(1.0 - w11, shirk_branch(pbar_grid(w11, w10, a0_set), w11, w10))

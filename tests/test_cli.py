@@ -89,8 +89,9 @@ class TestEvaluate:
             "contract": {"w11": 1e308, "w10": 0.2, "w01": 0.0, "w00": 0.0},
             "actions": A0_JSON,
         })
-        assert main(["evaluate", "--input", inp]) == 2
-        assert capsys.readouterr().err.startswith("error: arithmetic overflow")
+        for verb, *flags in (["evaluate"], ["adversary", "--n", "10"]):
+            assert main([verb, "--input", inp, *flags]) == 2
+            assert capsys.readouterr().err.startswith("error: arithmetic overflow")
 
     def test_non_finite_wage_exits_2(self, tmp_path):
         inp = tmp_path / "in.json"
@@ -217,3 +218,37 @@ class TestSelftestVerb:
         assert main(["selftest", "--quick", "--seed", "0"]) == 0
         out = capsys.readouterr().out
         assert "[PASS]" in out and "[FAIL]" not in out
+
+
+JPE_JSON = {"contract": {"w11": 0.6, "w10": 0.0, "w01": 0.0, "w00": 0.0},
+            "actions": A0_JSON}
+
+
+class TestNumericFlags:
+    @pytest.mark.parametrize("verb, payload, flags", [
+        ("evaluate", JPE_JSON, ["--eps", "0"]),
+        ("evaluate", JPE_JSON, ["--eps=-1e-3"]),
+        ("evaluate", JPE_JSON, ["--eps", "inf"]),
+        ("adversary", JPE_JSON, ["--rho", "inf", "--n", "4"]),
+        ("optimize", A0_JSON, ["--grid-step", "inf"]),
+        ("sweep", {"p_grid": [1.0], "c_grid": [0.25]}, ["--refine", "-1"]),
+    ])
+    def test_bad_flag_exits_2_naming_it(self, tmp_path, capsys, verb, payload, flags):
+        inp = write(tmp_path, "in.json", payload)
+        out = tmp_path / "out.json"
+        with pytest.raises(SystemExit) as exc:
+            main([verb, "--input", inp, *flags, "--output", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument " + flags[0].split("=")[0] in err
+        assert not out.exists()
+
+    def test_non_finite_result_exits_2_writing_nothing(self, tmp_path, capsys):
+        inp = write(tmp_path, "a.json", {
+            "contract": {"w11": 1e308, "w10": 0.0, "w01": 0.0, "w00": 0.0},
+            "a0": {"cost": 0.25, "prob": 1.0},
+        })
+        out = tmp_path / "a-out.json"
+        assert main(["asym", "--input", inp, "--output", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: Out of range float")
+        assert not out.exists()

@@ -49,6 +49,32 @@ class TestInduceGame:
             assert np.array_equal(g.payoff_column(j), g.payoff[:, j])
 
 
+def dense_modularity(game, tol=1e-12):
+    """check_modularity's former loop over all ordered action pairs, kept as
+    the oracle for the closed form."""
+    asc = list(reversed(game.actions.ranking()))
+    v = game.payoff[np.ix_(asc, asc)]
+    m = len(asc)
+    lo, hi = 0.0, 0.0
+    iu, ju = np.triu_indices(m, 1)
+    for i1 in range(m):
+        for i2 in range(i1 + 1, m):
+            d = v[i2] - v[i1]
+            inc = d[ju] - d[iu]
+            if inc.size:
+                lo = min(lo, float(inc.min()))
+                hi = max(hi, float(inc.max()))
+    is_super = lo >= -tol
+    is_sub = hi <= tol
+    if is_super and is_sub:
+        return "BOTH"
+    if is_super:
+        return "SUPERMODULAR"
+    if is_sub:
+        return "SUBMODULAR"
+    return "NEITHER"
+
+
 class TestModularity:
     def test_joint_is_supermodular(self):
         g = induce_game(Contract(0.5, 0.0, 0.0, 0.0), WORK_SHIRK)
@@ -61,6 +87,29 @@ class TestModularity:
     def test_independent_is_both(self):
         g = induce_game(Contract(0.5, 0.5, 0.0, 0.0), WORK_SHIRK)
         assert check_modularity(g) == "BOTH"
+
+    def test_closed_form_matches_dense_oracle(self):
+        rng = np.random.default_rng(17)
+        kinds = ("random", "joint", "relative", "affine", "equal_prob")
+        seen = set()
+        for t in range(2000):
+            kind = kinds[t % len(kinds)]
+            w = rng.uniform(0.0, 1.5, 4)
+            if kind == "joint":
+                w[0], w[2:] = w[1] + rng.uniform(0.01, 1.0), 0.0
+            elif kind == "relative":
+                w[0], w[2:] = w[1] * rng.uniform(0.0, 0.99), 0.0
+            elif kind == "affine":
+                w[0] = w[1] + w[2] - w[3] if w[1] + w[2] >= w[3] else w[0]
+            n = int(rng.integers(1, 7))
+            probs = (np.full(n, rng.uniform(0, 1)) if kind == "equal_prob"
+                     else rng.uniform(0, 1, n))
+            acts = ActionSet.from_pairs([(rng.uniform(0, 0.5), p) for p in probs])
+            g = induce_game(Contract(*w), acts)
+            want = dense_modularity(g)
+            assert check_modularity(g) == want, (kind, w, probs)
+            seen.add(want)
+        assert seen == {"SUPERMODULAR", "SUBMODULAR", "BOTH"}
 
 
 class TestExtremalPath:

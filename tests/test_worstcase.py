@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from teamcontracts import (
     ActionSet,
@@ -9,6 +11,7 @@ from teamcontracts import (
     AssumptionError,
     Contract,
     ContractPatternError,
+    OdeSolution,
     calibrate_jpe,
     euler_adversary,
     euler_error_bound,
@@ -26,6 +29,7 @@ from teamcontracts.selftest import (
     ode_quadrature,
     ode_quadrature_w00,
 )
+from teamcontracts.worstcase import best_known_solution, pbar_grid
 
 A0 = ActionSet.from_pairs([(0.25, 1.0)])
 TARGET = ActionSpec(0.25, 1.0)
@@ -453,3 +457,156 @@ class TestQuadratureBits:
         got = ode_quadrature_w00(w11, w00, p0, budget, steps=2000)
         want = _rk4_w00_reference(w11, w00, p0, budget, steps=2000)
         assert np.array_equal(got, want)
+
+
+def _pbar_closed_form_reference(w11, w10, a0):
+    """pbar_closed_form as first written, kept as the bitwise reference."""
+    if w11 < w10:
+        raise ContractPatternError(f"need w11 >= w10, got w11={w11} < w10={w10}")
+    p0, c0 = a0.prob, a0.cost
+    if w11 == w10:
+        w = w11
+        if w <= 0.0:
+            p_end = p0 if c0 == 0.0 else 0.0
+            t_zero = 0.0
+        else:
+            t_zero = w * p0
+            p_end = max(0.0, p0 - c0 / w)
+        return OdeSolution(a0, w11, w10, min(c0, t_zero), p_end, t_zero)
+
+    gap = w11 - w10
+    t_zero = w10 * p0 + gap * p0 * p0 / 2.0
+    if c0 >= t_zero:
+        return OdeSolution(a0, w11, w10, t_zero, 0.0, t_zero)
+    disc = (p0 * w11 + (1.0 - p0) * w10) ** 2 - 2.0 * c0 * gap
+    p_end = (math.sqrt(max(disc, 0.0)) - w10) / gap
+    return OdeSolution(a0, w11, w10, c0, max(0.0, p_end), t_zero)
+
+
+def _pbar_grid_reference(w11, w10, a0_set):
+    """pbar_grid as first written, kept as the bitwise reference.  It differs
+    from the kernel only at zero wages with a free known action (0, not p0)."""
+    w11 = np.asarray(w11, dtype=float)
+    w10 = np.asarray(w10, dtype=float)
+    gap = w11 - w10
+    out = np.zeros(np.broadcast(w11, w10).shape)
+    for a in a0_set.known:
+        p0, c0 = a.prob, a.cost
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_zero = w10 * p0 + gap * p0 * p0 / 2.0
+            disc = (p0 * w11 + (1.0 - p0) * w10) ** 2 - 2.0 * c0 * gap
+            safe_gap = np.where(gap > 0.0, gap, 1.0)
+            jpe_end = (np.sqrt(np.clip(disc, 0.0, None)) - w10) / safe_gap
+            jpe_end = np.where(c0 >= t_zero, 0.0, np.clip(jpe_end, 0.0, None))
+            safe_w = np.where(w10 > 0.0, w10, 1.0)
+            ipe_end = np.where(w10 > 0.0, np.clip(p0 - c0 / safe_w, 0.0, None), 0.0)
+        p_end = np.where(gap > 0.0, jpe_end, ipe_end)
+        out = np.maximum(out, p_end)
+    return out
+
+
+def _endpoint_or_overflow(fn, w11, w10, a0):
+    try:
+        sol = fn(w11, w10, a0)
+    except OverflowError:
+        return "overflow"
+    return (sol.t_hat, sol.p_end, sol.t_zero)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+class TestEndpointBits:
+    """The undercut kernel gives the bits of the scalar and grid code it
+    replaced; the one deliberate change is the zero-wage grid cell."""
+
+    def test_scalar_seeded(self):
+        rng = np.random.default_rng(51)
+        for t in range(20_000):
+            kind = t % 6  # 1: w10 = 0, 2: w11 = w10, 3: free target, 5: all three
+            w10 = 0.0 if kind in (1, 5) else rng.uniform(0.0, 1.2)
+            w11 = w10 if kind in (2, 5) else w10 + rng.uniform(0.0, 1.0)
+            p0 = rng.uniform(0.0, 1.0)
+            c0 = 0.0 if kind in (3, 5) and t % 12 < 6 else rng.uniform(0.0, 1.0)
+            if kind == 4:  # budgets around the collapse point
+                c0 = (w10 * p0 + (w11 - w10) * p0 * p0 / 2.0) * rng.uniform(0.5, 1.5)
+            a0 = ActionSpec(c0, p0)
+            got = pbar_closed_form(w11, w10, a0)
+            want = _pbar_closed_form_reference(w11, w10, a0)
+            assert (got.t_hat, got.p_end, got.t_zero) == (want.t_hat, want.p_end, want.t_zero)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        w10=st.one_of(st.just(0.0), st.floats(0.0, 2.0), st.floats(0.0, 1e300)),
+        gap=st.one_of(st.just(0.0), st.floats(0.0, 2.0), st.floats(0.0, 1e300)),
+        p0=st.floats(0.0, 1.0),
+        c0=st.one_of(st.just(0.0), st.floats(0.0, 2.0), st.floats(0.0, 1e300)),
+    )
+    def test_scalar_property(self, w10, gap, p0, c0):
+        w11 = w10 + gap
+        assume(math.isfinite(w11))
+        a0 = ActionSpec(c0, p0)
+        got = _endpoint_or_overflow(pbar_closed_form, w11, w10, a0)
+        want = _endpoint_or_overflow(_pbar_closed_form_reference, w11, w10, a0)
+        assert got == want
+
+    def test_grid_seeded(self):
+        rng = np.random.default_rng(53)
+        axis = np.linspace(0.0, 1.0, 101)
+        w11, w10 = np.meshgrid(axis, axis, indexing="ij")
+        for _ in range(60):
+            k = int(rng.integers(1, 4))
+            known = ActionSet.from_pairs(
+                [(rng.uniform(1e-3, 1.0), rng.uniform(0.0, 1.0)) for _ in range(k)])
+            got = pbar_grid(w11, w10, known)
+            assert np.array_equal(_bits(got), _bits(_pbar_grid_reference(w11, w10, known)))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @settings(max_examples=100, deadline=None)
+    @given(
+        wages=st.lists(st.tuples(st.floats(0.0, 1.5), st.floats(0.0, 1.5)),
+                       min_size=1, max_size=20),
+        known=st.lists(st.tuples(st.floats(1e-6, 1.0), st.floats(0.0, 1.0)),
+                       min_size=1, max_size=3),
+    )
+    def test_grid_property(self, wages, known):
+        w11, w10 = (np.array(x) for x in zip(*wages))
+        known = ActionSet.from_pairs(known)
+        got = pbar_grid(w11, w10, known)
+        assert np.array_equal(_bits(got), _bits(_pbar_grid_reference(w11, w10, known)))
+        for k in range(len(w11)):
+            if w11[k] >= w10[k]:
+                assert got[k] == max(pbar_closed_form(w11[k], w10[k], a).p_end
+                                     for a in known.known)
+
+    def test_zero_wage_free_action(self):
+        free = ActionSet.from_pairs([(0.0, 0.7)])
+        assert pbar_closed_form(0.0, 0.0, ActionSpec(0.0, 0.7)).p_end == 0.7
+        assert pbar_grid(0.0, 0.0, free) == 0.7
+        assert _pbar_grid_reference(0.0, 0.0, free) == 0.0  # the former disagreement
+
+    def test_overflow_raises(self):
+        with pytest.raises(OverflowError):
+            pbar_closed_form(1e308, 0.2, TARGET)
+        with pytest.raises(OverflowError):
+            pbar_grid(np.array([0.5, 1e308]), np.array([0.0, 0.2]), A0)
+
+
+class TestBestKnownSolution:
+    def test_first_of_tied_targets(self):
+        known = ActionSet.from_pairs([(0.0, 0.2), (0.25, 1.0), (0.25, 1.0)])
+        best = best_known_solution(0.5, 0.5, known)
+        assert best.a0 is known.actions[1] and best.p_end == 0.5
+
+    def test_takes_highest_endpoint(self):
+        rng = np.random.default_rng(57)
+        for _ in range(200):
+            w = draw_jpe(rng)
+            known = draw_known_set(rng)
+            sols = [pbar_closed_form(w.w11, w.w10, a) for a in known.known]
+            assert best_known_solution(w.w11, w.w10, known) == max(sols, key=lambda s: s.p_end)
+
+    def test_needs_known_prefix(self):
+        with pytest.raises(ValueError):
+            best_known_solution(0.5, 0.0, ActionSet((TARGET,), 0))
