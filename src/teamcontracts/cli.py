@@ -51,6 +51,8 @@ def _load_json(path: str) -> dict:
 
 
 def _require_keys(obj: dict, required: set[str], optional: set[str] = frozenset()):
+    if not isinstance(obj, dict):
+        raise CliError(EXIT_VALIDATION, f"JSON object with fields {sorted(required)} expected")
     unknown = set(obj) - required - optional
     if unknown:
         raise CliError(EXIT_VALIDATION, f"unknown fields: {sorted(unknown)}")
@@ -103,6 +105,14 @@ def _emit(args, result: dict, csv_rows=None, csv_header=None) -> None:
         _atomic_write(args.output, text)
     else:
         sys.stdout.write(text)
+
+
+def _field(obj: dict, key: str, convert=float):
+    """``convert(obj[key])``, or a validation error naming the field."""
+    try:
+        return convert(obj[key])
+    except (TypeError, ValueError) as exc:
+        raise CliError(EXIT_VALIDATION, f"bad field {key!r}: {exc}")
 
 
 def _parse_contract(obj) -> md.Contract:
@@ -232,16 +242,11 @@ def cmd_discriminate(args) -> int:
 def cmd_bayes(args) -> int:
     payload = _load_json(args.input)
     _require_keys(payload, {"p0", "c0", "p_star"}, optional={"mu", "w0"})
-    mu = args.mu if args.mu is not None else payload.get("mu")
-    if mu is None:
+    if args.mu is None and "mu" not in payload:
         raise CliError(EXIT_VALIDATION, "mu required (field or --mu)")
-    try:
-        env = ext.BayesianEnv(float(mu), float(payload["p0"]), float(payload["c0"]),
-                              float(payload["p_star"]))
-    except ValueError as exc:
-        raise CliError(EXIT_VALIDATION, f"bad environment: {exc}")
-    w_star = env.c0 / env.p0
-    w0 = float(payload.get("w0", w_star / 2.0))
+    mu = args.mu if args.mu is not None else _field(payload, "mu")
+    env = ext.BayesianEnv(mu, *(_field(payload, k) for k in ("p0", "c0", "p_star")))
+    w0 = _field(payload, "w0") if "w0" in payload else env.c0 / env.p0 / 2.0
     jpe_val = ext.bayesian_eval(env, ext.JPE_SCHEME, w0)
     result = {
         "zero": ext.bayesian_eval(env, ext.ZERO),
@@ -265,11 +270,9 @@ def cmd_multi(args) -> int:
     payload = _load_json(args.input)
     _require_keys(payload, {"n", "w0", "b", "actions"})
     a0 = _parse_actions(payload["actions"])
-    try:
-        mac = ext.MultiAgentContract(int(payload["n"]), float(payload["w0"]), float(payload["b"]))
-        per_agent, total = ext.multi_agent_value(mac, a0)
-    except (ValueError, AssumptionError) as exc:
-        raise CliError(EXIT_VALIDATION, str(exc))
+    mac = ext.MultiAgentContract(_field(payload, "n", int), _field(payload, "w0"),
+                                 _field(payload, "b"))
+    per_agent, total = ext.multi_agent_value(mac, a0)
     _emit(args, {"n": mac.n, "per_agent": per_agent, "total": total})
     return EXIT_OK
 
@@ -279,14 +282,9 @@ def cmd_asym(args) -> int:
     _require_keys(payload, {"contract", "a0"})
     contract = _parse_contract(payload["contract"])
     a0_obj = payload["a0"]
-    bad = set(a0_obj) - {"cost", "prob"}
-    if bad:
-        raise CliError(EXIT_VALIDATION, f"unknown fields: {sorted(bad)}")
-    try:
-        a0 = md.ActionSpec(float(a0_obj["cost"]), float(a0_obj["prob"]))
-        p1, p2, total = ext.asym_unknown_value(contract, a0)
-    except (KeyError, ValueError) as exc:
-        raise CliError(EXIT_VALIDATION, str(exc))
+    _require_keys(a0_obj, {"cost", "prob"})
+    a0 = md.ActionSpec(_field(a0_obj, "cost"), _field(a0_obj, "prob"))
+    p1, p2, total = ext.asym_unknown_value(contract, a0)
     _emit(args, {"p1": p1, "p2": p2, "total": total})
     return EXIT_OK
 
@@ -415,6 +413,9 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     except OverflowError as exc:
         print(f"error: arithmetic overflow, input magnitudes too large: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError as exc:
+        print(f"error: request needs more memory than is available: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

@@ -119,10 +119,11 @@ def best_ipe_value(env: BayesianEnv) -> float:
 
 
 def best_jpe_value(env: BayesianEnv, points: int = 40) -> float:
-    """Best calibrated team scheme on an interior grid of base wages."""
-    w_star = env.c0 / env.p0
-    grid = np.linspace(0.0, w_star, points + 2)[1:-1]
-    return max(bayesian_eval(env, JPE_SCHEME, w0) for w0 in grid)
+    """Best calibrated team scheme on an interior grid of base wages: its
+    value falls strictly in w0, with slope -(1 - mu)*p_star*(1 - p_star/p0),
+    so that is the grid's first point."""
+    w0 = np.linspace(0.0, env.c0 / env.p0, points + 2)[1]
+    return bayesian_eval(env, JPE_SCHEME, float(w0))
 
 
 def _bisect_sign_change(h, lo: float, hi: float, iters: int = 80) -> float:

@@ -349,7 +349,7 @@ def enumerate_equilibria(
 ) -> list[Profile]:
     """All pure Nash profiles, plus strictly-mixed 2x2-support equilibria.
 
-    Pure profiles come from an exhaustive best-response check.  With
+    Pure profiles come from one mask of best responses.  With
     ``mixed=True`` (allowed up to ``cap`` actions) every support pair of size
     two per player is solved in closed form for the indifference mixture;
     candidates must mix strictly inside (0, 1) and survive the full
@@ -360,12 +360,8 @@ def enumerate_equilibria(
     if mixed and n > cap:
         raise GameSizeError(f"mixed enumeration capped at {cap} actions, got {n}")
     u = game.payoff
-    colmax = u.max(axis=0)
-    out: list[Profile] = []
-    for i in range(n):
-        for j in range(n):
-            if u[i, j] >= colmax[j] - tol and u[j, i] >= colmax[i] - tol:
-                out.append(Profile.pure(i, j, n))
+    ok = u >= u.max(axis=0) - tol  # ok[i, j]: i is a best response to j
+    out = [Profile.pure(int(i), int(j), n) for i, j in np.argwhere(ok & ok.T)]
     if not mixed:
         return out
 

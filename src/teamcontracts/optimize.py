@@ -57,13 +57,12 @@ class OptimizationResult:
 
 
 def _grid_best(w11: np.ndarray, w10: np.ndarray, a0_set: ActionSet):
-    """Best cell on the triangle w10 <= w11, ties to smallest (w11, w10)."""
-    mask = w10 <= w11 + 1e-15
-    vals = np.where(mask, value_grid(w11, w10, a0_set), -np.inf)
-    vmax = vals.max()
-    ties = np.argwhere(vals == vmax)
-    pairs = sorted((float(w11[tuple(t)]), float(w10[tuple(t)])) for t in ties)
-    return pairs[0][0], pairs[0][1], float(vmax)
+    """Best cell on the triangle w10 <= w11, ties to smallest (w11, w10): the
+    grids are ``np.meshgrid(..., indexing="ij")`` of non-decreasing axes, so
+    that is the first maximum in row-major order."""
+    vals = np.where(w10 <= w11 + 1e-15, value_grid(w11, w10, a0_set), -np.inf)
+    k = np.unravel_index(np.argmax(vals), vals.shape)
+    return float(w11[k]), float(w10[k]), float(vals[k])
 
 
 def optimize_jpe(

@@ -13,11 +13,12 @@ are finite chains of progressively cheaper, less productive actions, each a
 best response to its predecessor.
 
 The endpoint is written once, as the array kernel ``_endpoint``, which
-broadcasts over wages and targets.  Its joint branch (w11 > w10) is the
-quadratic root; every other cell takes the constant-slope branch at wage
-w10, where a zero wage leaves a free target at p(a0) and sends a costly one
-to zero.  ``pbar_closed_form`` calls it for one target, ``pbar_grid`` for a
-wage grid, and ``best_known_solution`` for every known target.
+broadcasts over wages and targets.  Its joint branch (w11 > w10) is a
+quadratic root, and so is the relative-evaluation fixed point; both come
+from ``_stable_root``.  Every other cell takes the constant-slope branch at
+wage w10, where a zero wage leaves a free target at p(a0) and sends a costly
+one to zero.  ``pbar_closed_form`` and ``best_known_solution`` make one
+kernel call over their targets, ``pbar_grid`` one per known target.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ContractPatternError, ConvergenceError
+from .errors import ContractPatternError
 from .game import enumerate_equilibria, extremal_br_path, induce_game
 from .model import ActionSet, ActionSpec, Contract, check_known_assumptions
 
@@ -89,41 +90,50 @@ class WorstCaseResult:
         return out
 
 
+def _stable_root(a, b, r):
+    """Root ``2r/(b + sqrt(b*b + 4*a*r))`` of ``a*p^2 + b*p = r`` for b >= 0:
+    the quadratic formula without cancellation (Goldberg, "What every
+    computer scientist should know about floating-point arithmetic", 1991).
+    The square is a product, so scalar and array calls round alike; a
+    discriminant that is not finite gives NaN, not a silent 0."""
+    disc = b * b + 4.0 * a * r
+    root = np.asarray(2.0 * r / (b + np.sqrt(np.maximum(disc, 0.0))))
+    root[~(disc < np.inf)] = np.nan  # in place: the wage grids are large
+    return root
+
+
 def _endpoint(w11, w10, p0, c0):
     """Endpoint ``(t_hat, p_end, t_zero)`` of the undercut dynamics started
     at (cost c0, probability p0), elementwise over the broadcast inputs.
 
     Joint cells (w11 > w10) reach zero at t_zero = w10*p0 + (w11-w10)*p0^2/2
-    and before that end at
+    and before that end at the root p_end of
 
-        p_end = [sqrt((p0*w11 + (1-p0)*w10)^2 - 2*c0*(w11-w10)) - w10] / (w11-w10).
+        (w11-w10)/2 * p^2 + w10 * p = t_zero - c0.
 
     Every other cell has constant slope at wage w10: t_zero = w10*p0 and
     p_end = max(0, p0 - c0/w10), or, at zero wage, p0 for a free target and
     0 for a costly one.  t_hat = min(c0, t_zero) is the budget used.
+    p_end is kept in [0, p0], which rounding can leave only where the
+    squares underflow (wages below about 1e-154).
 
-    NumPy evaluates ``** 2`` with libm ``pow`` on scalars, as Python floats
-    do, and as an exact product on arrays; the two differ in the last bit on
-    about 0.05 % of inputs.  Scalar calls thus keep the bits of the scalar
-    code this kernel replaced, and array calls those of the grid code.
-
-    Raises OverflowError when an output is not finite.
+    Raises OverflowError when an output, or a discriminant it rests on, is not finite.
     """
     w11, w10, p0, c0 = (np.asarray(x, dtype=float) for x in (w11, w10, p0, c0))
     joint = w11 > w10
     paid = w10 > 0.0
     with np.errstate(all="ignore"):
-        gap = w11 - w10
-        flat_zero = w10 * p0
-        t_zero = np.where(joint, flat_zero + gap * p0 * p0 / 2.0,
-                          np.where(paid, flat_zero, 0.0))
+        # Nothing is kept that the root does not need (not even w11 - w10):
+        # on a 1001 x 1001 wage grid each kept array is 8 MB of peak memory.
+        t_zero = np.where(joint, w10 * p0 + (w11 - w10) * p0 * p0 / 2.0,
+                          np.where(paid, w10 * p0, 0.0))
         spent = c0 >= t_zero
-        disc = (p0 * w11 + (1.0 - p0) * w10) ** 2 - 2.0 * c0 * gap
-        root = np.where(joint, (np.sqrt(np.maximum(disc, 0.0)) - w10) / gap,
+        root = np.where(joint, _stable_root((w11 - w10) / 2.0, w10, t_zero - c0),
                         p0 - c0 / w10)
     # Python's max(0.0, root), but keeping NaN for the check below
     p_end = np.where((root <= 0.0) | (joint & spent), 0.0, root)
     p_end = np.where(joint | paid, p_end, np.where(c0 == 0.0, p0, 0.0))
+    np.minimum(p_end, p0, out=p_end)
     t_hat = np.where(np.where(joint, spent, t_zero < c0), t_zero, c0)
     # t_hat is t_zero or the finite cost c0
     if not (np.isfinite(p_end).all() and np.isfinite(t_zero).all()):
@@ -131,13 +141,22 @@ def _endpoint(w11, w10, p0, c0):
     return t_hat, p_end, t_zero
 
 
+def _best_solution(w11: float, w10: float, targets) -> OdeSolution:
+    """Endpoint of the target whose dynamics end highest (the first such
+    target on ties), from one kernel call; needs w11 >= w10."""
+    if w11 < w10:
+        raise ContractPatternError(f"need w11 >= w10, got w11={w11} < w10={w10}")
+    t_hat, p_end, t_zero = _endpoint(w11, w10, [a.prob for a in targets],
+                                     [a.cost for a in targets])
+    k = int(np.argmax(p_end))
+    return OdeSolution(targets[k], w11, w10, float(t_hat[k]), float(p_end[k]),
+                       float(t_zero[k]))
+
+
 def pbar_closed_form(w11: float, w10: float, a0: ActionSpec) -> OdeSolution:
     """Closed-form endpoint of the undercut dynamics started at a0 (see
     ``_endpoint``); needs w11 >= w10."""
-    if w11 < w10:
-        raise ContractPatternError(f"need w11 >= w10, got w11={w11} < w10={w10}")
-    t_hat, p_end, t_zero = _endpoint(w11, w10, a0.prob, a0.cost)
-    return OdeSolution(a0, w11, w10, float(t_hat), float(p_end), float(t_zero))
+    return _best_solution(w11, w10, (a0,))
 
 
 def best_known_solution(w11: float, w10: float, a0_set: ActionSet) -> OdeSolution:
@@ -145,9 +164,7 @@ def best_known_solution(w11: float, w10: float, a0_set: ActionSet) -> OdeSolutio
     such target on ties)."""
     if not a0_set.known:
         raise ValueError("action set has no known prefix to target")
-    # One scalar call per target keeps the scalar bits of ``_endpoint``.
-    sols = [pbar_closed_form(w11, w10, a) for a in a0_set.known]
-    return sols[int(np.argmax([s.p_end for s in sols]))]
+    return _best_solution(w11, w10, a0_set.known)
 
 
 def shirk_branch(pbar, w11, w10):
@@ -299,54 +316,30 @@ def rpe_value(
     a0_set: ActionSet,
     with_witness: bool = False,
     witness_eps: float = DEFAULT_WITNESS_EPS,
-    tol: float = 1e-10,
 ) -> WorstCaseResult:
     """Worst case of a relative evaluation (w11 < w10, failure wages zero).
 
     The limiting adversary action solves the fixed point
 
-        p* = max over a0 (and the free null action) of
-             p(a0) - c(a0) / (p* * w11 + (1 - p*) * w10),
+        p* = min{1, max over a0 (and the free null action) of
+                    p(a0) - c(a0) / (p* * w11 + (1 - p*) * w10)}.
 
-    which is decreasing in p*, so bisection finds its unique root.
+    Each action's map falls in p*, so p* is the largest per-action fixed
+    point.  Divided by w10 > 0, that of a0 is the root of a*p^2 + b*p = r
+    with a = w11/w10 - 1, b = 1 - a*p(a0) and r = p(a0) - c(a0)/w10, which
+    is positive exactly when r is; other actions lose to the null action.
     """
     w11, w10 = contract.w11, contract.w10
     _require_pattern(contract, jpe=False)
     known = a0_set.known
     if not known:
         raise ValueError("action set has no known prefix")
-
-    def t0(p: float) -> float:
-        denom = p * w11 + (1.0 - p) * w10
-        best = 0.0  # the free null action
-        for a in known:
-            if denom > 0.0:
-                term = a.prob - a.cost / denom
-            else:
-                term = a.prob if a.cost == 0.0 else -math.inf
-            best = max(best, term)
-        return min(best, 1.0)
-
-    lo, hi = 0.0, 1.0
-    if t0(0.0) <= 0.0:
-        p_star = 0.0
-    elif t0(1.0) >= 1.0:
-        p_star = 1.0
-    else:
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if t0(mid) - mid >= 0.0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= tol * 0.5:
-                break
-        p_star = 0.5 * (lo + hi)
-        if abs(t0(p_star) - p_star) > 1e-6:
-            raise ConvergenceError(
-                f"relative-evaluation fixed point did not converge (residual "
-                f"{abs(t0(p_star) - p_star):.3e})"
-            )
+    prob = np.array([a.prob for a in known])
+    surplus = prob - np.array([a.cost for a in known]) / w10
+    keep = surplus > 0.0
+    a = w11 / w10 - 1.0
+    roots = _stable_root(a, 1.0 - a * prob[keep], surplus[keep])
+    p_star = min(1.0, float(roots.max(initial=0.0)))
 
     per_agent = shirk_branch(p_star, w11, w10)
     witness = None

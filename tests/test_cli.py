@@ -213,6 +213,25 @@ class TestBayesMultiAsym:
         assert (res["p1"], res["p2"], res["total"]) == (0.5, 0.0, 0.5)
 
 
+class TestBadInputNoTraceback:
+    @pytest.mark.parametrize("verb, payload, field", [
+        ("multi", {"n": None, "w0": 0.4, "b": 0.1, "actions": A0_JSON}, "n"),
+        ("bayes", {"mu": 0.9, "p0": None, "c0": 0.25, "p_star": 0.5}, "p0"),
+        ("asym", {"contract": {"w11": 0.5, "w10": 0.0, "w01": 0.0, "w00": 0.0},
+                  "a0": {"cost": None, "prob": 1.0}}, "cost"),
+    ])
+    def test_null_field_exits_2_naming_it(self, tmp_path, capsys, verb, payload, field):
+        inp = write(tmp_path, "in.json", payload)
+        assert main([verb, "--input", inp]) == 2
+        assert capsys.readouterr().err.startswith(f"error: bad field '{field}'")
+
+    def test_grid_too_fine_for_memory_exits_2(self, tmp_path, capsys):
+        # numpy refuses the 1e14-cell grid after allocating only its 80 MB axis
+        inp = write(tmp_path, "a0.json", A0_JSON)
+        assert main(["optimize", "--input", inp, "--grid-step", "1e-7"]) == 2
+        assert capsys.readouterr().err.startswith("error: request needs more memory")
+
+
 class TestSelftestVerb:
     def test_quick_suite_passes(self, capsys):
         assert main(["selftest", "--quick", "--seed", "0"]) == 0

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from teamcontracts import (
@@ -89,6 +90,19 @@ class TestBayesian:
         vals = [bayesian_eval(ENV, "JPE", w0) for w0 in grid]
         assert all(a > b for a, b in zip(vals, vals[1:]))
         assert all(v > bayesian_eval(ENV, "IPE_MIXED") for v in vals)
+
+    def test_best_team_value_is_first_grid_point(self):
+        def grid_max(env, points=40):  # best_jpe_value as first written
+            grid = np.linspace(0.0, env.c0 / env.p0, points + 2)[1:-1]
+            return max(bayesian_eval(env, "JPE", w0) for w0 in grid)
+
+        rng = np.random.default_rng(61)
+        for t in range(4000):
+            p0 = rng.uniform(1e-3, 1.0)
+            mu = (1e-9, 1.0 - 1e-9)[t % 2] if t % 10 < 2 else rng.uniform(1e-9, 1.0 - 1e-9)
+            env = BayesianEnv(mu, p0, p0 * rng.uniform(1e-3, 1.0), p0 * rng.uniform(1e-3, 1.0))
+            points = 40 if t % 3 else int(rng.integers(1, 60))
+            assert best_jpe_value(env, points) == grid_max(env, points)
 
     def test_invalid_scheme_parameters(self):
         with pytest.raises(ValueError):

@@ -75,6 +75,20 @@ def dense_modularity(game, tol=1e-12):
     return "NEITHER"
 
 
+def dense_pure_equilibria(game, tol=1e-9):
+    """enumerate_equilibria's former double loop over all pure profiles,
+    kept as the oracle for its best-response mask."""
+    u = game.payoff
+    colmax = u.max(axis=0)
+    n = len(game)
+    out = []
+    for i in range(n):
+        for j in range(n):
+            if u[i, j] >= colmax[j] - tol and u[j, i] >= colmax[i] - tol:
+                out.append(Profile.pure(i, j, n))
+    return out
+
+
 class TestModularity:
     def test_joint_is_supermodular(self):
         g = induce_game(Contract(0.5, 0.0, 0.0, 0.0), WORK_SHIRK)
@@ -169,6 +183,22 @@ class TestEnumerate:
         # Opponent weight on work solving the indifference by hand.
         assert mixed[0].y[0] == pytest.approx(0.13 / 0.18, abs=1e-12)
         assert verify_profile(g, mixed[0])
+
+    def test_pure_mask_matches_dense_oracle(self):
+        rng = np.random.default_rng(67)
+        counts = set()
+        for t in range(2000):
+            n = int(rng.integers(1, 9))
+            # rounded draws make duplicate actions and exact payoff ties common
+            probs = np.round(rng.uniform(0, 1, n), 1 + t % 3)
+            costs = np.round(rng.uniform(0, 0.5, n), 1 + t % 3)
+            acts = ActionSet.from_pairs(list(zip(costs, probs)))
+            w = np.round(rng.uniform(0, 1, 4), 1) * (rng.random(4) < 0.7)
+            g = induce_game(Contract(*w), acts)
+            got = enumerate_equilibria(g)
+            assert got == dense_pure_equilibria(g)
+            counts.add(min(len(got), 3))
+        assert counts == {1, 2, 3}
 
     def test_anticoordination_mixed(self):
         acts = ActionSet.from_pairs([(0.08, 0.8), (0.0, 0.3)])

@@ -14,8 +14,28 @@ from teamcontracts import (
     optimize_jpe,
     sweep_regimes,
 )
+from teamcontracts.optimize import _grid_best
+from teamcontracts.worstcase import value_grid
 
 A0 = ActionSet.from_pairs([(0.25, 1.0)])
+
+
+def _grid_best_reference(w11, w10, a0_set):
+    """_grid_best as first written, kept as its oracle: every tied cell,
+    sorted by (w11, w10)."""
+    vals = np.where(w10 <= w11 + 1e-15, value_grid(w11, w10, a0_set), -np.inf)
+    vmax = vals.max()
+    ties = np.argwhere(vals == vmax)
+    pairs = sorted((float(w11[tuple(t)]), float(w10[tuple(t)])) for t in ties)
+    return pairs[0][0], pairs[0][1], float(vmax)
+
+
+def _seeded_known_set(rng):
+    p0 = rng.uniform(0.3, 1.0)
+    pairs = [(p0 * rng.uniform(0.05, 0.9), p0)]
+    pairs += [(rng.uniform(0.02, 1.0), rng.uniform(0.05, 1.0))
+              for _ in range(int(rng.integers(0, 3)))]
+    return ActionSet.from_pairs(pairs)
 
 
 class TestOptimizeJpe:
@@ -31,9 +51,30 @@ class TestOptimizeJpe:
         assert res.per_agent > ipe_optimal(A0).per_agent
 
     def test_value_consistent_with_solver(self):
-        res = optimize_jpe(A0)
-        direct = jpe_value(Contract(res.w11, res.w10, 0.0, 0.0), A0).per_agent
-        assert res.per_agent == pytest.approx(direct, abs=1e-9)
+        # grid cells and scalar calls share the kernel's arithmetic, bit for
+        # bit; the pinned set differed in the last digit when they did not
+        pinned = ActionSet.from_pairs([(0.33128811555034887, 0.5871197848727463)])
+        rng = np.random.default_rng(45)
+        for a0 in [A0, pinned] + [_seeded_known_set(rng) for _ in range(30)]:
+            res = optimize_jpe(a0, refine_rounds=2)
+            direct = jpe_value(Contract(res.w11, res.w10, 0.0, 0.0), a0).per_agent
+            assert res.per_agent == direct
+
+    def test_grid_best_is_first_maximum(self):
+        rng = np.random.default_rng(47)
+        axis = np.linspace(0.0, 1.0, 101)
+        for _ in range(100):
+            a0 = _seeded_known_set(rng)
+            grids = [np.meshgrid(axis, axis, indexing="ij")]
+            # refinement windows as optimize_jpe builds them, some clipped at 0 or 1
+            for centre in ((0.0, 0.0), (1.0, 0.0), tuple(rng.uniform(0.0, 1.0, 2))):
+                for step in (1e-3, 1e-4):
+                    offs = np.arange(-10, 11) * step
+                    grids.append(np.meshgrid(np.clip(centre[0] + offs, 0.0, 1.0),
+                                             np.clip(centre[1] + offs, 0.0, 1.0),
+                                             indexing="ij"))
+            for w11, w10 in grids:
+                assert _grid_best(w11, w10, a0) == _grid_best_reference(w11, w10, a0)
 
     def test_small_surplus_is_mixed(self):
         res = optimize_jpe(ActionSet.from_pairs([(0.9, 1.0)]))

@@ -1,4 +1,6 @@
 import math
+from dataclasses import astuple
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -29,7 +31,7 @@ from teamcontracts.selftest import (
     ode_quadrature,
     ode_quadrature_w00,
 )
-from teamcontracts.worstcase import best_known_solution, pbar_grid
+from teamcontracts.worstcase import _endpoint, best_known_solution, pbar_grid
 
 A0 = ActionSet.from_pairs([(0.25, 1.0)])
 TARGET = ActionSpec(0.25, 1.0)
@@ -172,6 +174,36 @@ class TestIpeOptimal:
             assert res.per_agent == pytest.approx(value(res.w_star), abs=1e-12)
 
 
+def _rpe_bisection_reference(w11, w10, known, tol=1e-10):
+    """rpe_value's former bisection on its fixed-point map, kept as the
+    reference for the closed form; returns the fixed point and the map."""
+    def t0(p):
+        denom = p * w11 + (1.0 - p) * w10
+        best = 0.0  # the free null action
+        for a in known:
+            if denom > 0.0:
+                term = a.prob - a.cost / denom
+            else:
+                term = a.prob if a.cost == 0.0 else -math.inf
+            best = max(best, term)
+        return min(best, 1.0)
+
+    lo, hi = 0.0, 1.0
+    if t0(0.0) <= 0.0:
+        return 0.0, t0
+    if t0(1.0) >= 1.0:
+        return 1.0, t0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if t0(mid) - mid >= 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= tol * 0.5:
+            break
+    return 0.5 * (lo + hi), t0
+
+
 class TestRpeValue:
     def test_pure_relative_fixed_point(self):
         res = rpe_value(Contract(0.0, 0.5, 0.0, 0.0), A0)
@@ -202,6 +234,26 @@ class TestRpeValue:
                 + [a.prob - a.cost / denom for a in a0.known if denom > 0]
             )
             assert min(best, 1.0) == pytest.approx(p, abs=1e-8)
+
+    def test_closed_form_matches_bisection(self):
+        rng = np.random.default_rng(19)
+        for t in range(2000):
+            w10 = rng.uniform(0.01, 1.5)
+            w11 = 0.0 if t % 5 == 0 else rng.uniform(0.0, w10)
+            known = draw_known_set(rng)
+            got = rpe_value(Contract(w11, w10, 0.0, 0.0), known).pbar
+            want, fixed_point_map = _rpe_bisection_reference(w11, w10, known.known)
+            assert abs(got - want) <= 1e-10
+            assert abs(fixed_point_map(got) - got) <= 1e-14
+
+    def test_sure_free_action_and_extreme_wages(self):
+        sure = ActionSet.from_pairs([(0.0, 1.0), (0.25, 1.0)])
+        assert rpe_value(Contract(0.3, 0.6, 0.0, 0.0), sure).pbar == 1.0
+        # dividing through by w10 keeps the squares in range at any scale
+        for scale in (1e-300, 1e-150, 1e150, 1e300):
+            w = Contract(0.0, 0.5 * scale, 0.0, 0.0)
+            a0 = ActionSet.from_pairs([(0.25 * scale, 1.0)])
+            assert rpe_value(w, a0).pbar == pytest.approx(1.0 - math.sqrt(0.5), abs=1e-15)
 
 
 class TestEulerAdversary:
@@ -460,7 +512,9 @@ class TestQuadratureBits:
 
 
 def _pbar_closed_form_reference(w11, w10, a0):
-    """pbar_closed_form as first written, kept as the bitwise reference."""
+    """pbar_closed_form as first written: the bitwise reference for t_hat,
+    t_zero and the flat branch.  Its joint root cancels when w11 - w10 is
+    small against w10."""
     if w11 < w10:
         raise ContractPatternError(f"need w11 >= w10, got w11={w11} < w10={w10}")
     p0, c0 = a0.prob, a0.cost
@@ -484,8 +538,9 @@ def _pbar_closed_form_reference(w11, w10, a0):
 
 
 def _pbar_grid_reference(w11, w10, a0_set):
-    """pbar_grid as first written, kept as the bitwise reference.  It differs
-    from the kernel only at zero wages with a free known action (0, not p0)."""
+    """pbar_grid as first written, with the same joint root as
+    ``_pbar_closed_form_reference``.  Away from that root it differs from the
+    kernel only at zero wages with a free known action (0, not p0)."""
     w11 = np.asarray(w11, dtype=float)
     w10 = np.asarray(w10, dtype=float)
     gap = w11 - w10
@@ -505,12 +560,56 @@ def _pbar_grid_reference(w11, w10, a0_set):
     return out
 
 
-def _endpoint_or_overflow(fn, w11, w10, a0):
-    try:
-        sol = fn(w11, w10, a0)
-    except OverflowError:
-        return "overflow"
-    return (sol.t_hat, sol.p_end, sol.t_zero)
+ULP1 = 2.0**-52  # unit in the last place of 1.0
+IN_RANGE = (1e-140, 1e140)  # magnitudes whose squares neither overflow nor underflow
+
+
+def _in_range(*xs):
+    return all(x == 0.0 or IN_RANGE[0] <= abs(x) <= IN_RANGE[1] for x in xs)
+
+
+def _oracle_p_end(w11, w10, c0, t_zero):
+    """Joint endpoint in 80-digit decimal arithmetic: the root of
+    (w11-w10)/2 * p^2 + w10 * p = t_zero - c0.
+
+    It takes the kernel's t_zero, which is bit-equal to the reference's, so
+    it judges the root alone: where t_zero - c0 cancels, the two are within
+    a factor 2 and their float difference is exact (Sterbenz)."""
+    with localcontext() as ctx:
+        ctx.prec = 80
+        r = Decimal(t_zero) - Decimal(c0)
+        if r <= 0:
+            return 0.0
+        gap, b = Decimal(w11) - Decimal(w10), Decimal(w10)
+        return float(2 * r / (b + (b * b + 2 * gap * r).sqrt()))
+
+
+def _check_against_reference(w11, w10, a0):
+    """The kernel's endpoint at one in-range input: t_hat, t_zero and the
+    flat branch are the reference's bits, and the joint p_end is within
+    4 ulps of 1 of the decimal oracle.  Returns whether the reference's own
+    p_end also is."""
+    got = pbar_closed_form(w11, w10, a0)
+    want = _pbar_closed_form_reference(w11, w10, a0)
+    assert (got.t_hat, got.t_zero) == (want.t_hat, want.t_zero)
+    if w11 == w10:
+        assert got.p_end == want.p_end
+        return True
+    exact = _oracle_p_end(w11, w10, a0.cost, got.t_zero)
+    assert abs(got.p_end - exact) <= 4 * ULP1, (w11, w10, a0)
+    return abs(want.p_end - exact) <= 4 * ULP1
+
+
+def _expect_overflow(w11, w10, a0):
+    """Whether the kernel must raise: t_zero is not finite, or a joint cell
+    whose budget is not spent has a discriminant that is not finite."""
+    gap = w11 - w10
+    t_zero = w10 * a0.prob + gap * a0.prob * a0.prob / 2.0
+    if w11 == w10:
+        return False  # w10 * p0 is finite for finite inputs
+    if not math.isfinite(t_zero):
+        return True
+    return a0.cost < t_zero and not math.isfinite(w10 * w10 + 2.0 * gap * (t_zero - a0.cost))
 
 
 def _bits(x):
@@ -518,11 +617,14 @@ def _bits(x):
 
 
 class TestEndpointBits:
-    """The undercut kernel gives the bits of the scalar and grid code it
-    replaced; the one deliberate change is the zero-wage grid cell."""
+    """The undercut kernel against the scalar and grid code it replaced:
+    the same t_hat, t_zero and flat-branch bits, and a joint endpoint that
+    the stable root puts within 4 ulps of the exact root, where the former
+    (sqrt(disc) - w10)/gap was not."""
 
     def test_scalar_seeded(self):
         rng = np.random.default_rng(51)
+        reference_misses = 0
         for t in range(20_000):
             kind = t % 6  # 1: w10 = 0, 2: w11 = w10, 3: free target, 5: all three
             w10 = 0.0 if kind in (1, 5) else rng.uniform(0.0, 1.2)
@@ -531,10 +633,8 @@ class TestEndpointBits:
             c0 = 0.0 if kind in (3, 5) and t % 12 < 6 else rng.uniform(0.0, 1.0)
             if kind == 4:  # budgets around the collapse point
                 c0 = (w10 * p0 + (w11 - w10) * p0 * p0 / 2.0) * rng.uniform(0.5, 1.5)
-            a0 = ActionSpec(c0, p0)
-            got = pbar_closed_form(w11, w10, a0)
-            want = _pbar_closed_form_reference(w11, w10, a0)
-            assert (got.t_hat, got.p_end, got.t_zero) == (want.t_hat, want.p_end, want.t_zero)
+            reference_misses += not _check_against_reference(w11, w10, ActionSpec(c0, p0))
+        assert reference_misses > 0  # the former cancelling root fails this check
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -547,20 +647,52 @@ class TestEndpointBits:
         w11 = w10 + gap
         assume(math.isfinite(w11))
         a0 = ActionSpec(c0, p0)
-        got = _endpoint_or_overflow(pbar_closed_form, w11, w10, a0)
-        want = _endpoint_or_overflow(_pbar_closed_form_reference, w11, w10, a0)
-        assert got == want
+        if _in_range(w11, w10, w11 - w10, p0, c0):
+            _check_against_reference(w11, w10, a0)
+            return
+        try:
+            got = pbar_closed_form(w11, w10, a0)
+        except OverflowError:
+            assert _expect_overflow(w11, w10, a0)
+            return
+        assert not _expect_overflow(w11, w10, a0)
+        assert 0.0 <= got.p_end <= p0
+
+    def test_stable_where_former_root_cancelled(self):
+        # w11 - w10 is half an ulp of w10, so the dynamics are all but flat
+        for cost, want, former in ((0.1, 0.8, 1.0), (0.2, 0.6, 0.0)):
+            a0 = ActionSpec(cost, 1.0)
+            got = pbar_closed_form(0.5 + 2**-53, 0.5, a0).p_end
+            assert got == pytest.approx(want, abs=4 * ULP1)
+            assert _pbar_closed_form_reference(0.5 + 2**-53, 0.5, a0).p_end == former
+
+    def test_scalar_and_grid_bits_agree(self):
+        rng = np.random.default_rng(55)
+        n = 20_000
+        w10 = 10.0 ** rng.uniform(-3.0, 1.0, n) * (rng.random(n) < 0.9)
+        w11 = w10 + 10.0 ** rng.uniform(-17.0, 1.0, n) * (rng.random(n) < 0.9)
+        p0 = rng.uniform(0.0, 1.0, n)
+        c0 = (w10 * p0 + (w11 - w10) * p0 * p0 / 2.0) * rng.uniform(0.0, 1.2, n)
+        scalar = np.array([
+            astuple(pbar_closed_form(w11[k], w10[k], ActionSpec(c0[k], p0[k])))[3:]
+            for k in range(n)])
+        t_hat, p_end, t_zero = _endpoint(w11, w10, p0, c0)
+        assert np.array_equal(_bits(scalar), _bits(np.stack([t_hat, p_end, t_zero], axis=1)))
 
     def test_grid_seeded(self):
         rng = np.random.default_rng(53)
         axis = np.linspace(0.0, 1.0, 101)
         w11, w10 = np.meshgrid(axis, axis, indexing="ij")
+        flat = w11 <= w10
         for _ in range(60):
             k = int(rng.integers(1, 4))
             known = ActionSet.from_pairs(
                 [(rng.uniform(1e-3, 1.0), rng.uniform(0.0, 1.0)) for _ in range(k)])
             got = pbar_grid(w11, w10, known)
-            assert np.array_equal(_bits(got), _bits(_pbar_grid_reference(w11, w10, known)))
+            want = _pbar_grid_reference(w11, w10, known)
+            assert np.array_equal(_bits(got[flat]), _bits(want[flat]))
+            # here w10/(w11 - w10) <= 100 bounds how far the former root cancelled
+            assert np.abs(got - want).max() <= 400 * ULP1
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @settings(max_examples=100, deadline=None)
@@ -574,7 +706,9 @@ class TestEndpointBits:
         w11, w10 = (np.array(x) for x in zip(*wages))
         known = ActionSet.from_pairs(known)
         got = pbar_grid(w11, w10, known)
-        assert np.array_equal(_bits(got), _bits(_pbar_grid_reference(w11, w10, known)))
+        flat = w11 <= w10
+        want = _pbar_grid_reference(w11, w10, known)
+        assert np.array_equal(_bits(got[flat]), _bits(want[flat]))
         for k in range(len(w11)):
             if w11[k] >= w10[k]:
                 assert got[k] == max(pbar_closed_form(w11[k], w10[k], a).p_end
@@ -591,6 +725,17 @@ class TestEndpointBits:
             pbar_closed_form(1e308, 0.2, TARGET)
         with pytest.raises(OverflowError):
             pbar_grid(np.array([0.5, 1e308]), np.array([0.0, 0.2]), A0)
+        # the discriminant overflows though 2r/(b + inf) would be a finite 0
+        with pytest.raises(OverflowError):
+            pbar_closed_form(2e200, 1e200, TARGET)
+        # flat cells and spent budgets need no discriminant
+        assert pbar_closed_form(1e200, 1e200, TARGET).p_end == 1.0 - 0.25 / 1e200
+        assert pbar_closed_form(2e200, 1e200, ActionSpec(1e300, 1.0)).p_end == 0.0
+
+    def test_underflowing_squares_stay_below_p0(self):
+        for w10, gap in ((0.0, 1e-300), (1e-295, 1e-295), (3e-160, 1e-300)):
+            sol = pbar_closed_form(w10 + gap, w10, ActionSpec(0.0, 0.5))
+            assert 0.0 <= sol.p_end <= 0.5
 
 
 class TestBestKnownSolution:
