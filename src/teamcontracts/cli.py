@@ -115,6 +115,12 @@ def _field(obj: dict, key: str, convert=float):
         raise CliError(EXIT_VALIDATION, f"bad field {key!r}: {exc}")
 
 
+def _integral(x) -> int:
+    if not float(x).is_integer():
+        raise ValueError(f"not an integer: {x!r}")
+    return int(x)
+
+
 def _parse_contract(obj) -> md.Contract:
     try:
         return md.Contract.from_json(obj)
@@ -254,14 +260,12 @@ def cmd_bayes(args) -> int:
         "ipe_always_a0": ext.bayesian_eval(env, ext.IPE_ALWAYS_A0),
         "jpe": {"w0": w0, "b": ext.jpe_team_bonus(env, w0), "value": jpe_val},
     }
-    try:
-        result["mu_threshold_ipe"] = ext.mu_threshold_ipe(env.p0, env.c0, env.p_star)
-    except ValueError:
-        result["mu_threshold_ipe"] = None
-    try:
-        result["mu_threshold_jpe"] = ext.mu_threshold_jpe(env.p0, env.c0, env.p_star)
-    except ValueError:
-        result["mu_threshold_jpe"] = None
+    for key, threshold in (("mu_threshold_ipe", ext.mu_threshold_ipe),
+                           ("mu_threshold_jpe", ext.mu_threshold_jpe)):
+        try:
+            result[key] = threshold(env.p0, env.c0, env.p_star)
+        except ValueError:
+            result[key] = None
     _emit(args, result)
     return EXIT_OK
 
@@ -270,7 +274,7 @@ def cmd_multi(args) -> int:
     payload = _load_json(args.input)
     _require_keys(payload, {"n", "w0", "b", "actions"})
     a0 = _parse_actions(payload["actions"])
-    mac = ext.MultiAgentContract(_field(payload, "n", int), _field(payload, "w0"),
+    mac = ext.MultiAgentContract(_field(payload, "n", _integral), _field(payload, "w0"),
                                  _field(payload, "b"))
     per_agent, total = ext.multi_agent_value(mac, a0)
     _emit(args, {"n": mac.n, "per_agent": per_agent, "total": total})
@@ -353,7 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("adversary", help="undercut chain realizing the worst case")
     p.add_argument("--input", required=True, help='JSON {"contract":..., "actions":...}')
-    p.add_argument("--n", type=int, required=True, help="chain length")
+    p.add_argument("--n", required=True, help="chain length", type=_checked(
+        int, lambda n: 1 <= n <= wc.MAX_WITNESS_CHAIN, f"in [1, {wc.MAX_WITNESS_CHAIN}]"))
     p.add_argument("--rho", type=_non_negative, help="override the rounding margin")
     common(p)
     p.set_defaults(func=cmd_adversary)

@@ -121,54 +121,47 @@ def best_ipe_value(env: BayesianEnv) -> float:
 def best_jpe_value(env: BayesianEnv, points: int = 40) -> float:
     """Best calibrated team scheme on an interior grid of base wages: its
     value falls strictly in w0, with slope -(1 - mu)*p_star*(1 - p_star/p0),
-    so that is the grid's first point."""
+    so that is the grid's first point, which does not depend on mu."""
     w0 = np.linspace(0.0, env.c0 / env.p0, points + 2)[1]
     return bayesian_eval(env, JPE_SCHEME, float(w0))
 
 
-def _bisect_sign_change(h, lo: float, hi: float, iters: int = 80) -> float:
-    flo = h(lo)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if (h(mid) > 0.0) == (flo > 0.0):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _first_flip(p0: float, c0: float, p_star: float, own, rivals) -> float:
+    """First mu in [1e-9, 1 - 1e-9] where ``own(env)`` starts or stops
+    strictly beating every rival.  Each gap own - rival is affine in mu, the
+    line through its values a, b at the ends, so h = min(gaps) is concave and
+    positive from the last gap to rise through zero to the first to fall.
+    Only gaps that change sign are solved; |a - b| >= |a| keeps roots inside."""
+    lo, hi = 1e-9, 1.0 - 1e-9
+    envs = [BayesianEnv(mu, p0, c0, p_star) for mu in (lo, hi)]
+    own_at = [own(env) for env in envs]
+    gaps = [[o - bayesian_eval(env, r) for o, env in zip(own_at, envs)] for r in rivals]
 
+    def root(a, b):
+        return lo + (hi - lo) * (a / (a - b))
 
-def _scan_threshold(h, points: int = 1001) -> float:
-    """First sign change of h over mu in (0, 1), refined by bisection."""
-    grid = np.linspace(1e-9, 1.0 - 1e-9, points)
-    vals = [h(m) for m in grid]
-    for k in range(len(grid) - 1):
-        if (vals[k] > 0.0) != (vals[k + 1] > 0.0):
-            return _bisect_sign_change(h, float(grid[k]), float(grid[k + 1]))
+    falls = [root(a, b) for a, b in gaps if a > 0.0 >= b]
+    rises = [root(a, b) for a, b in gaps if a <= 0.0 < b]
+    if all(a > 0.0 for a, _ in gaps):
+        if falls:
+            return min(falls)
+    elif all(a > 0.0 or b > 0.0 for a, b in gaps) and all(max(rises) < t for t in falls):
+        return max(rises)
     raise ValueError("no regime flip in (0, 1) for these parameters")
 
 
 def mu_threshold_ipe(p0: float, c0: float, p_star: float) -> float:
     """Availability probability at which the implementing wage c0/p0
     overtakes the best non-implementing independent scheme."""
-
-    def h(mu):
-        env = BayesianEnv(mu, p0, c0, p_star)
-        return bayesian_eval(env, IPE_MIXED) - max(
-            bayesian_eval(env, ZERO), bayesian_eval(env, IPE_ALWAYS_A0)
-        )
-
-    return _scan_threshold(h)
+    return _first_flip(p0, c0, p_star, lambda env: bayesian_eval(env, IPE_MIXED),
+                       (ZERO, IPE_ALWAYS_A0))
 
 
 def mu_threshold_jpe(p0: float, c0: float, p_star: float, points: int = 40) -> float:
     """Availability probability above which some calibrated team scheme
     strictly beats every independent scheme."""
-
-    def h(mu):
-        env = BayesianEnv(mu, p0, c0, p_star)
-        return best_jpe_value(env, points) - best_ipe_value(env)
-
-    return _scan_threshold(h)
+    return _first_flip(p0, c0, p_star, lambda env: best_jpe_value(env, points),
+                       (ZERO, IPE_MIXED, IPE_ALWAYS_A0))
 
 
 def asym_unknown_value(contract: Contract, a0: ActionSpec) -> tuple[float, float, float]:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from teamcontracts import cli
 from teamcontracts.cli import main
 
 A0_JSON = {"actions": [{"cost": 0.25, "prob": 1.0}], "known": 1}
@@ -202,6 +203,20 @@ class TestBayesMultiAsym:
         res = read_result(out)
         assert res["total"] == pytest.approx(3 * res["per_agent"])
 
+    @pytest.mark.parametrize("n", [3, 3.0])
+    def test_multi_accepts_integral_count(self, tmp_path, n):
+        inp = write(tmp_path, "m.json", {"n": n, "w0": 0.4, "b": 0.1, "actions": A0_JSON})
+        out = tmp_path / "m-out.json"
+        assert main(["multi", "--input", inp, "--output", str(out)]) == 0
+        assert read_result(out)["n"] == 3
+
+    def test_multi_refuses_fractional_count(self, tmp_path, capsys):
+        inp = write(tmp_path, "m.json", {"n": 2.9, "w0": 0.4, "b": 0.1, "actions": A0_JSON})
+        out = tmp_path / "m-out.json"
+        assert main(["multi", "--input", inp, "--output", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: bad field 'n': not an integer")
+        assert not out.exists()
+
     def test_asym(self, tmp_path):
         inp = write(tmp_path, "a.json", {
             "contract": {"w11": 0.5, "w10": 0.0, "w01": 0.0, "w00": 0.0},
@@ -261,6 +276,17 @@ class TestNumericFlags:
         err = capsys.readouterr().err
         assert "error: argument " + flags[0].split("=")[0] in err
         assert not out.exists()
+
+    def test_chain_length_refused_before_building(self, tmp_path, capsys, monkeypatch):
+        def build(*args, **kwargs):
+            raise AssertionError("an out-of-range chain was built")
+
+        monkeypatch.setattr(cli.wc, "euler_adversary", build)
+        inp = write(tmp_path, "in.json", JPE_JSON)
+        with pytest.raises(SystemExit) as exc:
+            main(["adversary", "--input", inp, "--n", "100001"])
+        assert exc.value.code == 2
+        assert "error: argument --n: must be in [1, 100000], got 100001" in capsys.readouterr().err
 
     def test_non_finite_result_exits_2_writing_nothing(self, tmp_path, capsys):
         inp = write(tmp_path, "a.json", {

@@ -1,3 +1,7 @@
+import functools
+from fractions import Fraction
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -27,6 +31,7 @@ from teamcontracts import (
     pessimistic_value,
     select_and_value,
 )
+from teamcontracts import extensions
 
 A0 = ActionSet.from_pairs([(0.25, 1.0)])
 ENV = BayesianEnv(mu=0.9, p0=1.0, c0=0.25, p_star=0.5)
@@ -139,6 +144,192 @@ class TestBayesian:
             BayesianEnv(0.5, 1.0, 1.25, 0.5)
         with pytest.raises(ValueError):
             BayesianEnv(0.5, 1.0, 0.25, 1.0)
+
+
+MU_LO, MU_HI = 1e-9, 1.0 - 1e-9
+RIVALS = {"IPE_MIXED": ("ZERO", "IPE_ALWAYS_A0"), "JPE": ("ZERO", "IPE_MIXED", "IPE_ALWAYS_A0")}
+THRESHOLDS = {"IPE_MIXED": mu_threshold_ipe, "JPE": mu_threshold_jpe}
+
+
+def _bisect_sign_change(h, lo, hi, iters=80):
+    flo = h(lo)
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if (h(mid) > 0.0) == (flo > 0.0):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _scan_threshold(h, points=1001):
+    """The former threshold search, kept as the oracle: first sign change of
+    h on a 1001-point grid, refined by 80 bisection steps.  The grid is
+    evaluated and searched in whole-array calls instead of point by point."""
+    grid = np.linspace(1e-9, 1.0 - 1e-9, points)
+    pos = h(grid) > 0.0
+    flips = np.flatnonzero(pos[:-1] != pos[1:])
+    if flips.size:
+        k = flips[0]
+        return _bisect_sign_change(h, float(grid[k]), float(grid[k + 1]))
+    raise ValueError("no regime flip in (0, 1) for these parameters")
+
+
+def _scan_gap(own, p0, c0, p_star):
+    """The former h(mu): own scheme minus the best rival, through the
+    library's scheme values, the team scheme at best_jpe_value's base wage.
+    bayesian_eval reads only the four fields of its environment and is
+    elementwise in mu, so mu may be the whole grid."""
+    w0 = float(np.linspace(0.0, c0 / p0, 42)[1]) if own == "JPE" else None
+
+    def h(mu):
+        env = SimpleNamespace(mu=mu, p0=p0, c0=c0, p_star=p_star)
+        rivals = [bayesian_eval(env, r) for r in RIVALS[own]]
+        return bayesian_eval(env, own, w0) - functools.reduce(np.maximum, rivals)
+
+    return h
+
+
+def _exact_first_flip(ends):
+    """First sign change of h = min of the lines through the exact end values
+    ``ends`` = [(gap at 1e-9, gap at 1 - 1e-9), ...], or None.
+
+    The flip is the left end or one of the lines' roots: walk them in order
+    and test the sign of h at each and just after it.
+    """
+    lo, hi = Fraction(MU_LO), Fraction(MU_HI)
+
+    def h(mu):
+        return min(a + (b - a) * (mu - lo) / (hi - lo) for a, b in ends)
+
+    points = {lo, hi}
+    points.update(lo + (hi - lo) * a / (a - b) for a, b in ends if a != b)
+    points = sorted(mu for mu in points if lo <= mu <= hi)
+    start = h(lo) > 0
+    for here, after in zip(points, points[1:]):
+        if start and h(here) <= 0:
+            return here
+        if (h((here + after) / 2) > 0) != start:
+            return here
+    return hi if start and h(hi) <= 0 else None
+
+
+def _exact_flip(own, p0, c0, p_star):
+    """The threshold in exact rational arithmetic on the float inputs and the
+    float base wage of best_jpe_value, or None."""
+    p0, c0, ps = Fraction(p0), Fraction(c0), Fraction(p_star)
+    w0 = Fraction(float(np.linspace(0.0, float(c0 / p0), 42)[1]))
+
+    def gaps(mu):
+        w_star = c0 / p0
+        b = (w_star - w0) / p0
+        v = {
+            "ZERO": (1 - mu) * ps,
+            "IPE_MIXED": (mu * p0 + (1 - mu) * ps) * (1 - w_star),
+            "IPE_ALWAYS_A0": p0 * (1 - c0 / (p0 - ps)),
+            "JPE": mu * p0 * (1 - w_star) + (1 - mu) * ps * (1 - (w0 + ps * b)),
+        }
+        return [v[own] - v[r] for r in RIVALS[own]]
+
+    return _exact_first_flip(list(zip(gaps(Fraction(MU_LO)), gaps(Fraction(MU_HI)))))
+
+
+def _flip_or_none(threshold, *args):
+    try:
+        return threshold(*args)
+    except ValueError:
+        return None
+
+
+class TestBayesianThresholds:
+    def test_agree_with_scan_on_well_conditioned_environments(self):
+        rng = np.random.default_rng(67)
+        found = 0
+        for _ in range(2000):
+            p0 = rng.uniform(1e-3, 1.0)
+            c0, p_star = p0 * rng.uniform(1e-3, 1.0 - 1e-3, 2)
+            for own, threshold in THRESHOLDS.items():
+                got = _flip_or_none(threshold, p0, c0, p_star)
+                want = _flip_or_none(_scan_threshold, _scan_gap(own, p0, c0, p_star))
+                assert (got is None) == (want is None), (own, p0, c0, p_star, got, want)
+                if got is not None:
+                    found += 1
+                    assert abs(got - want) <= 1e-14, (own, p0, c0, p_star, got, want)
+        assert found > 1000
+
+    def test_narrow_flip_the_scan_misses(self):
+        args = (6.333700452897154e-07, 4.020851913622603e-18, 6.273650503431308e-07)
+        with pytest.raises(ValueError):
+            _scan_threshold(_scan_gap("JPE", *args))
+        exact = _exact_flip("JPE", *args)
+        assert float(exact) == 0.9999999300459107
+        # the scheme values at the ends carry their own rounding, which the
+        # root inherits scaled by the gap's slope
+        assert mu_threshold_jpe(*args) == pytest.approx(float(exact), abs=1e-13)
+
+    def test_rounding_flip_the_scan_reports(self):
+        args = (2.4015180385935126e-160, 1.6943560675778482e-171, 2.401518038586669e-160)
+        assert 0.0 < _scan_threshold(_scan_gap("JPE", *args)) < 1.0
+        assert _exact_flip("JPE", *args) is None
+        with pytest.raises(ValueError):
+            mu_threshold_jpe(*args)
+
+    def test_rule_on_every_arrangement_of_lines(self, monkeypatch):
+        # Gap lines with small integer end values: rises, falls, lines that
+        # stay on one side, exact zeros at an end, ties, and flat lines.
+        rng = np.random.default_rng(71)
+        ends = {}
+        monkeypatch.setattr(extensions, "bayesian_eval", lambda env, r: ends[r][env.mu > 0.5])
+        seen = set()
+        for _ in range(3000):
+            k = int(rng.integers(1, 4))
+            lines = [tuple(int(v) for v in rng.integers(-2, 3, 2)) for _ in range(k)]
+            ends.update({str(j): (-a, -b) for j, (a, b) in enumerate(lines)})
+            got = _flip_or_none(extensions._first_flip, 1.0, 0.25, 0.5, lambda env: 0,
+                                [str(j) for j in range(k)])
+            want = _exact_first_flip([(Fraction(a), Fraction(b)) for a, b in lines])
+            assert (got is None) == (want is None), (lines, got, want)
+            if got is not None:
+                seen.add(got)
+                assert got == pytest.approx(float(want), abs=1e-15), (lines, got, want)
+        assert {MU_LO, MU_HI} < seen
+
+    def test_flat_gap_is_not_solved(self):
+        # the team scheme and IPE_MIXED tie exactly at both ends here
+        args = (1.494170091077305e-169, 8.580434303996489e-178, 1.4941700910773034e-169)
+        for threshold in THRESHOLDS.values():
+            got = _flip_or_none(threshold, *args)
+            assert got is None or MU_LO <= got <= MU_HI
+
+    def test_root_at_the_right_end_stays_inside(self):
+        # the gap to IPE_MIXED is exactly 0 at the right end: a fall whose root is that end
+        args = (5.213895349188049e-181, 1.3271323688356002e-190, 5.213882808861346e-181)
+        assert mu_threshold_jpe(*args) == MU_HI
+
+    def test_extreme_inputs_stay_in_range(self):
+        # Down here the gaps are at rounding level and neither the scan nor
+        # the lines are exact; only the range and the exception are promised.
+        rng = np.random.default_rng(83)
+        for t in range(4000):
+            p0 = 10.0 ** rng.uniform(-300.0, 0.0)
+            c0 = p0 * 10.0 ** rng.uniform(-16.0, -1e-3)
+            small = 10.0 ** rng.uniform(-16.0, -1e-3)
+            p_star = p0 * (small if t % 2 else 1.0 - small)
+            for threshold in THRESHOLDS.values():
+                got = _flip_or_none(threshold, p0, c0, p_star)
+                assert got is None or MU_LO <= got <= MU_HI, (p0, c0, p_star, got)
+
+    def test_few_scheme_evaluations(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return bayesian_eval(*args, **kwargs)
+
+        monkeypatch.setattr(extensions, "bayesian_eval", counted)
+        mu_threshold_ipe(1.0, 0.25, 0.5)
+        mu_threshold_jpe(1.0, 0.25, 0.5)
+        assert len(calls) <= 20
 
 
 class TestAsymUnknown:
