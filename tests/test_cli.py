@@ -241,10 +241,53 @@ class TestBadInputNoTraceback:
         assert capsys.readouterr().err.startswith(f"error: bad field '{field}'")
 
     def test_grid_too_fine_for_memory_exits_2(self, tmp_path, capsys):
-        # numpy refuses the 1e14-cell grid after allocating only its 80 MB axis
+        # refused on its work estimate, before its 80 MB axis is allocated
         inp = write(tmp_path, "a0.json", A0_JSON)
         assert main(["optimize", "--input", inp, "--grid-step", "1e-7"]) == 2
-        assert capsys.readouterr().err.startswith("error: request needs more memory")
+        assert capsys.readouterr().err.startswith(
+            "error: grid step 1e-07 asks for about 5e+13 value evaluations")
+
+
+class TestGridCaps:
+    """One call on each side of each grid cap."""
+
+    def test_optimize_step_1e_4_with_one_known_action_runs(self, tmp_path):
+        inp = write(tmp_path, "a0.json", A0_JSON)
+        out = tmp_path / "o.json"
+        assert main(["optimize", "--input", inp, "--grid-step", "1e-4", "--refine", "0",
+                     "--output", str(out)]) == 0
+        assert read_result(out)["w11"] == pytest.approx(2 / 3, abs=1e-4)
+
+    def test_optimize_step_1e_4_with_two_known_actions_is_refused(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        def scan(*args, **kwargs):
+            raise AssertionError("a refused grid was scanned")
+
+        monkeypatch.setattr(cli.opt, "_triangle_best", scan)
+        inp = write(tmp_path, "a0.json", {"actions": [{"cost": 0.25, "prob": 1.0},
+                                                       {"cost": 0.1, "prob": 0.5}], "known": 2})
+        assert main(["optimize", "--input", inp, "--grid-step", "1e-4"]) == 2
+        assert capsys.readouterr().err == (
+            "error: grid step 0.0001 asks for about 1e+08 value evaluations (triangle cells"
+            " x known actions), above the cap of 1e+08; use a coarser step\n")
+
+    def test_discriminate_grid_1e_2_runs(self, tmp_path):
+        inp = write(tmp_path, "a0.json", A0_JSON)
+        out = tmp_path / "d.json"
+        assert main(["discriminate", "--input", inp, "--grid-step", "1e-2",
+                     "--output", str(out)]) == 0
+        assert read_result(out)["w1"] == 0.56
+
+    def test_discriminate_grid_1e_3_is_refused_before_the_pair_loop(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        def inner(*args, **kwargs):
+            raise AssertionError("a wage pair of a refused grid was scanned")
+
+        monkeypatch.setattr(cli.opt, "_inner_adversary", inner)
+        inp = write(tmp_path, "a0.json", A0_JSON)
+        assert main(["discriminate", "--input", inp, "--grid-step", "1e-3"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: grid step 0.001 asks for about 5.03e+11 inner-adversary cells")
 
 
 class TestSelftestVerb:

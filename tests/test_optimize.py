@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,10 +17,27 @@ from teamcontracts import (
     optimize_jpe,
     sweep_regimes,
 )
-from teamcontracts.optimize import _grid_best
+from teamcontracts.optimize import (
+    IC_TOL,
+    _BLOCK_CELLS,
+    _inner_adversary,
+    _inner_grid,
+    _inner_work,
+    _triangle_best,
+)
 from teamcontracts.worstcase import value_grid
 
 A0 = ActionSet.from_pairs([(0.25, 1.0)])
+
+
+def _grid_best(w11, w10, a0_set):
+    """The full-grid search optimize_jpe used before it scanned the triangle
+    in row blocks, kept as the oracle of ``_triangle_best``: best cell on
+    w10 <= w11 of ``np.meshgrid(..., indexing="ij")`` grids of
+    non-decreasing axes, ties to the first row-major maximum."""
+    vals = np.where(w10 <= w11 + 1e-15, value_grid(w11, w10, a0_set), -np.inf)
+    k = np.unravel_index(np.argmax(vals), vals.shape)
+    return float(w11[k]), float(w10[k]), float(vals[k])
 
 
 def _grid_best_reference(w11, w10, a0_set):
@@ -36,6 +56,86 @@ def _seeded_known_set(rng):
     pairs += [(rng.uniform(0.02, 1.0), rng.uniform(0.05, 1.0))
               for _ in range(int(rng.integers(0, 3)))]
     return ActionSet.from_pairs(pairs)
+
+
+def _axes(rng, axis):
+    """The coarse axis and refinement windows as optimize_jpe builds them:
+    some clipped at 0 or 1, so repeated values tie exactly, and some with
+    the w10 axis a few ulps above the w11 axis."""
+    pairs = [(axis, axis)]
+    centres = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), tuple(rng.uniform(0.0, 1.0, 2))]
+    c = float(rng.uniform(0.0, 1.0))
+    centres += [(c, c), (c, c + 4e-16), (c, c + 3e-15)]
+    for c11, c10 in centres:
+        for step in (1e-3, 1e-4):
+            offs = np.arange(-10, 11) * step
+            pairs.append((np.clip(c11 + offs, 0.0, 1.0), np.clip(c10 + offs, 0.0, 1.0)))
+    return pairs
+
+
+class TestTriangleBest:
+    """``_triangle_best`` against the full-grid oracle, bit for bit."""
+
+    BLOCKS = (1, 7, 100, 1000, _BLOCK_CELLS)  # one row per block, uneven splits, one block
+
+    def _check(self, ax11, ax10, a0, blocks=BLOCKS):
+        w11, w10 = np.meshgrid(ax11, ax10, indexing="ij")
+        expected = _grid_best(w11, w10, a0)
+        for cells in blocks:
+            assert _triangle_best(ax11, ax10, a0, block_cells=cells) == expected
+
+    def test_seeded_sets_at_step_1e_2(self):
+        rng = np.random.default_rng(53)
+        for _ in range(200):
+            a0 = _seeded_known_set(rng)
+            for ax11, ax10 in _axes(rng, np.linspace(0.0, 1.0, 101)):
+                self._check(ax11, ax10, a0, blocks=(1000, _BLOCK_CELLS))
+
+    def test_block_sizes(self):
+        rng = np.random.default_rng(67)
+        for _ in range(15):
+            a0 = _seeded_known_set(rng)
+            for ax11, ax10 in _axes(rng, np.linspace(0.0, 1.0, 101)):
+                self._check(ax11, ax10, a0)
+
+    def test_seeded_sets_at_step_1e_3(self):
+        rng = np.random.default_rng(59)
+        axis = np.linspace(0.0, 1.0, 1001)
+        for _ in range(3):
+            self._check(axis, axis, _seeded_known_set(rng), blocks=(4099, _BLOCK_CELLS))
+
+    def test_exact_ties_across_blocks_go_to_the_first_cell(self):
+        # c0 close to p0: every cell of the step-1e-2 grid is worth exactly 0
+        a0 = ActionSet.from_pairs([(0.9999, 1.0)])
+        axis = np.linspace(0.0, 1.0, 101)
+        assert _triangle_best(axis, axis, a0, block_cells=1) == (0.0, 0.0, 0.0)
+        self._check(axis, axis, a0)
+
+    def test_cells_within_tolerance_above_the_diagonal_are_feasible(self):
+        for c in (0.3, 0.5, 0.8):
+            ax11 = np.array([c])
+            ax10 = np.array([c + 4e-16])
+            assert ax10[0] > ax11[0]
+            best = _triangle_best(ax11, ax10, A0)
+            assert best[2] > -math.inf
+            self._check(ax11, ax10, A0)
+
+    def test_no_feasible_cell_gives_minus_infinity_at_the_first_cell(self):
+        ax11 = np.array([0.1, 0.2])
+        ax10 = np.array([0.5, 0.6])
+        assert _triangle_best(ax11, ax10, A0) == (0.1, 0.5, -math.inf)
+        self._check(ax11, ax10, A0)
+
+    def test_fine_grid_memory_stays_in_blocks(self):
+        # the full 1001^2 grid peaked at about 76 MB traced
+        a0 = ActionSet.from_pairs([(0.2, 0.9), (0.3, 0.95), (0.1, 0.5)])
+        tracemalloc.start()
+        try:
+            optimize_jpe(a0, coarse=1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 class TestOptimizeJpe:
@@ -62,19 +162,13 @@ class TestOptimizeJpe:
 
     def test_grid_best_is_first_maximum(self):
         rng = np.random.default_rng(47)
-        axis = np.linspace(0.0, 1.0, 101)
         for _ in range(100):
             a0 = _seeded_known_set(rng)
-            grids = [np.meshgrid(axis, axis, indexing="ij")]
-            # refinement windows as optimize_jpe builds them, some clipped at 0 or 1
-            for centre in ((0.0, 0.0), (1.0, 0.0), tuple(rng.uniform(0.0, 1.0, 2))):
-                for step in (1e-3, 1e-4):
-                    offs = np.arange(-10, 11) * step
-                    grids.append(np.meshgrid(np.clip(centre[0] + offs, 0.0, 1.0),
-                                             np.clip(centre[1] + offs, 0.0, 1.0),
-                                             indexing="ij"))
-            for w11, w10 in grids:
-                assert _grid_best(w11, w10, a0) == _grid_best_reference(w11, w10, a0)
+            for ax11, ax10 in _axes(rng, np.linspace(0.0, 1.0, 101)):
+                w11, w10 = np.meshgrid(ax11, ax10, indexing="ij")
+                first = _grid_best_reference(w11, w10, a0)
+                assert _grid_best(w11, w10, a0) == first
+                assert _triangle_best(ax11, ax10, a0) == first
 
     def test_small_surplus_is_mixed(self):
         res = optimize_jpe(ActionSet.from_pairs([(0.9, 1.0)]))
@@ -147,7 +241,46 @@ class TestSweep:
         assert row[5] in ("POOLED", "MIXED")
 
 
+def _inner_adversary_reference(kp, kc, w1, w2, c1f, p2f, grid):
+    """The inner adversary as written before it reused work arrays, kept as
+    its oracle."""
+    m1 = float((kp * w1 - kc).max())
+    m2 = float((kp * w2 - kc).max())
+    if w1 > 0.0:
+        need = np.maximum(m1, p2f * w1) + c1f - IC_TOL
+        p1f = np.ceil(np.clip(need, 0.0, None) / w1 / grid - 1e-9) * grid
+        feas = p1f <= 1.0 + 1e-12
+        p1f = np.clip(p1f, 0.0, 1.0)
+    else:
+        feas = c1f <= IC_TOL
+        p1f = np.zeros_like(c1f)
+    feas &= p2f * w2 >= np.maximum(m2, p1f * w2 - c1f) - IC_TOL
+    obj = np.where(feas, p1f * (1.0 - w1) + p2f * (1.0 - w2), np.inf)
+    k = int(np.argmin(obj))
+    val = float(obj[k])
+    if not math.isfinite(val):
+        return math.inf, None
+    return val, (float(c1f[k]), float(p1f[k]), float(p2f[k]))
+
+
 class TestDiscriminatory:
+    def test_inner_adversary_matches_reference(self):
+        # one set of work arrays for every call, as the max-min scan uses it
+        rng = np.random.default_rng(61)
+        for grid in (1e-2, 0.05):
+            axis, _, _, c1f, p2f = _inner_grid(A0, grid, lambda n: 1)
+            work = _inner_work(c1f.size)
+            for _ in range(1500):
+                a0 = _seeded_known_set(rng)
+                kp = np.array([a.prob for a in a0.known])
+                kc = np.array([a.cost for a in a0.known])
+                w1, w2 = sorted(map(float, rng.choice(axis, 2)), reverse=True)
+                if rng.uniform() < 0.1:
+                    w1 = 0.0 if rng.uniform() < 0.5 else w1
+                    w2 = min(w2, w1)
+                got = _inner_adversary(kp, kc, w1, w2, c1f, p2f, grid, work)
+                assert got == _inner_adversary_reference(kp, kc, w1, w2, c1f, p2f, grid)
+
     def test_symmetric_slice_matches_independent_worst_case(self):
         val, witness = discriminatory_inner(A0, 0.5, 0.5)
         assert val == pytest.approx(0.5, abs=2e-2)
