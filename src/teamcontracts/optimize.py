@@ -33,14 +33,25 @@ IC_TOL = 1e-6
 # optimize: wage-triangle cells times known actions; step 1e-4 with one known
 # action (5.0e7) fits, and takes a few seconds.
 MAX_GRID_WORK = 10**8
-# discriminate: (N+1)^2 inner cells for each of the (N+1)(N+2)/2 wage pairs;
-# grid 1e-2 (5.3e7) fits, grid 1e-3 (5.0e11) does not.
-MAX_INNER_CELLS = 10**9
+# discriminate: N+1 inner-adversary rows, one cell scored in each, for each of
+# the (N+1)(N+2)/2 wage pairs and each of the N+1 values of w1; grid 1e-3
+# (5.0e8, about 40 s) fits, grid 5e-4 (4.0e9) does not.
+MAX_INNER_CELLS = 6 * 10**8
+# optimize and sweep: finest step refinement may reach.  Below it the window
+# offsets fall under the rounding of the wages (15 rounds from 1e-2 reported
+# w10 = 3e-17, regime MIXED, at a pooled optimum).
+MIN_REFINED_STEP = 1e-12
 
 # Cells per value_grid call when scanning a wage triangle: 128 KB per
 # temporary whatever the step.  Blocks of 2^16 cells were slower at step 1e-3
 # and raised peak RSS by 6 MB more.
 _BLOCK_CELLS = 1 << 14
+# Cells (w2 values x c1 rows) per block of the discriminatory max-min scan:
+# every temporary stays at 32 KB, below the 64 KB free that makes glibc
+# check whether to trim the heap.  At 2^13 and 2^14 cells a grid-1e-2 call
+# took about 3.5 k minor page faults as the heap was trimmed and regrown
+# for each w1; at 2^12, none, with or without MALLOC_TRIM_THRESHOLD_ set.
+_INNER_BLOCK_CELLS = _BLOCK_CELLS // 4
 
 # Descending ladder of calibration offsets tried by calibration_witness.
 EPS_LADDER = tuple(
@@ -82,6 +93,15 @@ def _grid_intervals(step: float, work, cap: int, unit: str) -> int:
         raise ValueError(f"grid step {step!r} asks for about {estimate:.3g} {unit}, "
                          f"above the cap of {cap:.3g}; use a coarser step")
     return int(n)
+
+
+def _check_refinement(coarse: float, refine_rounds: int) -> None:
+    """Refuse with ValueError refinement whose final step is below
+    ``MIN_REFINED_STEP``."""
+    final = coarse * 10.0 ** -refine_rounds
+    if refine_rounds > 0 and not final >= MIN_REFINED_STEP:
+        raise ValueError(f"{refine_rounds} refinement rounds from grid step {coarse!r} reach "
+                         f"step {final:.3g}, below {MIN_REFINED_STEP:g}; use fewer rounds")
 
 
 def _triangle_best(ax11: np.ndarray, ax10: np.ndarray, a0_set: ActionSet,
@@ -128,12 +148,13 @@ def optimize_jpe(
     incumbent at a tenth of the step.  The incumbent is always re-evaluated,
     so the value is non-decreasing in ``refine_rounds``.  Existence of a
     maximizer follows from continuity on the compact triangle.  A step whose
-    triangle cells times known actions exceed ``MAX_GRID_WORK`` raises
-    ValueError.
+    triangle cells times known actions exceed ``MAX_GRID_WORK``, or a final
+    step below ``MIN_REFINED_STEP``, raises ValueError.
     """
     check_known_assumptions(a0_set)
     n = _grid_intervals(coarse, lambda n: (n + 1) * (n + 2) / 2 * len(a0_set.known),
                         MAX_GRID_WORK, "value evaluations (triangle cells x known actions)")
+    _check_refinement(coarse, refine_rounds)
     axis = np.linspace(0.0, 1.0, n + 1)
     b11, b10, bval = _triangle_best(axis, axis, a0_set)
 
@@ -200,7 +221,9 @@ def sweep_regimes(
 
     Pooled cells (w10 = 0) arise where the surplus p0 - c0 is large, mixed
     cells (w10 > 0) where it is small and monitoring individual output pays.
+    Refinement below ``MIN_REFINED_STEP`` raises ValueError.
     """
+    _check_refinement(coarse, refine_rounds)
     rows = []
     for p0 in p_grid:
         for c0 in c_grid:
@@ -218,6 +241,7 @@ class DiscriminatoryResult:
     w2: float
     inner_witness: tuple[float, float, float]  # (c1, p1, p2)
     value_total: float
+    dense_rows: int = 0  # c1 rows the inner minima scored cell by cell
 
     def to_json(self) -> dict:
         c1, p1, p2 = self.inner_witness
@@ -230,83 +254,126 @@ class DiscriminatoryResult:
         }
 
 
-def _inner_work(size: int):
-    """Work arrays for ``_inner_adversary``: p1, objective, scratch, two masks."""
-    return (np.empty(size), np.empty(size), np.empty(size),
-            np.empty(size, dtype=bool), np.empty(size, dtype=bool))
+def _agent_one(p2w1, c1, m1, w1, grid):
+    """Agent one's least best response p1 on the grid, clipped to [0, 1], and
+    whether it is at most 1, elementwise, given ``p2w1`` = p2*w1: the grid
+    ceiling of (max(m1, p2*w1) + c1 - IC_TOL)^+ / w1."""
+    if w1 > 0.0:
+        p1 = np.ceil(np.clip(np.maximum(m1, p2w1) + c1 - IC_TOL, 0.0, None) / w1 / grid
+                     - 1e-9) * grid
+        return np.clip(p1, 0.0, 1.0), p1 <= 1.0 + 1e-12
+    # w1 = 0 forces c1 = 0 (up to tolerance); any p1 is a best response
+    # then, and 0 minimizes the objective.
+    feas = np.broadcast_to(c1 <= IC_TOL, np.broadcast(p2w1, c1).shape)
+    return np.zeros(feas.shape), feas
 
 
-def _inner_adversary(kp, kc, w1, w2, c1f, p2f, grid, work):
-    """Adversary's grid minimum of p1*(1-w1) + p2*(1-w2) at fixed wages.
+def _agent_two_ok(p2w2, p1, c1, m2, w2):
+    """Agent two's incentive constraint p2*w2 >= max(m2, p1*w2 - c1) - IC_TOL."""
+    return p2w2 >= np.maximum(m2, p1 * w2 - c1) - IC_TOL
+
+
+def _objective(p1, p2, w1, w2):
+    return p1 * (1.0 - w1) + p2 * (1.0 - w2)
+
+
+def _dense_row(axis, grid, w1, m1, w2, m2, c1):
+    """First minimum ``(value, p1, p2)`` of the objective over the c1 row of
+    the grid, scored cell by cell; value inf if no cell is feasible."""
+    p1, feas = _agent_one(axis * w1, c1, m1, w1, grid)
+    feas = feas & _agent_two_ok(axis * w2, p1, c1, m2, w2)
+    obj = np.where(feas, _objective(p1, axis, w1, w2), np.inf)
+    j = int(np.argmin(obj))
+    return obj[j], p1[j], axis[j]
+
+
+def _regime_a(axis, grid, w1, m1):
+    """Regime A of agent one's wage ``w1`` (best known payoff ``m1``): the
+    number of p2 cells with p2*w1 <= m1 (all of them at w1 = 0), where p1
+    depends on c1 alone, and that p1 for each c1 row."""
+    ja = int(np.searchsorted(axis * w1, m1, side="right")) if w1 > 0.0 else axis.size
+    return ja, _agent_one(m1, axis, m1, w1, grid)[0]
+
+
+def _inner_rows(axis, grid, w1, m1, w2, m2, ja, pa):
+    """Adversary's grid minimum of p1*(1-w1) + p2*(1-w2) over (c1, p2) in
+    ``axis x axis``, for agent one's wage ``w1`` in [0, 1] (best known payoff
+    ``m1``, regime A ``ja, pa`` from ``_regime_a``) and each wage of the
+    array ``w2`` in [0, 1] (best known payoffs ``m2``).
 
     (c1, p1) is agent one's unknown action and p2 agent two's free action;
     each must best-respond against the known actions and the other unknown
-    action up to IC_TOL.  Returns (value, (c1, p1, p2)) or (inf, None).
-    Every array step writes into ``work`` (from ``_inner_work``), which the
-    max-min scan reuses for all its wage pairs, so no call allocates a
-    grid-sized array.
+    action up to IC_TOL.  Returns, per w2, the value (inf if no cell is
+    feasible) and the (c1, p1, p2) of the first minimum in row-major order,
+    as arrays, and the number of c1 rows scored cell by cell.
+
+    Every rounded step that builds p1, and the objective, is non-decreasing
+    in p2 along a c1 row, so a row's first minimum is its first feasible
+    cell, and only that cell is scored.  Agent one's constraint p1 <= 1
+    holds on a prefix of the row.  Agent two's is
+    p2*w2 >= max(m2 - IC_TOL, (p1*w2 - c1) - IC_TOL), once rounded; its m2
+    part holds on a suffix.  Where p2*w1 <= m1 (regime A, a prefix common
+    to all rows) p1 is the row's constant, so the whole constraint holds on
+    a suffix, found by one search.  Otherwise the row's first candidate is
+    the first cell j0 of regime B past the m2 threshold.  If the coupled
+    part fails there, the row is undecided: its objective at j0 bounds it
+    from below, and it is scored cell by cell when that bound does not
+    exceed the least value of the decided rows.
     """
-    p1f, obj, tmp, feas, ok = work
-    m1 = float((kp * w1 - kc).max())
-    m2 = float((kp * w2 - kc).max())
-    if w1 > 0.0:
-        # p1 = grid ceiling of (max(m1, p2*w1) + c1 - IC_TOL)^+ / w1
-        np.multiply(p2f, w1, out=p1f)
-        np.maximum(m1, p1f, out=p1f)
-        np.add(p1f, c1f, out=p1f)
-        np.subtract(p1f, IC_TOL, out=p1f)
-        np.clip(p1f, 0.0, None, out=p1f)
-        np.divide(p1f, w1, out=p1f)
-        np.divide(p1f, grid, out=p1f)
-        np.subtract(p1f, 1e-9, out=p1f)
-        np.ceil(p1f, out=p1f)
-        np.multiply(p1f, grid, out=p1f)
-        np.less_equal(p1f, 1.0 + 1e-12, out=feas)
-        np.clip(p1f, 0.0, 1.0, out=p1f)
-    else:
-        # w1 = 0 forces c1 = 0 (up to tolerance); any p1 is a best
-        # response then, and 0 minimizes the objective.
-        np.less_equal(c1f, IC_TOL, out=feas)
-        p1f.fill(0.0)
-    # agent two: p2*w2 >= max(m2, p1*w2 - c1) - IC_TOL
-    np.multiply(p1f, w2, out=tmp)
-    np.subtract(tmp, c1f, out=tmp)
-    np.maximum(m2, tmp, out=tmp)
-    np.subtract(tmp, IC_TOL, out=tmp)
-    np.multiply(p2f, w2, out=obj)
-    np.greater_equal(obj, tmp, out=ok)
-    feas &= ok
-    np.multiply(p1f, 1.0 - w1, out=obj)
-    np.multiply(p2f, 1.0 - w2, out=tmp)
-    np.add(obj, tmp, out=obj)
-    np.logical_not(feas, out=ok)
-    np.copyto(obj, np.inf, where=ok)
-    k = int(np.argmin(obj))
-    val = float(obj[k])
-    if not math.isfinite(val):
-        return math.inf, None
-    return val, (float(c1f[k]), float(p1f[k]), float(p2f[k]))
+    n = axis.size
+    w2, m2 = w2[:, None], m2[:, None]
+    q = w2 * axis                                # p2*w2, non-decreasing along each row
+    targets = np.concatenate([np.maximum(m2, pa * w2 - axis) - IC_TOL, m2 - IC_TOL], axis=1)
+    first = np.array([qk.searchsorted(tk) for qk, tk in zip(q, targets)])
+    j = np.where(first[:, :-1] < ja, first[:, :-1], np.maximum(ja, first[:, -1:]))
+    scored = j < n
+    j = np.minimum(j, n - 1)
+    ks = np.arange(len(q))
+    p2 = axis[j]
+    p1, feas = _agent_one(p2 * w1, axis, m1, w1, grid)
+    ok = _agent_two_ok(q[ks[:, None], j], p1, axis, m2, w2)
+    feas = feas & scored
+    bound = _objective(p1, p2, w1, w2)
+    val = np.where(feas & ok, bound, np.inf)
+    rows = val.argmin(axis=1)
+    undecided = feas & ~ok & (bound <= val[ks, rows][:, None])
+    for k, i in np.argwhere(undecided):
+        val[k, i], p1[k, i], p2[k, i] = _dense_row(axis, grid, w1, m1, float(w2[k, 0]),
+                                                   float(m2[k, 0]), axis[i])
+        rows[k] = np.argmin(val[k])
+    return val[ks, rows], axis[rows], p1[ks, rows], p2[ks, rows], int(undecided.sum())
 
 
-def _inner_grid(a0_set: ActionSet, grid: float, pairs):
-    """The axis, the known actions' (prob, cost) and the flat (c1, p2) grid,
-    refusing a step whose ``pairs(N)`` inner scans of (N+1)^2 cells would
-    exceed ``MAX_INNER_CELLS``."""
-    n = _grid_intervals(grid, lambda n: (n + 1) ** 2 * pairs(n), MAX_INNER_CELLS,
-                        "inner-adversary cells ((N+1)^2 per wage pair)")
-    axis = np.linspace(0.0, 1.0, n + 1)
+def _best_known(kp, kc, w):
+    """An agent's best known payoff max(p*w - c) at each wage of ``w``."""
+    return (np.multiply.outer(w, kp) - kc).max(axis=-1)
+
+
+def _inner_grid(a0_set: ActionSet, grid: float, rows):
+    """The axis and the known actions' (prob, cost), refusing a step whose
+    ``rows(N)`` inner-adversary rows would exceed ``MAX_INNER_CELLS``."""
+    n = _grid_intervals(grid, rows, MAX_INNER_CELLS,
+                        "inner-adversary rows (N+1 per wage pair and per agent-one wage)")
     kp = np.array([a.prob for a in a0_set.known])
     kc = np.array([a.cost for a in a0_set.known])
-    c1g, p2g = np.meshgrid(axis, axis, indexing="ij")
-    return axis, kp, kc, c1g.ravel(), p2g.ravel()
+    return np.linspace(0.0, 1.0, n + 1), kp, kc
 
 
 def discriminatory_inner(
     a0_set: ActionSet, w1: float, w2: float, grid: float = 1e-2
 ) -> tuple[float, tuple[float, float, float] | None]:
-    """Worst-case total for fixed agent-specific wages (w1, w2)."""
-    _, kp, kc, c1f, p2f = _inner_grid(a0_set, grid, lambda n: 1)
-    return _inner_adversary(kp, kc, w1, w2, c1f, p2f, grid, _inner_work(c1f.size))
+    """Worst-case total for fixed agent-specific wages (w1, w2) in [0, 1]:
+    (value, (c1, p1, p2)), or (inf, None) if no grid cell is feasible."""
+    if not (0.0 <= w1 <= 1.0 and 0.0 <= w2 <= 1.0):
+        raise ValueError(f"wages ({w1!r}, {w2!r}) must lie in [0, 1]")
+    axis, kp, kc = _inner_grid(a0_set, grid, lambda n: 2 * (n + 1))
+    w1, w2s = float(w1), np.array([float(w2)])
+    m1 = float(_best_known(kp, kc, w1))
+    val, c1, p1, p2, _ = _inner_rows(axis, grid, w1, m1, w2s, _best_known(kp, kc, w2s),
+                                     *_regime_a(axis, grid, w1, m1))
+    if not math.isfinite(val[0]):
+        return math.inf, None
+    return float(val[0]), (float(c1[0]), float(p1[0]), float(p2[0]))
 
 
 def discriminatory_ipe(a0_set: ActionSet, grid: float = 1e-2) -> DiscriminatoryResult:
@@ -318,24 +385,28 @@ def discriminatory_ipe(a0_set: ActionSet, grid: float = 1e-2) -> DiscriminatoryR
     against the known actions and the other unknown action.  Zero cost for
     the second action is without loss here because cost only tightens its
     incentive constraint without helping the objective.  Both layers run on
-    grids of the same step; constraints hold up to IC_TOL.  A step whose
-    scan exceeds ``MAX_INNER_CELLS`` raises ValueError.
+    grids of the same step; constraints hold up to IC_TOL.  For each w1 the
+    inner minima of all w2 <= w1 come from ``_inner_rows``, in blocks of at
+    most ``_INNER_BLOCK_CELLS`` rows; ties go to the smallest (w1, w2).  A step
+    whose rows exceed ``MAX_INNER_CELLS`` raises ValueError.
     """
     check_known_assumptions(a0_set)
-    axis, kp, kc, c1f, p2f = _inner_grid(a0_set, grid, lambda n: (n + 1) * (n + 2) / 2)
-    work = _inner_work(c1f.size)
-
-    best = None
-    for w1 in axis:
-        for w2 in axis[axis <= w1 + 1e-15]:
-            inner, witness = _inner_adversary(kp, kc, float(w1), float(w2), c1f, p2f,
-                                              grid, work)
-            if witness is None:
-                continue
-            better = best is None or inner > best[0] or (
-                inner == best[0] and (float(w1), float(w2)) < (best[1], best[2])
-            )
-            if better:
-                best = (inner, float(w1), float(w2), witness)
+    axis, kp, kc = _inner_grid(a0_set, grid,
+                               lambda n: (n + 1) * ((n + 1) * (n + 2) / 2 + n + 1))
+    block = max(1, _INNER_BLOCK_CELLS // axis.size)
+    best, dense = None, 0
+    for w1 in map(float, axis):
+        m1 = float(_best_known(kp, kc, w1))
+        regime_a = _regime_a(axis, grid, w1, m1)
+        w2s = axis[:np.searchsorted(axis, w1 + 1e-15, side="right")]
+        for s in range(0, w2s.size, block):
+            w2 = w2s[s:s + block]
+            val, c1, p1, p2, d = _inner_rows(axis, grid, w1, m1, w2, _best_known(kp, kc, w2),
+                                             *regime_a)
+            dense += d
+            k = int(np.argmax(np.where(val < np.inf, val, -np.inf)))
+            if val[k] < np.inf and (best is None or val[k] > best[0]):
+                best = (float(val[k]), w1, float(w2[k]),
+                        (float(c1[k]), float(p1[k]), float(p2[k])))
     assert best is not None
-    return DiscriminatoryResult(best[1], best[2], best[3], best[0])
+    return DiscriminatoryResult(best[1], best[2], best[3], best[0], dense)

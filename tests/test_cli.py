@@ -278,16 +278,42 @@ class TestGridCaps:
                      "--output", str(out)]) == 0
         assert read_result(out)["w1"] == 0.56
 
-    def test_discriminate_grid_1e_3_is_refused_before_the_pair_loop(self, tmp_path, capsys,
+    def test_discriminate_grid_1e_3_reaches_the_pair_loop(self, tmp_path, monkeypatch):
+        # about 40 s end to end, so the scan itself is not run here
+        class Reached(Exception):
+            pass
+
+        def inner(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(cli.opt, "_inner_rows", inner)
+        inp = write(tmp_path, "a0.json", A0_JSON)
+        with pytest.raises(Reached):
+            main(["discriminate", "--input", inp, "--grid-step", "1e-3"])
+
+    def test_discriminate_grid_5e_4_is_refused_before_the_pair_loop(self, tmp_path, capsys,
                                                                     monkeypatch):
         def inner(*args, **kwargs):
             raise AssertionError("a wage pair of a refused grid was scanned")
 
-        monkeypatch.setattr(cli.opt, "_inner_adversary", inner)
+        monkeypatch.setattr(cli.opt, "_inner_rows", inner)
         inp = write(tmp_path, "a0.json", A0_JSON)
-        assert main(["discriminate", "--input", inp, "--grid-step", "1e-3"]) == 2
-        assert capsys.readouterr().err.startswith(
-            "error: grid step 0.001 asks for about 5.03e+11 inner-adversary cells")
+        assert main(["discriminate", "--input", inp, "--grid-step", "5e-4"]) == 2
+        assert capsys.readouterr().err == (
+            "error: grid step 0.0005 asks for about 4.01e+09 inner-adversary rows (N+1 per"
+            " wage pair and per agent-one wage), above the cap of 6e+08; use a coarser step\n")
+
+    @pytest.mark.parametrize("verb, payload, refine, step", [
+        ("optimize", A0_JSON, "15", "1e-17"),
+        ("sweep", {"p_grid": [1.0], "c_grid": [0.25]}, "400", "0"),
+    ])
+    def test_refinement_below_1e_12_is_refused(self, tmp_path, capsys, verb, payload,
+                                               refine, step):
+        inp = write(tmp_path, "in.json", payload)
+        assert main([verb, "--input", inp, "--refine", refine]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {refine} refinement rounds from grid step 0.01 reach step {step},"
+            " below 1e-12; use fewer rounds\n")
 
 
 class TestSelftestVerb:

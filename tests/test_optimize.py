@@ -17,12 +17,14 @@ from teamcontracts import (
     optimize_jpe,
     sweep_regimes,
 )
+import teamcontracts.optimize as opt
 from teamcontracts.optimize import (
     IC_TOL,
     _BLOCK_CELLS,
-    _inner_adversary,
+    _best_known,
     _inner_grid,
-    _inner_work,
+    _inner_rows,
+    _regime_a,
     _triangle_best,
 )
 from teamcontracts.worstcase import value_grid
@@ -202,6 +204,21 @@ class TestOptimizeJpe:
         with pytest.raises(AssumptionError):
             optimize_jpe(ActionSet.from_pairs([(0.5, 0.5)]))
 
+    def test_refinement_below_the_finest_step_is_refused(self):
+        # 15 rounds from 1e-2 reported w10 = 3e-17, regime MIXED, at the
+        # pooled optimum of the running example
+        with pytest.raises(ValueError, match="reach step 1e-17, below 1e-12"):
+            optimize_jpe(A0, refine_rounds=15)
+        with pytest.raises(ValueError, match="reach step 1e-17, below 1e-12"):
+            sweep_regimes([1.0], [0.25], refine_rounds=15)
+        assert optimize_jpe(A0, refine_rounds=10).regime == "POOLED"
+
+    def test_default_refinement_is_unchanged(self):
+        assert repr(optimize_jpe(A0).to_json()) == repr({
+            "w11": 0.66666, "w10": 0.0, "per_agent": 0.3333324998687473,
+            "total": 0.6666649997374946, "grid_step": 1e-05, "refined": True,
+            "regime": "POOLED"})
+
 
 class TestCalibrationWitness:
     def test_running_example(self):
@@ -242,8 +259,8 @@ class TestSweep:
 
 
 def _inner_adversary_reference(kp, kc, w1, w2, c1f, p2f, grid):
-    """The inner adversary as written before it reused work arrays, kept as
-    its oracle."""
+    """The inner adversary as first written, kept as the oracle of the row
+    kernel: every cell of the flat (c1, p2) grid scored, first minimum."""
     m1 = float((kp * w1 - kc).max())
     m2 = float((kp * w2 - kc).max())
     if w1 > 0.0:
@@ -263,23 +280,219 @@ def _inner_adversary_reference(kp, kc, w1, w2, c1f, p2f, grid):
     return val, (float(c1f[k]), float(p1f[k]), float(p2f[k]))
 
 
+def _flat_grid(axis):
+    c1g, p2g = np.meshgrid(axis, axis, indexing="ij")
+    return c1g.ravel(), p2g.ravel()
+
+
+def _known(a0):
+    return np.array([a.prob for a in a0.known]), np.array([a.cost for a in a0.known])
+
+
+def _discriminatory_ipe_reference(a0, grid):
+    """The max-min scan as written before it went by rows, kept as the oracle
+    of ``discriminatory_ipe``: for each w1, every (c1, p2) cell of every
+    w2 <= w1 scored at once with ``_inner_adversary_reference``'s
+    expressions, the first minimum per pair, then the first maximum in
+    (w1, w2) order.  Returns ``(w1, w2, witness, value)``."""
+    axis = np.linspace(0.0, 1.0, max(1, round(1.0 / grid)) + 1)
+    kp, kc = _known(a0)
+    c1f, p2f = _flat_grid(axis)
+    best = None
+    for w1 in map(float, axis):
+        w2 = axis[axis <= w1 + 1e-15][:, None]
+        m1 = float((kp * w1 - kc).max())
+        m2 = (kp * w2 - kc).max(axis=1, keepdims=True)
+        if w1 > 0.0:
+            need = np.maximum(m1, p2f * w1) + c1f - IC_TOL
+            p1f = np.ceil(np.clip(need, 0.0, None) / w1 / grid - 1e-9) * grid
+            feas = p1f <= 1.0 + 1e-12
+            p1f = np.clip(p1f, 0.0, 1.0)
+        else:
+            feas = c1f <= IC_TOL
+            p1f = np.zeros_like(c1f)
+        feas = feas & (p2f * w2 >= np.maximum(m2, p1f * w2 - c1f) - IC_TOL)
+        obj = np.where(feas, p1f * (1.0 - w1) + p2f * (1.0 - w2), np.inf)
+        for r, k in enumerate(np.argmin(obj, axis=1)):
+            val = float(obj[r, k])
+            if math.isfinite(val) and (best is None or val > best[3]):
+                best = (w1, float(w2[r, 0]), (float(c1f[k]), float(p1f[k]), float(p2f[k])), val)
+    return best
+
+
+def _ipe_tuple(res):
+    return (res.w1, res.w2, res.inner_witness, res.value_total)
+
+
+def _kernel(a0, w1, w2, grid, axis=None):
+    """``_inner_rows`` on one wage pair, as ``discriminatory_inner`` calls it;
+    returns ((value, (c1, p1, p2)) or (inf, None), rows scored densely)."""
+    if axis is None:
+        axis = np.linspace(0.0, 1.0, max(1, round(1.0 / grid)) + 1)
+    kp, kc = _known(a0)
+    m1 = float(_best_known(kp, kc, w1))
+    w2s = np.array([w2])
+    val, c1, p1, p2, dense = _inner_rows(axis, grid, w1, m1, w2s, _best_known(kp, kc, w2s),
+                                         *_regime_a(axis, grid, w1, m1))
+    if not math.isfinite(val[0]):
+        return (math.inf, None), dense
+    return (float(val[0]), (float(c1[0]), float(p1[0]), float(p2[0]))), dense
+
+
+# Known sets at the ends of the two regimes: prob 1 at a tiny cost puts
+# almost every cell of every row in regime A (p2*w1 <= m1); a cost just
+# under the prob makes m1 < 0 for w1 < 0.99, so every row is regime B.
+REGIME_A_SET = ActionSet.from_pairs([(1e-3, 1.0)])
+REGIME_B_SET = ActionSet.from_pairs([(0.99, 1.0)])
+
+
 class TestDiscriminatory:
+    """``discriminatory_ipe`` and ``discriminatory_inner`` against the dense
+    oracles, compared by repr so that signed zeros count."""
+
     def test_inner_adversary_matches_reference(self):
-        # one set of work arrays for every call, as the max-min scan uses it
         rng = np.random.default_rng(61)
         for grid in (1e-2, 0.05):
-            axis, _, _, c1f, p2f = _inner_grid(A0, grid, lambda n: 1)
-            work = _inner_work(c1f.size)
+            axis, _, _ = _inner_grid(A0, grid, lambda n: 1)
+            c1f, p2f = _flat_grid(axis)
             for _ in range(1500):
                 a0 = _seeded_known_set(rng)
-                kp = np.array([a.prob for a in a0.known])
-                kc = np.array([a.cost for a in a0.known])
+                kp, kc = _known(a0)
                 w1, w2 = sorted(map(float, rng.choice(axis, 2)), reverse=True)
                 if rng.uniform() < 0.1:
                     w1 = 0.0 if rng.uniform() < 0.5 else w1
                     w2 = min(w2, w1)
-                got = _inner_adversary(kp, kc, w1, w2, c1f, p2f, grid, work)
-                assert got == _inner_adversary_reference(kp, kc, w1, w2, c1f, p2f, grid)
+                got = discriminatory_inner(a0, w1, w2, grid)
+                assert repr(got) == repr(
+                    _inner_adversary_reference(kp, kc, w1, w2, c1f, p2f, grid))
+
+    def test_inner_at_any_wages_in_the_unit_square(self):
+        # off-axis wages, w2 > w1, and steps whose inverse is not an integer,
+        # where the ceilings' step and the axis spacing differ and rows
+        # need the dense fallback
+        rng = np.random.default_rng(71)
+        dense = 0
+        for _ in range(600):
+            grid = float(rng.choice([0.05, 0.03, 0.07, 0.13]))
+            a0 = _seeded_known_set(rng)
+            kp, kc = _known(a0)
+            axis, _, _ = _inner_grid(a0, grid, lambda n: 1)
+            w1, w2 = (float(w) for w in rng.uniform(0.0, 1.0, 2))
+            got, d = _kernel(a0, w1, w2, grid)
+            dense += d
+            assert repr(got) == repr(
+                _inner_adversary_reference(kp, kc, w1, w2, *_flat_grid(axis), grid))
+        assert dense > 0
+
+    def test_wages_outside_the_unit_interval_are_refused(self):
+        for w1, w2 in ((1.5, 0.5), (0.5, -0.1), (math.nan, 0.5)):
+            with pytest.raises(ValueError, match="must lie in"):
+                discriminatory_inner(A0, w1, w2)
+
+    def test_max_min_matches_reference_on_seeded_sets(self):
+        rng = np.random.default_rng(73)
+        sets = [REGIME_A_SET, REGIME_B_SET] + [_seeded_known_set(rng) for _ in range(300)]
+        for k, a0 in enumerate(sets):
+            grid = 2e-2 if k % 30 == 0 else 5e-2
+            res = discriminatory_ipe(a0, grid)
+            assert repr(_ipe_tuple(res)) == repr(_discriminatory_ipe_reference(a0, grid))
+            assert res.dense_rows == 0
+
+    def test_regime_extremes(self):
+        axis = np.linspace(0.0, 1.0, 21)
+        for w1 in axis[1:]:
+            kp, kc = _known(REGIME_A_SET)
+            m1 = float(_best_known(kp, kc, w1))
+            assert _regime_a(axis, 5e-2, float(w1), m1)[0] >= len(axis) - 1
+            kp, kc = _known(REGIME_B_SET)
+            m1 = float(_best_known(kp, kc, w1))
+            assert _regime_a(axis, 5e-2, float(w1), m1)[0] == (0 if w1 < 0.99 else 1)
+
+    def test_max_min_with_dense_rows_matches_reference(self):
+        # 1/grid not an integer: the fallback runs inside the max-min scan
+        rng = np.random.default_rng(79)
+        dense = 0
+        for a0 in [A0] + [_seeded_known_set(rng) for _ in range(5)]:
+            res = discriminatory_ipe(a0, 0.07)
+            dense += res.dense_rows
+            assert repr(_ipe_tuple(res)) == repr(_discriminatory_ipe_reference(a0, 0.07))
+        assert dense > 0
+
+    def test_benchmark_like_sets_at_grid_1e_2(self):
+        for a0 in (ActionSet.from_pairs([(0.2, 0.9), (0.3, 0.95), (0.1, 0.5)]),
+                   ActionSet.from_pairs([(0.31, 0.82), (0.05, 0.27)])):
+            res = discriminatory_ipe(a0, 1e-2)
+            assert repr(_ipe_tuple(res)) == repr(_discriminatory_ipe_reference(a0, 1e-2))
+            assert res.dense_rows == 0
+
+    def test_dense_fallback_changes_the_answer(self, monkeypatch):
+        # grid 0.03 on a 34-point axis: at p2 = j0 the coupled part of agent
+        # two's constraint fails, yet holds further along the same row, and
+        # that row holds the minimum
+        a0 = ActionSet.from_pairs([(0.17620221241371695, 0.3659417692573047),
+                                   (0.06475856079604708, 0.20025294387364573)])
+        w1, w2, grid = 0.7476773506956695, 0.7433124218800472, 0.03
+        kp, kc = _known(a0)
+        axis, _, _ = _inner_grid(a0, grid, lambda n: 1)
+        expected = _inner_adversary_reference(kp, kc, w1, w2, *_flat_grid(axis), grid)
+        got, dense = _kernel(a0, w1, w2, grid)
+        assert repr(got) == repr(expected) and dense > 0
+        monkeypatch.setattr(opt, "_dense_row", lambda *args: (math.inf, math.nan, math.nan))
+        without, _ = _kernel(a0, w1, w2, grid)
+        assert without[0] > expected[0]
+
+    def test_undecided_row_tying_the_least_row_is_rescored(self):
+        # crafted axis, step 0.5 and w1 = w2 = 1, so every cell is worth 0:
+        # row c1 = 0 fails the coupled part at p2 = 0.3 but is feasible at
+        # p2 = 0.5, and ties row c1 = 0.2, decided at p2 = 0.3; the first
+        # row must win.  Rows 0, 0.3 and 0.5 are undecided with bound 0.
+        axis, grid = np.array([0.0, 0.2, 0.3, 0.5, 1.0]), 0.5
+        a0 = ActionSet.from_pairs([(0.25, 0.5)])
+        expected = _inner_adversary_reference(*_known(a0), 1.0, 1.0, *_flat_grid(axis), grid)
+        assert expected == (0.0, (0.0, 0.5, 0.5))
+        assert repr(_kernel(a0, 1.0, 1.0, grid, axis)) == repr((expected, 3))
+
+    def test_m2_threshold_binding_with_equality(self):
+        # the m2 threshold equals p2*w2 exactly at p2 = 0.4: the search must
+        # take that cell
+        kp, kc, w1, w2, grid = 0.6847155813711416, 0.0711778953427854, 0.8500000000000001, 0.25, 0.05
+        assert (kp * w2 - kc) - IC_TOL == 0.4 * w2
+        a0 = ActionSet.from_pairs([(kc, kp)])
+        axis, _, _ = _inner_grid(a0, grid, lambda n: 1)
+        expected = _inner_adversary_reference(*_known(a0), w1, w2, *_flat_grid(axis), grid)
+        assert expected == (0.4125, (0.1, 0.75, 0.4))
+        assert repr(_kernel(a0, w1, w2, grid)) == repr((expected, 0))
+
+    def test_coupled_constraint_binding_with_equality(self):
+        # the coupled part binds with equality at the first regime-B cell of
+        # a row: that cell is feasible, and no row is scored densely
+        a0 = ActionSet.from_pairs([(0.48256646570293216, 0.8574476411931955),
+                                   (0.35270465625415665, 0.7446928145012908)])
+        w1, w2, grid = 0.6864809611091993, 0.500005, 0.1
+        axis, _, _ = _inner_grid(a0, grid, lambda n: 1)
+        expected = _inner_adversary_reference(*_known(a0), w1, w2, *_flat_grid(axis), grid)
+        assert repr(_kernel(a0, w1, w2, grid)) == repr((expected, 0))
+
+    def test_regime_a_ends_at_equality(self):
+        # p2*w1 equals m1 exactly at p2 = 1/3: that cell is in regime A,
+        # where its p1 is the row's constant and the search decides it
+        kp, kc, w1, w2, grid = 0.40504358431373527, 0.04837296472357463, 0.674561364131813, \
+            0.562265662780428, 0.3
+        a0 = ActionSet.from_pairs([(kc, kp)])
+        axis, _, _ = _inner_grid(a0, grid, lambda n: 1)
+        assert kp * w1 - kc in axis * w1
+        expected = _inner_adversary_reference(*_known(a0), w1, w2, *_flat_grid(axis), grid)
+        assert repr(_kernel(a0, w1, w2, grid)) == repr((expected, 0))
+
+    def test_max_min_memory(self):
+        a0 = ActionSet.from_pairs([(0.2, 0.9), (0.3, 0.95), (0.1, 0.5)])
+        tracemalloc.start()
+        try:
+            discriminatory_ipe(a0, 1e-2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
     def test_symmetric_slice_matches_independent_worst_case(self):
         val, witness = discriminatory_inner(A0, 0.5, 0.5)
