@@ -17,6 +17,8 @@ import os
 import sys
 import tempfile
 
+import numpy as np
+
 from . import __version__
 from . import extensions as ext
 from . import model as md
@@ -61,12 +63,13 @@ def _require_keys(obj: dict, required: set[str], optional: set[str] = frozenset(
         raise CliError(EXIT_VALIDATION, f"missing fields: {sorted(missing)}")
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, chunks) -> None:
+    """Write the strings of ``chunks``, in order, to ``path`` or not at all."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-teamcontracts-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -77,6 +80,29 @@ def _atomic_write(path: str, text: str) -> None:
 def _dumps(obj) -> str:
     """JSON text of ``obj``; NaN and infinities are not JSON, so they raise."""
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _game_chunks(actions: md.ActionSet, payoff: np.ndarray):
+    """``_dumps({**actions.to_json(), "payoff": payoff.tolist()})``, as text
+    chunks of one payoff row each, so memory is one row of text.
+
+    Whatever would make that call raise is raised here, before the first
+    chunk: a non-finite payoff raises json's own error for the first such
+    cell in row-major order.
+    """
+    head = _dumps(actions.to_json())  # "actions", "known": both sort before "payoff"
+    finite = np.isfinite(payoff)
+    if not finite.all():
+        _dumps(float(payoff.flat[np.argmin(finite)]))
+    return _game_rows(head[:-len("\n}\n")], payoff)
+
+
+def _game_rows(head: str, payoff):
+    yield head + ',\n  "payoff": ['
+    for i, row in enumerate(payoff):
+        cells = ",\n      ".join(map(float.__repr__, row.tolist()))
+        yield ("," if i else "") + "\n    [\n      " + cells + "\n    ]"
+    yield "\n  ]\n}\n"
 
 
 def _emit(args, result: dict, csv_rows=None, csv_header=None) -> None:
@@ -102,7 +128,7 @@ def _emit(args, result: dict, csv_rows=None, csv_header=None) -> None:
         }
         text = _dumps(doc)
     if args.output:
-        _atomic_write(args.output, text)
+        _atomic_write(args.output, (text,))
     else:
         sys.stdout.write(text)
 
@@ -175,7 +201,7 @@ def cmd_evaluate(args) -> int:
     dump = None
     if args.dump_game:
         base = res.witness.actions if res.witness is not None else a0
-        dump = _dumps(induce_game(reduced, base).to_json())
+        dump = _game_chunks(base, induce_game(reduced, base).payoff)
     _emit(args, out)
     if dump is not None:
         _atomic_write(args.dump_game, dump)

@@ -114,11 +114,6 @@ class InducedGame:
     def __len__(self) -> int:
         return len(self.actions)
 
-    def to_json(self) -> dict:
-        out = self.actions.to_json()
-        out["payoff"] = self.payoff.tolist()
-        return out
-
 
 def induce_game(contract: Contract, actions: ActionSet) -> InducedGame:
     """Build the induced game; payoffs follow the bilinear expectation

@@ -30,6 +30,10 @@ def ode_quadrature(w11, w10, p0, budget, steps: int = 1_000_000):
     Returns (p_end, d_min) where d_min is the smallest wage denominator seen
     along the path; results with small d_min approach the singular regime
     and should not be trusted to tight tolerances.
+
+    No slope is positive, so no step moves p with the sign of the budget:
+    p is monotone along the path, and so, in floating point too, is the
+    affine denominator w10 + gap*p, whose smallest value is at one end.
     """
     w11 = np.atleast_1d(np.asarray(w11, dtype=float))
     w10, p0, budget = (np.broadcast_to(np.asarray(a, dtype=float), w11.shape).copy()
@@ -37,7 +41,6 @@ def ode_quadrature(w11, w10, p0, budget, steps: int = 1_000_000):
     gap = w11 - w10
     p = p0.copy()
     h = budget / steps
-    d_min = w10 + gap * p
 
     # np.maximum gives np.clip's bits at a fraction of its call overhead, and
     # the hoisted products are the ones the expressions evaluated left to right.
@@ -52,8 +55,7 @@ def ode_quadrature(w11, w10, p0, budget, steps: int = 1_000_000):
         k3 = f(p + half_h * k2)
         k4 = f(p + h * k3)
         p = p + sixth_h * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        d_min = np.minimum(d_min, w10 + gap * p)
-    return p, d_min
+    return p, np.minimum(w10 + gap * p0, w10 + gap * p)
 
 
 def ode_quadrature_w00(w11, w00, p0, budget, steps: int = 200_000):

@@ -1,9 +1,17 @@
 import json
+import math
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from teamcontracts import cli
+from teamcontracts import worstcase as wc
 from teamcontracts.cli import main
+from teamcontracts.game import induce_game
+from teamcontracts.model import ActionSet, Contract
 
 A0_JSON = {"actions": [{"cost": 0.25, "prob": 1.0}], "known": 1}
 
@@ -63,8 +71,12 @@ class TestEvaluate:
         assert res["reduction_applied"] is True
         assert res["contract_evaluated"]["w01"] == 0.0
         game = json.loads(dump.read_text())
-        assert "payoff" in game and "actions" in game
-        assert len(game["payoff"]) == len(game["actions"])
+        witness = res["witness"]
+        assert game["actions"] == witness["actions"] and game["known"] == witness["known"]
+        want = induce_game(Contract.from_json(res["contract_evaluated"]),
+                           ActionSet.from_json({k: game[k] for k in ("actions", "known")}))
+        # repr round-trips floats, so the parsed matrix is the computed one exactly
+        assert np.array_equal(np.array(game["payoff"]), want.payoff)
 
     def test_unsupported_pattern_exits_2(self, tmp_path):
         inp = write(tmp_path, "in.json", {
@@ -107,6 +119,81 @@ class TestEvaluate:
             "extra": 1,
         })
         assert main(["evaluate", "--input", inp]) == 2
+
+
+def dump_oracle(actions, payoff):
+    """The game dump as first written: the whole dict through ``json.dumps``."""
+    return json.dumps({**actions.to_json(), "payoff": payoff.tolist()},
+                      indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+# zeros of both signs, subnormals, and magnitudes that repr writes with an exponent
+SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 1e-310, 9.99e-5, 1e-4, -3.5e-7, 0.1, 1 / 3,
+           1e16, -1e16, 9999999999999998.0, 1.5e17, 1.7976931348623157e308)
+PAYOFF = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=False, allow_infinity=False))
+COST = st.one_of(st.sampled_from((0.0, 5e-324, 1e-5, 0.25, 1e16)), st.floats(0.0, 1e20))
+PROB = st.one_of(st.sampled_from((0.0, 1e-7, 1.0)), st.floats(0.0, 1.0))
+
+
+@st.composite
+def dumped_games(draw):
+    n = draw(st.integers(1, 8))
+    pairs = draw(st.lists(st.tuples(COST, PROB), min_size=n, max_size=n))
+    actions = ActionSet.from_pairs(pairs, known_count=draw(st.integers(0, n)))
+    if draw(st.booleans()):
+        wages = draw(st.tuples(*[st.floats(0.0, 1e3)] * 4))
+        payoff = induce_game(Contract(*wages), actions).payoff
+    else:
+        payoff = np.array(draw(st.lists(PAYOFF, min_size=n * n, max_size=n * n))).reshape(n, n)
+    # tiny products round to signed zeros and subnormals
+    return actions, payoff * draw(st.sampled_from((1.0, -1.0, 1e-300)))
+
+
+class TestGameDump:
+    """The streamed dump gives the bytes of ``json.dumps`` of the whole game."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(dumped_games())
+    def test_small_games_match_json_dumps(self, game):
+        actions, payoff = game
+        assert "".join(cli._game_chunks(actions, payoff)) == dump_oracle(actions, payoff)
+
+    def test_seeded_witness_game_matches_json_dumps(self):
+        rng = np.random.default_rng(611)
+        # the shirking branch binds, so the witness is an undercut chain of 1000 steps
+        contract = Contract(float(rng.uniform(0.5, 0.65)), float(rng.uniform(0.0, 0.05)), 0.0, 0.0)
+        res = wc.jpe_value(contract, ActionSet.from_json(A0_JSON), with_witness=True,
+                           witness_eps=2.5e-4)
+        actions = res.witness.actions
+        assert len(actions) == 1001
+        payoff = induce_game(contract, actions).payoff
+        assert "".join(cli._game_chunks(actions, payoff)) == dump_oracle(actions, payoff)
+
+    def test_non_finite_payoff_exits_2_writing_nothing(self, tmp_path, capsys, monkeypatch):
+        seen = {}
+
+        def poisoned(contract, actions):
+            payoff = induce_game(contract, actions).payoff.copy()
+            # the first in row-major order is named, not the first by column
+            payoff[1, 2], payoff[2, 1] = -math.inf, math.nan
+            seen.update(actions=actions, payoff=payoff)
+            return SimpleNamespace(payoff=payoff)
+
+        monkeypatch.setattr(cli, "induce_game", poisoned)
+        inp = write(tmp_path, "in.json", {
+            "contract": {"w11": 2 / 3, "w10": 0.0, "w01": 0.0, "w00": 0.0},
+            "actions": A0_JSON,
+        })
+        out, dump = tmp_path / "out.json", tmp_path / "game.json"
+        code = main(["evaluate", "--input", inp, "--eps", "0.05", "--output", str(out),
+                     "--dump-game", str(dump)])
+        with pytest.raises(ValueError) as want:
+            dump_oracle(seen["actions"], seen["payoff"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {want.value}\n"
+        assert str(want.value).endswith(": -inf")
+        assert not out.exists() and not dump.exists()
+        assert not list(tmp_path.glob(".tmp-teamcontracts-*"))
 
 
 class TestOptimize:

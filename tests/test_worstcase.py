@@ -500,6 +500,20 @@ class TestQuadratureBits:
         want = _rk4_reference(w11, w10, p0, budget, steps=2000)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
+    def test_undercut_quadrature_d_min_at_path_ends(self):
+        # either sign of gap and budget, zero gaps, and paths that start at or
+        # below the singularity, where the clamped slope is -1e300
+        rng = np.random.default_rng(47)
+        n = 600
+        w10 = rng.choice([0.0, 0.3, 1.0], n) * rng.uniform(0.0, 1.0, n)
+        gap = rng.uniform(-1.0, 1.0, n) * rng.choice([0.0, 1e-9, 1.0, 5.0], n)
+        p0 = rng.uniform(-0.5, 1.2, n)
+        budget = rng.uniform(-2.0, 2.0, n) * rng.choice([0.0, 1e-5, 1.0, 1e3], n)
+        got = ode_quadrature(w10 + gap, w10, p0, budget, steps=400)
+        want = _rk4_reference(w10 + gap, w10, p0, budget, steps=400)
+        assert np.count_nonzero(want[1] <= 0.0) > n // 10
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
     def test_joint_failure_quadrature(self):
         rng = np.random.default_rng(43)
         w11 = rng.uniform(0.2, 1.0, 32)
