@@ -32,6 +32,10 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NONCONVERGENCE = 3
 
+# Cap on the payoff cells of a --dump-game file, checked before anything is
+# written: at the cap a dump takes about 50 s and writes about 1.1 GB.
+MAX_DUMP_CELLS = 4 * 10**7
+
 
 class CliError(Exception):
     def __init__(self, code: int, message: str):
@@ -82,25 +86,28 @@ def _dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _game_chunks(actions: md.ActionSet, payoff: np.ndarray):
-    """``_dumps({**actions.to_json(), "payoff": payoff.tolist()})``, as text
-    chunks of one payoff row each, so memory is one row of text.
+def _game_chunks(actions: md.ActionSet, payoff_row):
+    """``_dumps({**actions.to_json(), "payoff": U.tolist()})`` for the matrix
+    U whose row i is ``payoff_row(i)``, as text chunks of one row each, so
+    memory is one row of floats and of text.
 
     Whatever would make that call raise is raised here, before the first
     chunk: a non-finite payoff raises json's own error for the first such
     cell in row-major order.
     """
     head = _dumps(actions.to_json())  # "actions", "known": both sort before "payoff"
-    finite = np.isfinite(payoff)
-    if not finite.all():
-        _dumps(float(payoff.flat[np.argmin(finite)]))
-    return _game_rows(head[:-len("\n}\n")], payoff)
+    for i in range(len(actions)):
+        row = payoff_row(i)
+        finite = np.isfinite(row)
+        if not finite.all():
+            _dumps(float(row[np.argmin(finite)]))
+    return _game_rows(head[:-len("\n}\n")], payoff_row, len(actions))
 
 
-def _game_rows(head: str, payoff):
+def _game_rows(head: str, payoff_row, n: int):
     yield head + ',\n  "payoff": ['
-    for i, row in enumerate(payoff):
-        cells = ",\n      ".join(map(float.__repr__, row.tolist()))
+    for i in range(n):
+        cells = ",\n      ".join(map(float.__repr__, payoff_row(i).tolist()))
         yield ("," if i else "") + "\n    [\n      " + cells + "\n    ]"
     yield "\n  ]\n}\n"
 
@@ -201,7 +208,11 @@ def cmd_evaluate(args) -> int:
     dump = None
     if args.dump_game:
         base = res.witness.actions if res.witness is not None else a0
-        dump = _game_chunks(base, induce_game(reduced, base).payoff)
+        if len(base) ** 2 > MAX_DUMP_CELLS:
+            raise CliError(EXIT_VALIDATION, f"--dump-game of {len(base)} actions asks for about "
+                           f"{len(base) ** 2:.3g} payoff cells, above the cap of "
+                           f"{MAX_DUMP_CELLS:.3g}; use a larger --eps")
+        dump = _game_chunks(base, induce_game(reduced, base).payoff_row)
     _emit(args, out)
     if dump is not None:
         _atomic_write(args.dump_game, dump)
@@ -227,12 +238,11 @@ def cmd_adversary(args) -> int:
             EXIT_NONCONVERGENCE,
             f"chain construction failed verification at step {adv.failure_step}",
         )
-    rows = [
-        (str(k), repr(a.cost), repr(a.prob))
-        for k, a in enumerate(adv.actions.actions)
-    ]
-    result = {
-        "chain": [{"cost": a.cost, "prob": a.prob} for a in adv.actions.actions],
+    chain = adv.actions.actions
+    # _emit reads the rows only for CSV and the result only for JSON
+    rows = ((str(k), repr(a.cost), repr(a.prob)) for k, a in enumerate(chain))
+    result = None if args.format == "csv" else {
+        "chain": [{"cost": a.cost, "prob": a.prob} for a in chain],
         "eps": adv.step,
         "rho": adv.rho,
         "t_hat": adv.t_hat,

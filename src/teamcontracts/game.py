@@ -23,9 +23,9 @@ envelope neighbours and over the best line below the envelope must clear
 (near-ties, duplicate actions, equal probabilities) are rescored from the
 column with the productivity-rank tie rule, so every best response equals
 the dense one bit for bit.  Best responses take O(n) memory; the dense
-n x n matrix ``InducedGame.payoff`` is built only for equilibrium
-enumeration, profile verification and the game dump.  Modularity is read
-off the sign of the payoff's cross-partial, in O(n).
+n x n matrix ``InducedGame.payoff`` serves only small games: equilibrium
+enumeration, profile verification and agent payoffs; the game dump streams
+``payoff_row``.  Modularity is read off the sign of the cross-partial, in O(n).
 """
 
 from __future__ import annotations
@@ -75,41 +75,44 @@ class InducedGame:
     def costs(self) -> np.ndarray:
         return np.array([a.cost for a in self.actions.actions], dtype=float)
 
+    @cached_property
+    def _pay(self) -> tuple[np.ndarray, np.ndarray]:
+        """Pay (S, F) after own success and own failure against each action."""
+        w, q = self.contract, self.probs
+        return q * w.w11 + (1.0 - q) * w.w10, q * w.w01 + (1.0 - q) * w.w00
+
     def payoff_column(self, j: int) -> np.ndarray:
         """Expected utilities of every own action against opponent action j."""
-        w = self.contract
-        q = self.probs[j]
-        pay_success = q * w.w11 + (1.0 - q) * w.w10
-        pay_failure = q * w.w01 + (1.0 - q) * w.w00
-        return self.probs * pay_success + (1.0 - self.probs) * pay_failure - self.costs
+        pay_success, pay_failure = self._pay
+        return self.probs * pay_success[j] + (1.0 - self.probs) * pay_failure[j] - self.costs
+
+    def payoff_row(self, i: int) -> np.ndarray:
+        """Expected utilities of own action i against every opponent action."""
+        pay_success, pay_failure = self._pay
+        p = self.probs[i]
+        return p * pay_success + (1.0 - p) * pay_failure - self.costs[i]
 
     @cached_property
     def payoff(self) -> np.ndarray:
         """Full payoff matrix U[i, j]; built lazily (O(n^2) memory)."""
-        w = self.contract
-        q = self.probs
-        pay_success = q * w.w11 + (1.0 - q) * w.w10
-        pay_failure = q * w.w01 + (1.0 - q) * w.w00
+        pay_success, pay_failure = self._pay
         p = self.probs[:, None]
         return p * pay_success[None, :] + (1.0 - p) * pay_failure[None, :] - self.costs[:, None]
 
     @cached_property
     def _rank_pos(self) -> np.ndarray:
-        """Position of each action in ``ActionSet.ranking`` (0 = largest)."""
-        order = np.lexsort((self.costs, -self.probs))  # stable: index breaks ties
-        pos = np.empty(len(order), dtype=np.intp)
-        pos[order] = np.arange(len(order))
-        return pos
+        """Position of each action in ``ActionSet.ranking`` (0 = largest): the
+        inverse permutation."""
+        return np.argsort(self.actions.ranking())
 
     @cached_property
-    def _envelope_br(self) -> np.ndarray:
+    def _envelope_br(self) -> list:
         """Certified best response to every opponent action, -1 where the
         envelope answer must be rescored from the payoff column."""
-        w = self.contract
-        q = self.probs
-        s = (q * w.w11 + (1.0 - q) * w.w10) - (q * w.w01 + (1.0 - q) * w.w00)
-        scale = max(w.as_tuple()) + float(self.costs.max())
-        return _certified_argmax(self.probs, self.costs, s, _TAU_UNITS * scale)
+        pay_success, pay_failure = self._pay
+        scale = max(self.contract.as_tuple()) + float(self.costs.max())
+        return _certified_argmax(self.probs, self.costs, pay_success - pay_failure,
+                                 _TAU_UNITS * scale).tolist()
 
     def __len__(self) -> int:
         return len(self.actions)
@@ -206,9 +209,13 @@ def _certified_argmax(probs: np.ndarray, costs: np.ndarray, s: np.ndarray,
     return np.where(best - rival > tau, hull[at], -1)
 
 
-def _rescored_best_response(game: InducedGame, j: int, largest: bool) -> int:
-    """Best response to j from the payoff column; ties go to the largest
-    (or smallest) tied action in the productivity order."""
+def _best_response(game: InducedGame, j: int, largest: bool) -> int:
+    """The certified envelope answer to j, or else the best response from
+    the payoff column, ties to the largest (or smallest) tied action in the
+    productivity order."""
+    i = game._envelope_br[j]
+    if i >= 0:
+        return i
     col = game.payoff_column(j)
     ties = np.flatnonzero(col == col.max())
     pos = game._rank_pos[ties]
@@ -217,14 +224,12 @@ def _rescored_best_response(game: InducedGame, j: int, largest: bool) -> int:
 
 def max_best_response(game: InducedGame, j: int) -> int:
     """Largest best response (productivity order) to opponent action j."""
-    i = int(game._envelope_br[j])
-    return i if i >= 0 else _rescored_best_response(game, j, largest=True)
+    return _best_response(game, j, largest=True)
 
 
 def min_best_response(game: InducedGame, j: int) -> int:
     """Smallest best response (productivity order) to opponent action j."""
-    i = int(game._envelope_br[j])
-    return i if i >= 0 else _rescored_best_response(game, j, largest=False)
+    return _best_response(game, j, largest=False)
 
 
 def extremal_br_path(game: InducedGame, start: str = "MAX") -> tuple[int, list[int]]:
@@ -239,16 +244,13 @@ def extremal_br_path(game: InducedGame, start: str = "MAX") -> tuple[int, list[i
     """
     if start not in ("MAX", "MIN"):
         raise ValueError(f"start must be MAX or MIN, got {start!r}")
-    certified = game._envelope_br.tolist()
-    br = max_best_response if start == "MAX" else min_best_response
+    largest = start == "MAX"
     rank_pos = game._rank_pos
-    cur = int(np.argmin(rank_pos) if start == "MAX" else np.argmax(rank_pos))
+    cur = int(np.argmin(rank_pos) if largest else np.argmax(rank_pos))
     path = [cur]
     seen = {cur}
     for _ in range(len(game) + 1):
-        nxt = certified[cur]
-        if nxt < 0:
-            nxt = br(game, cur)
+        nxt = _best_response(game, cur, largest)
         if nxt == cur:
             return cur, path
         if nxt in seen:
@@ -265,13 +267,11 @@ def paired_br_limit(game: InducedGame) -> tuple[int, int]:
     For a submodular game both orderings of the limit pair are Nash
     equilibria and bracket every other equilibrium action.
     """
-    certified = game._envelope_br.tolist()
     rank_pos = game._rank_pos
     a, b = int(np.argmin(rank_pos)), int(np.argmax(rank_pos))
     seen = {(a, b)}
     for _ in range((len(game) + 1) ** 2):
-        nxt = (certified[b] if certified[b] >= 0 else max_best_response(game, b),
-               certified[a] if certified[a] >= 0 else min_best_response(game, a))
+        nxt = _best_response(game, b, True), _best_response(game, a, False)
         if nxt == (a, b):
             return a, b
         if nxt in seen:

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import AssumptionError
 
 # Contract class tags.
@@ -80,10 +82,9 @@ class ActionSet:
     def ranking(self) -> tuple[int, ...]:
         """Indices sorted from the largest action down, under the
         productivity order with list-position tie-breaking."""
-        keys = [
-            (-a.prob, a.cost, i) for i, a in enumerate(self.actions)
-        ]
-        return tuple(i for *_, i in sorted(keys))
+        probs = np.array([a.prob for a in self.actions], dtype=float)
+        costs = np.array([a.cost for a in self.actions], dtype=float)
+        return tuple(np.lexsort((costs, -probs)).tolist())  # stable: index breaks ties
 
     @property
     def max_index(self) -> int:
@@ -156,16 +157,6 @@ class Contract:
                 raise ValueError(
                     f"{name} must be finite and >= 0 (limited liability), got {value}"
                 )
-
-    @property
-    def base_wage(self) -> float:
-        """Wage for own success when the other agent fails."""
-        return self.w10
-
-    @property
-    def team_bonus(self) -> float:
-        """Increment to own-success pay when the other agent also succeeds."""
-        return self.w11 - self.w10
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.w11, self.w10, self.w01, self.w00)

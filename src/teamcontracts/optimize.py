@@ -42,16 +42,12 @@ MAX_INNER_CELLS = 6 * 10**8
 # w10 = 3e-17, regime MIXED, at a pooled optimum).
 MIN_REFINED_STEP = 1e-12
 
-# Cells per value_grid call when scanning a wage triangle: 128 KB per
-# temporary whatever the step.  Blocks of 2^16 cells were slower at step 1e-3
-# and raised peak RSS by 6 MB more.
-_BLOCK_CELLS = 1 << 14
-# Cells (w2 values x c1 rows) per block of the discriminatory max-min scan:
-# every temporary stays at 32 KB, below the 64 KB free that makes glibc
-# check whether to trim the heap.  At 2^13 and 2^14 cells a grid-1e-2 call
-# took about 3.5 k minor page faults as the heap was trimmed and regrown
-# for each w1; at 2^12, none, with or without MALLOC_TRIM_THRESHOLD_ set.
-_INNER_BLOCK_CELLS = _BLOCK_CELLS // 4
+# Cells per block of both scans: a wage triangle's value_grid calls and the
+# discriminatory max-min's (w2 values x c1 rows).  Every temporary stays at
+# 32 KB, below the 64 KB free that makes glibc check whether to trim the
+# heap and below its 128 KB mmap threshold, so a scan takes no minor page
+# faults as the heap is trimmed and regrown (at 2^14 cells, thousands).
+_BLOCK_CELLS = 1 << 12
 
 # Descending ladder of calibration offsets tried by calibration_witness.
 EPS_LADDER = tuple(
@@ -387,13 +383,13 @@ def discriminatory_ipe(a0_set: ActionSet, grid: float = 1e-2) -> DiscriminatoryR
     incentive constraint without helping the objective.  Both layers run on
     grids of the same step; constraints hold up to IC_TOL.  For each w1 the
     inner minima of all w2 <= w1 come from ``_inner_rows``, in blocks of at
-    most ``_INNER_BLOCK_CELLS`` rows; ties go to the smallest (w1, w2).  A step
+    most ``_BLOCK_CELLS`` rows; ties go to the smallest (w1, w2).  A step
     whose rows exceed ``MAX_INNER_CELLS`` raises ValueError.
     """
     check_known_assumptions(a0_set)
     axis, kp, kc = _inner_grid(a0_set, grid,
                                lambda n: (n + 1) * ((n + 1) * (n + 2) / 2 + n + 1))
-    block = max(1, _INNER_BLOCK_CELLS // axis.size)
+    block = max(1, _BLOCK_CELLS // axis.size)
     best, dense = None, 0
     for w1 in map(float, axis):
         m1 = float(_best_known(kp, kc, w1))

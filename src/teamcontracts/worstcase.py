@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -64,7 +65,6 @@ class Witness:
 
     actions: ActionSet
     eps: float
-    description: str = ""
 
 
 @dataclass(frozen=True)
@@ -180,8 +180,7 @@ def _min_branch(pbar: float, full: float, shirk: float, a0_set: ActionSet,
     binding = FULL_SUCCESS if full < shirk else SHIRK_EQ
     witness = None
     if with_witness and binding == FULL_SUCCESS:
-        witness = Witness(a0_set.extend([ActionSpec(0.0, 1.0)]), 0.0,
-                          "free full-success action is dominant")
+        witness = Witness(a0_set.extend([ActionSpec(0.0, 1.0)]), 0.0)
     return WorstCaseResult(pbar, per_agent, 2.0 * per_agent, binding, witness)
 
 
@@ -217,8 +216,7 @@ def jpe_value(
         n = int(min(max(2, math.ceil(best.t_hat / witness_eps)), MAX_WITNESS_CHAIN))
         chain = euler_adversary(contract, best.a0, n, verify=False)
         tail = chain.actions.actions[1:]
-        res = replace(res, witness=Witness(
-            a0_set.extend(tail), witness_eps, f"undercut chain of {n} steps"))
+        res = replace(res, witness=Witness(a0_set.extend(tail), witness_eps))
     return res
 
 
@@ -306,8 +304,7 @@ def ipe_value(
     res = _min_branch(pbar, 1.0 - w, pbar * (1.0 - w), a0_set, with_witness)
     if with_witness and res.binding == SHIRK_EQ and w > 0.0:
         adv = ipe_adversary(w, a0_set, witness_eps)
-        res = replace(res, witness=Witness(adv.actions, witness_eps,
-                                           "single free undercut action"))
+        res = replace(res, witness=Witness(adv.actions, witness_eps))
     return res
 
 
@@ -347,7 +344,7 @@ def rpe_value(
         adv = a0_set.extend(
             [ActionSpec(0.0, min(1.0, p_star + witness_eps)), ActionSpec(0.0, 0.0)]
         )
-        witness = Witness(adv, witness_eps, "fixed-point undercut plus null action")
+        witness = Witness(adv, witness_eps)
     return WorstCaseResult(p_star, per_agent, 2.0 * per_agent, SHIRK_EQ, witness)
 
 
@@ -479,20 +476,30 @@ def euler_error_bound(contract: Contract, a0: ActionSpec, n: int) -> float:
 
 @dataclass(frozen=True)
 class AdversarySet:
-    """Single-undercut adversary for an independent evaluation."""
+    """Single-undercut adversary for an independent evaluation paying
+    ``wage`` for own success."""
 
     actions: ActionSet
     eps: float
     clamped: bool
-    unique_equilibrium: bool
+    wage: float
+
+    @cached_property
+    def unique_equilibrium(self) -> bool:
+        """Whether mutual play of the new action is the unique pure
+        equilibrium; enumerated on the dense game at first read."""
+        game = induce_game(Contract(self.wage, self.wage, 0.0, 0.0), self.actions)
+        pure = enumerate_equilibria(game, mixed=False)
+        idx = len(self.actions) - 1
+        return len(pure) == 1 and pure[0].indices == (idx, idx)
 
 
 def ipe_adversary(w: float, a0_set: ActionSet, eps: float) -> AdversarySet:
     """Append the free action succeeding just above max(p(a0) - c(a0)/w).
 
     For small eps mutual play of the new action is the unique pure
-    equilibrium; the result records whether that held, and whether the
-    target probability had to be clamped into [0, 1].
+    equilibrium; the result can check whether that holds, and records
+    whether the target probability had to be clamped into [0, 1].
     """
     if w <= 0.0:
         raise ValueError("wage must be positive")
@@ -503,13 +510,7 @@ def ipe_adversary(w: float, a0_set: ActionSet, eps: float) -> AdversarySet:
     target = max(a.prob - a.cost / w for a in a0_set.known) + eps
     clamped = target < 0.0 or target > 1.0
     target = min(1.0, max(0.0, target))
-    star = ActionSpec(0.0, target)
-    adv = a0_set.extend([star])
-    idx = len(adv) - 1
-    game = induce_game(Contract(w, w, 0.0, 0.0), adv)
-    pure = enumerate_equilibria(game, mixed=False)
-    unique = len(pure) == 1 and pure[0].indices == (idx, idx)
-    return AdversarySet(adv, eps, clamped, unique)
+    return AdversarySet(a0_set.extend([ActionSpec(0.0, target)]), eps, clamped, w)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -156,18 +157,72 @@ class TestGameDump:
     @given(dumped_games())
     def test_small_games_match_json_dumps(self, game):
         actions, payoff = game
-        assert "".join(cli._game_chunks(actions, payoff)) == dump_oracle(actions, payoff)
+        chunks = cli._game_chunks(actions, payoff.__getitem__)
+        assert "".join(chunks) == dump_oracle(actions, payoff)
 
-    def test_seeded_witness_game_matches_json_dumps(self):
+    @staticmethod
+    def seeded_witness_game():
         rng = np.random.default_rng(611)
         # the shirking branch binds, so the witness is an undercut chain of 1000 steps
         contract = Contract(float(rng.uniform(0.5, 0.65)), float(rng.uniform(0.0, 0.05)), 0.0, 0.0)
         res = wc.jpe_value(contract, ActionSet.from_json(A0_JSON), with_witness=True,
                            witness_eps=2.5e-4)
-        actions = res.witness.actions
-        assert len(actions) == 1001
-        payoff = induce_game(contract, actions).payoff
-        assert "".join(cli._game_chunks(actions, payoff)) == dump_oracle(actions, payoff)
+        assert len(res.witness.actions) == 1001
+        return induce_game(contract, res.witness.actions)
+
+    def test_seeded_witness_game_matches_json_dumps(self):
+        game = self.seeded_witness_game()
+        assert ("".join(cli._game_chunks(game.actions, game.payoff_row))
+                == dump_oracle(game.actions, game.payoff))
+
+    def test_streamed_dump_holds_no_n_by_n_array(self):
+        game = self.seeded_witness_game()
+        game.payoff_row(0)  # the cached pay vectors are the game's, not the dump's
+        tracemalloc.start()
+        try:
+            size = sum(map(len, cli._game_chunks(game.actions, game.payoff_row)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert size > 2.5e7  # the whole text is about 27 MB
+        assert peak < 1001 ** 2 * 8, peak
+
+    def test_dump_over_the_cap_is_refused_writing_nothing(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_DUMP_CELLS", 20 ** 2)
+        inp = write(tmp_path, "in.json", {
+            "contract": {"w11": 2 / 3, "w10": 0.0, "w01": 0.0, "w00": 0.0},
+            "actions": A0_JSON,
+        })
+        out, dump = tmp_path / "out.json", tmp_path / "game.json"
+        # t_hat = 0.25: eps 0.0125 makes a 20-step chain, 21 actions with the target
+        code = main(["evaluate", "--input", inp, "--eps", "0.0125", "--output", str(out),
+                     "--dump-game", str(dump)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: --dump-game of 21 actions asks for about 441 payoff cells, above the "
+            "cap of 400; use a larger --eps\n")
+        assert not out.exists() and not dump.exists()
+        assert not list(tmp_path.glob(".tmp-teamcontracts-*"))
+        assert main(["evaluate", "--input", inp, "--eps", "0.0132", "--output", str(out),
+                     "--dump-game", str(dump)]) == 0
+        assert len(json.loads(dump.read_text())["payoff"]) == 20
+
+    def test_largest_witness_dump_is_refused_at_the_default_cap(self, tmp_path, capsys,
+                                                                monkeypatch):
+        def reached(*args):
+            raise AssertionError("a 10^10-cell dump was started")
+
+        monkeypatch.setattr(cli, "_game_chunks", reached)
+        inp = write(tmp_path, "in.json", {
+            "contract": {"w11": 2 / 3, "w10": 0.0, "w01": 0.0, "w00": 0.0},
+            "actions": A0_JSON,
+        })
+        dump = tmp_path / "game.json"
+        assert main(["evaluate", "--input", inp, "--eps", "1e-9", "--dump-game", str(dump)]) == 2
+        assert capsys.readouterr() == ("", (
+            "error: --dump-game of 100001 actions asks for about 1e+10 payoff cells, above "
+            "the cap of 4e+07; use a larger --eps\n"))
+        assert not dump.exists()
 
     def test_non_finite_payoff_exits_2_writing_nothing(self, tmp_path, capsys, monkeypatch):
         seen = {}
@@ -177,7 +232,7 @@ class TestGameDump:
             # the first in row-major order is named, not the first by column
             payoff[1, 2], payoff[2, 1] = -math.inf, math.nan
             seen.update(actions=actions, payoff=payoff)
-            return SimpleNamespace(payoff=payoff)
+            return SimpleNamespace(payoff_row=payoff.__getitem__)
 
         monkeypatch.setattr(cli, "induce_game", poisoned)
         inp = write(tmp_path, "in.json", {

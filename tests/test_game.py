@@ -41,12 +41,24 @@ class TestInduceGame:
         assert np.allclose(g.payoff, -np.array([[0.25, 0.25], [0.0, 0.0]]))
 
     def test_columns_match_matrix(self):
+        """Rows and columns have the matrix's bits, signed zeros included."""
         rng = np.random.default_rng(0)
-        w = Contract(*rng.uniform(0, 1, 4))
-        acts = ActionSet.from_pairs([(rng.uniform(0, 0.5), rng.uniform(0, 1)) for _ in range(4)])
-        g = induce_game(w, acts)
-        for j in range(4):
-            assert np.array_equal(g.payoff_column(j), g.payoff[:, j])
+        signed_zero, negative_zeros = (0.0, -0.0), 0
+        for trial in range(40):
+            n = int(rng.integers(1, 9))
+            if trial % 2:  # -0.0 wages and probabilities make cells of -0.0
+                w = Contract(*rng.choice(signed_zero, 4))
+                pairs = zip(rng.choice((0.0, 0.25), n), rng.choice((*signed_zero, 0.5), n))
+            else:
+                w = Contract(*rng.uniform(0, 1, 4))
+                pairs = zip(rng.uniform(0, 0.5, n), rng.uniform(0, 1, n))
+            g = induce_game(w, ActionSet.from_pairs(pairs))
+            u = g.payoff
+            negative_zeros += np.count_nonzero((u == 0.0) & np.signbit(u))
+            for k in range(n):
+                assert g.payoff_column(k).tobytes() == u[:, k].tobytes()
+                assert g.payoff_row(k).tobytes() == u[k].tobytes()
+        assert negative_zeros > 0
 
 
 def dense_modularity(game, tol=1e-12):

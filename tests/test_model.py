@@ -145,7 +145,25 @@ class TestCalibrateJpe:
             calibrate_jpe(0.5, ActionSpec(0.25, 0.0), 0.1)
 
 
+def sorted_ranking(acts):
+    """``ActionSet.ranking`` as first written, a Python sort of the keys
+    (-prob, cost, index): the oracle for the lexsort."""
+    keys = [(-a.prob, a.cost, i) for i, a in enumerate(acts.actions)]
+    return tuple(i for *_, i in sorted(keys))
+
+
 class TestActionSet:
+    def test_ranking_matches_sorted_keys(self):
+        rng = np.random.default_rng(3000)
+        for _ in range(3000):
+            n = int(rng.integers(1, 13))
+            # few distinct values, so ties, duplicates and both zeros are common
+            drawn = rng.uniform(0, 1, 4)
+            probs = rng.choice((0.0, -0.0, 1e-300, 0.5, 0.5 + 2**-53, 1.0, *drawn[:2]), n)
+            costs = rng.choice((0.0, -0.0, 5e-324, 0.25, *drawn[2:]), n)
+            acts = ActionSet.from_pairs(zip(costs, probs))
+            assert acts.ranking() == sorted_ranking(acts)
+
     def test_ranking_productivity_order(self):
         acts = ActionSet.from_pairs([(0.0, 0.45), (0.25, 1.0), (0.125, 0.76)])
         assert acts.ranking() == (1, 2, 0)

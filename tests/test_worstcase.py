@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import astuple
 from decimal import Decimal, localcontext
 
@@ -364,6 +365,19 @@ class TestIpeValue:
     def test_zero_wage_contract(self):
         res = ipe_value(0.0, A0)
         assert res.per_agent == 0.0
+
+    def test_witness_builds_no_dense_game(self):
+        rng = np.random.default_rng(3000)
+        known = ActionSet.from_pairs(zip(rng.uniform(0.01, 0.5, 3000), rng.uniform(0.5, 1, 3000)))
+        tracemalloc.start()
+        try:
+            res = ipe_value(0.6, known, with_witness=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(res.witness.actions) == 3001
+        assert res.witness.actions.actions[:3000] == known.actions
+        assert peak < 3001 ** 2 * 8 / 8, peak  # an eighth of one dense payoff matrix
 
 
 class TestLowerBoundAndQuadrature:
