@@ -73,4 +73,4 @@ chain = ActionSet.from_pairs([(0.25, 1.0), (0.125, 0.76), (0.0, 0.45)])
 g = induce_game(Contract(0.5, 0.0, 0.0, 0.0), chain)
 limit, path = extremal_br_path(g, "MAX")
 print("maximal best responses from the top action visit", path)
-print("limit action:", chain.actions[limit])
+print("limit action:", chain[limit])

@@ -32,7 +32,7 @@ print("=== independent benchmark ===")
 ipe = ipe_optimal(known)
 print(f"best independent wage w* = {ipe.w_star}: {ipe.per_agent} per agent")
 adv = ipe_adversary(ipe.w_star, known, eps=0.01)
-print("worst adversary adds", adv.actions.actions[-1],
+print("worst adversary adds", adv.actions[-1],
       "| unique equilibrium:", adv.unique_equilibrium)
 
 print("\n=== pooling the same wage fails ===")
@@ -41,8 +41,8 @@ print("value of (0.5, 0, 0, 0):", jpe_value(pooled, known).per_agent)
 
 # The undercut chain that destroys the pooled scheme, shortest version:
 chain = euler_adversary(pooled, a0, 2, rho=1e-9)
-print("two-step undercut probabilities:", np.round(chain.chain_probs, 6))
-print("costs:", chain.chain_costs, "| best responses verified:", chain.verified)
+print("two-step undercut probabilities:", np.round(chain.actions.probs, 6))
+print("costs:", chain.actions.costs.tolist(), "| best responses verified:", chain.verified)
 
 # Longer chains approach the analytic floor.
 for n in (10, 100, 1000):

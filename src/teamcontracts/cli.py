@@ -148,12 +148,6 @@ def _field(obj: dict, key: str, convert=float):
         raise CliError(EXIT_VALIDATION, f"bad field {key!r}: {exc}")
 
 
-def _integral(x) -> int:
-    if not float(x).is_integer():
-        raise ValueError(f"not an integer: {x!r}")
-    return int(x)
-
-
 def _parse_contract(obj) -> md.Contract:
     try:
         return md.Contract.from_json(obj)
@@ -238,11 +232,11 @@ def cmd_adversary(args) -> int:
             EXIT_NONCONVERGENCE,
             f"chain construction failed verification at step {adv.failure_step}",
         )
-    chain = adv.actions.actions
     # _emit reads the rows only for CSV and the result only for JSON
-    rows = ((str(k), repr(a.cost), repr(a.prob)) for k, a in enumerate(chain))
+    costs, probs = adv.actions.costs.tolist(), adv.actions.probs.tolist()
+    rows = ((str(k), repr(c), repr(p)) for k, (c, p) in enumerate(zip(costs, probs)))
     result = None if args.format == "csv" else {
-        "chain": [{"cost": a.cost, "prob": a.prob} for a in chain],
+        "chain": adv.actions.to_json()["actions"],
         "eps": adv.step,
         "rho": adv.rho,
         "t_hat": adv.t_hat,
@@ -310,7 +304,7 @@ def cmd_multi(args) -> int:
     payload = _load_json(args.input)
     _require_keys(payload, {"n", "w0", "b", "actions"})
     a0 = _parse_actions(payload["actions"])
-    mac = ext.MultiAgentContract(_field(payload, "n", _integral), _field(payload, "w0"),
+    mac = ext.MultiAgentContract(_field(payload, "n", md.integral), _field(payload, "w0"),
                                  _field(payload, "b"))
     per_agent, total = ext.multi_agent_value(mac, a0)
     _emit(args, {"n": mac.n, "per_agent": per_agent, "total": total})

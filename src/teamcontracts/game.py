@@ -2,7 +2,8 @@
 
 Both agents are identical and the contract is symmetric, so a single payoff
 matrix U describes the game: U[i, j] is the expected utility of an agent
-playing action i while the other plays action j.  The module detects
+playing action i while the other plays action j, from the action set's
+``probs`` and ``costs`` arrays, read with no copy.  The module detects
 super/submodularity in the productivity order, runs extremal best-response
 dynamics, enumerates equilibria, and applies equilibrium-selection rules.
 
@@ -68,36 +69,29 @@ class InducedGame:
     actions: ActionSet
 
     @cached_property
-    def probs(self) -> np.ndarray:
-        return np.array([a.prob for a in self.actions.actions], dtype=float)
-
-    @cached_property
-    def costs(self) -> np.ndarray:
-        return np.array([a.cost for a in self.actions.actions], dtype=float)
-
-    @cached_property
     def _pay(self) -> tuple[np.ndarray, np.ndarray]:
         """Pay (S, F) after own success and own failure against each action."""
-        w, q = self.contract, self.probs
+        w, q = self.contract, self.actions.probs
         return q * w.w11 + (1.0 - q) * w.w10, q * w.w01 + (1.0 - q) * w.w00
 
     def payoff_column(self, j: int) -> np.ndarray:
         """Expected utilities of every own action against opponent action j."""
         pay_success, pay_failure = self._pay
-        return self.probs * pay_success[j] + (1.0 - self.probs) * pay_failure[j] - self.costs
+        p, c = self.actions.probs, self.actions.costs
+        return p * pay_success[j] + (1.0 - p) * pay_failure[j] - c
 
     def payoff_row(self, i: int) -> np.ndarray:
         """Expected utilities of own action i against every opponent action."""
         pay_success, pay_failure = self._pay
-        p = self.probs[i]
-        return p * pay_success + (1.0 - p) * pay_failure - self.costs[i]
+        p = self.actions.probs[i]
+        return p * pay_success + (1.0 - p) * pay_failure - self.actions.costs[i]
 
     @cached_property
     def payoff(self) -> np.ndarray:
         """Full payoff matrix U[i, j]; built lazily (O(n^2) memory)."""
         pay_success, pay_failure = self._pay
-        p = self.probs[:, None]
-        return p * pay_success[None, :] + (1.0 - p) * pay_failure[None, :] - self.costs[:, None]
+        p, c = self.actions.probs[:, None], self.actions.costs[:, None]
+        return p * pay_success[None, :] + (1.0 - p) * pay_failure[None, :] - c
 
     @cached_property
     def _rank_pos(self) -> np.ndarray:
@@ -110,9 +104,9 @@ class InducedGame:
         """Certified best response to every opponent action, -1 where the
         envelope answer must be rescored from the payoff column."""
         pay_success, pay_failure = self._pay
-        scale = max(self.contract.as_tuple()) + float(self.costs.max())
-        return _certified_argmax(self.probs, self.costs, pay_success - pay_failure,
-                                 _TAU_UNITS * scale).tolist()
+        p, c = self.actions.probs, self.actions.costs
+        scale = max(self.contract.as_tuple()) + float(c.max())
+        return _certified_argmax(p, c, pay_success - pay_failure, _TAU_UNITS * scale).tolist()
 
     def __len__(self) -> int:
         return len(self.actions)
@@ -146,7 +140,8 @@ def check_modularity(game: InducedGame, tol: float = 1e-12) -> str:
     ``tol`` of zero (e.g. any independent evaluation).
     """
     w11, w10, w01, w00 = game.contract.as_tuple()
-    extreme = (w11 - w10 - w01 + w00) * float(game.probs.max() - game.probs.min()) ** 2
+    p = game.actions.probs
+    extreme = (w11 - w10 - w01 + w00) * float(p.max() - p.min()) ** 2
     if abs(extreme) <= tol:
         return BOTH
     return SUPERMODULAR if extreme > 0.0 else SUBMODULAR
@@ -320,8 +315,8 @@ def principal_value(game: InducedGame, profile: Profile) -> float:
     """
     x = np.asarray(profile.x)
     y = np.asarray(profile.y)
-    px = float(x @ game.probs)
-    py = float(y @ game.probs)
+    px = float(x @ game.actions.probs)
+    py = float(y @ game.actions.probs)
     w = game.contract
     return px + py - expected_wage(w, px, py) - expected_wage(w, py, px)
 

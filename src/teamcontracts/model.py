@@ -1,10 +1,12 @@
 """Core domain types: actions, action sets, and four-wage contracts.
 
-An action is a (cost, success probability) pair.  A contract is a quadruple
-of non-negative wages w[own outcome][other's outcome] paid to each of two
-identical agents.  Contracts are classified by how own pay responds to the
-other agent's outcome: independent (IPE), relative (RPE), joint (JPE), or
-none of the three (OTHER).
+An action is a (cost, success probability) pair.  An action set holds its
+actions once, as read-only float64 cost and probability arrays that every
+other layer computes on; this module alone knows how it is stored.  A
+contract is a quadruple of non-negative wages w[own outcome][other's
+outcome] paid to each of two identical agents.  Contracts are classified
+by how own pay responds to the other agent's outcome: independent (IPE),
+relative (RPE), joint (JPE), or none of the three (OTHER).
 """
 
 from __future__ import annotations
@@ -40,69 +42,98 @@ class ActionSpec:
             raise ValueError(f"success probability must be in [0, 1], got {self.prob}")
 
 
-@dataclass(frozen=True)
+def integral(x) -> int:
+    """``int(x)`` for a number with no fractional part, else ValueError."""
+    if not float(x).is_integer():
+        raise ValueError(f"not an integer: {x!r}")
+    return int(x)
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class ActionSet:
     """A finite ordered list of actions whose leading prefix is known.
 
-    ``known_count`` marks how many leading actions the principal knows about;
-    the remainder are adversarial additions.  The productivity order ranks
-    a above a' when a succeeds with higher probability, or with equal
-    probability at lower cost.  Duplicate (cost, prob) pairs are permitted;
-    ties are broken by list position so the order stays total.
+    The actions are held once, as the read-only float64 arrays ``costs``
+    and ``probs``.  ``s[i]`` and iteration give ``ActionSpec``s, a slice is
+    an action set keeping its actions' known flags, and equality is by
+    value.  ``known_count`` marks how many leading actions the principal
+    knows about; the remainder are adversarial additions.  The productivity
+    order ranks a above a' when a succeeds with higher probability, or with
+    equal probability at lower cost.  Duplicate (cost, prob) pairs are
+    permitted; ties are broken by list position so the order stays total.
     """
 
-    actions: tuple[ActionSpec, ...]
+    costs: np.ndarray
+    probs: np.ndarray
     known_count: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "actions", tuple(self.actions))
-        if not self.actions:
+    def __init__(self, costs, probs, known_count=None):
+        costs, probs = np.array(costs, dtype=float), np.array(probs, dtype=float)
+        if costs.ndim != 1 or costs.shape != probs.shape:
+            raise ValueError(f"need 1-D costs and probs alike, got {costs.shape}, {probs.shape}")
+        if not costs.size:
             raise ValueError("action set must be non-empty")
-        if not 0 <= self.known_count <= len(self.actions):
-            raise ValueError(
-                f"known_count {self.known_count} out of range for "
-                f"{len(self.actions)} actions"
-            )
+        bad = ~((costs >= 0.0) & (costs < math.inf) & (probs >= 0.0) & (probs <= 1.0))
+        if bad.any():  # ActionSpec names the first failing action's first failing field
+            ActionSpec(*(float(x[np.argmax(bad)]) for x in (costs, probs)))
+        known_count = costs.size if known_count is None else known_count
+        if not 0 <= known_count <= costs.size:
+            raise ValueError(f"known_count {known_count} out of range for {costs.size} actions")
+        costs.flags.writeable = probs.flags.writeable = False
+        self.__dict__.update(costs=costs, probs=probs, known_count=known_count)
 
     @classmethod
     def from_pairs(cls, pairs, known_count=None) -> "ActionSet":
         """Build from (cost, prob) pairs; by default all actions are known."""
-        actions = tuple(ActionSpec(float(c), float(p)) for c, p in pairs)
-        if known_count is None:
-            known_count = len(actions)
-        return cls(actions, known_count)
+        costs, probs = list(zip(*pairs)) or ((), ())
+        return cls(costs, probs, known_count)
 
     @property
-    def known(self) -> tuple[ActionSpec, ...]:
-        return self.actions[: self.known_count]
+    def actions(self) -> "ActionSet":
+        """The set itself, as the sequence of its ``ActionSpec``s."""
+        return self
+
+    @property
+    def known(self) -> "ActionSet":
+        """The known prefix, as an action set (empty when none is known)."""
+        return self[: self.known_count]
 
     def __len__(self) -> int:
-        return len(self.actions)
+        return self.costs.size
+
+    def __getitem__(self, key):
+        if not isinstance(key, slice):
+            return ActionSpec(float(self.costs[key]), float(self.probs[key]))
+        taken = range(len(self))[key]
+        if taken.step != 1:
+            raise ValueError("action-set slices take consecutive actions")
+        known = len(range(taken.start, min(taken.stop, self.known_count)))
+        out = object.__new__(ActionSet)  # views of checked arrays, possibly empty
+        out.__dict__.update(costs=self.costs[key], probs=self.probs[key], known_count=known)
+        return out
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, ActionSet) and self.known_count == other.known_count
+                and np.array_equal(self.costs, other.costs)
+                and np.array_equal(self.probs, other.probs))
 
     def ranking(self) -> tuple[int, ...]:
         """Indices sorted from the largest action down, under the
         productivity order with list-position tie-breaking."""
-        probs = np.array([a.prob for a in self.actions], dtype=float)
-        costs = np.array([a.cost for a in self.actions], dtype=float)
-        return tuple(np.lexsort((costs, -probs)).tolist())  # stable: index breaks ties
-
-    @property
-    def max_index(self) -> int:
-        return self.ranking()[0]
-
-    @property
-    def min_index(self) -> int:
-        return self.ranking()[-1]
+        return tuple(np.lexsort((self.costs, -self.probs)).tolist())  # stable: index breaks ties
 
     def extend(self, extra) -> "ActionSet":
-        """Append adversarial actions; the known prefix is unchanged."""
-        return ActionSet(self.actions + tuple(extra), self.known_count)
+        """Append adversarial actions, an action set or ``ActionSpec``s; the
+        known prefix is unchanged."""
+        if not isinstance(extra, ActionSet):
+            pairs = [(a.cost, a.prob) for a in extra]
+            extra = ActionSet.from_pairs(pairs) if pairs else self[:0]
+        return ActionSet(np.concatenate((self.costs, extra.costs)),
+                         np.concatenate((self.probs, extra.probs)), self.known_count)
 
     def to_json(self) -> dict:
-        return {
-            "actions": [{"cost": a.cost, "prob": a.prob} for a in self.actions],
-            "known": self.known_count,
-        }
+        pairs = zip(self.costs.tolist(), self.probs.tolist())
+        return {"actions": [{"cost": c, "prob": p} for c, p in pairs], "known": self.known_count}
 
     @classmethod
     def from_json(cls, obj: dict) -> "ActionSet":
@@ -111,14 +142,13 @@ class ActionSet:
             raise ValueError(f"unknown action-set fields: {sorted(extra)}")
         if "actions" not in obj:
             raise ValueError("action-set JSON requires an 'actions' list")
-        actions = []
+        pairs = []
         for entry in obj["actions"]:
             bad = set(entry) - {"cost", "prob"}
             if bad:
                 raise ValueError(f"unknown action fields: {sorted(bad)}")
-            actions.append(ActionSpec(float(entry["cost"]), float(entry["prob"])))
-        known = int(obj.get("known", len(actions)))
-        return cls(tuple(actions), known)
+            pairs.append((float(entry["cost"]), float(entry["prob"])))
+        return cls.from_pairs(pairs, integral(obj.get("known", len(pairs))))
 
 
 def check_known_assumptions(a0: ActionSet) -> None:
@@ -130,12 +160,11 @@ def check_known_assumptions(a0: ActionSet) -> None:
     known = a0.known
     if not known:
         raise AssumptionError("known action set is empty")
-    for a in known:
-        if a.cost <= 0.0:
-            raise AssumptionError(
-                f"known actions must be costly; got cost {a.cost} at prob {a.prob}"
-            )
-    if not any(a.prob - a.cost > 0.0 for a in known):
+    free = known.costs <= 0.0
+    if free.any():
+        a = known[int(np.argmax(free))]
+        raise AssumptionError(f"known actions must be costly; got cost {a.cost} at prob {a.prob}")
+    if not (known.probs - known.costs > 0.0).any():
         raise AssumptionError(
             "no known action generates strictly positive surplus (prob - cost > 0)"
         )

@@ -346,13 +346,12 @@ def _best_known(kp, kc, w):
 
 
 def _inner_grid(a0_set: ActionSet, grid: float, rows):
-    """The axis and the known actions' (prob, cost), refusing a step whose
-    ``rows(N)`` inner-adversary rows would exceed ``MAX_INNER_CELLS``."""
+    """The axis of N = round(1/grid) intervals and the known (prob, cost),
+    refusing a step whose ``rows(N)`` rows would exceed ``MAX_INNER_CELLS``."""
     n = _grid_intervals(grid, rows, MAX_INNER_CELLS,
                         "inner-adversary rows (N+1 per wage pair and per agent-one wage)")
-    kp = np.array([a.prob for a in a0_set.known])
-    kc = np.array([a.cost for a in a0_set.known])
-    return np.linspace(0.0, 1.0, n + 1), kp, kc
+    known = a0_set.known
+    return np.linspace(0.0, 1.0, n + 1), known.probs, known.costs
 
 
 def discriminatory_inner(
@@ -365,8 +364,8 @@ def discriminatory_inner(
     axis, kp, kc = _inner_grid(a0_set, grid, lambda n: 2 * (n + 1))
     w1, w2s = float(w1), np.array([float(w2)])
     m1 = float(_best_known(kp, kc, w1))
-    val, c1, p1, p2, _ = _inner_rows(axis, grid, w1, m1, w2s, _best_known(kp, kc, w2s),
-                                     *_regime_a(axis, grid, w1, m1))
+    val, c1, p1, p2, _ = _inner_rows(axis, axis[1], w1, m1, w2s, _best_known(kp, kc, w2s),
+                                     *_regime_a(axis, axis[1], w1, m1))
     if not math.isfinite(val[0]):
         return math.inf, None
     return float(val[0]), (float(c1[0]), float(p1[0]), float(p2[0]))
@@ -380,15 +379,17 @@ def discriminatory_ipe(a0_set: ActionSet, grid: float = 1e-2) -> DiscriminatoryR
     p1*(1-w1) + p2*(1-w2) subject to each action being a best response
     against the known actions and the other unknown action.  Zero cost for
     the second action is without loss here because cost only tightens its
-    incentive constraint without helping the objective.  Both layers run on
-    grids of the same step; constraints hold up to IC_TOL.  For each w1 the
-    inner minima of all w2 <= w1 come from ``_inner_rows``, in blocks of at
-    most ``_BLOCK_CELLS`` rows; ties go to the smallest (w1, w2).  A step
-    whose rows exceed ``MAX_INNER_CELLS`` raises ValueError.
+    incentive constraint without helping the objective.  Both layers, and
+    both agents' actions, run on one grid of spacing 1/N, N = round(1/grid);
+    constraints hold up to IC_TOL.  For each w1 the inner minima of all
+    w2 <= w1 come from ``_inner_rows``, in blocks of at most ``_BLOCK_CELLS``
+    rows; ties go to the smallest (w1, w2).  A step whose rows exceed
+    ``MAX_INNER_CELLS`` raises ValueError.
     """
     check_known_assumptions(a0_set)
     axis, kp, kc = _inner_grid(a0_set, grid,
                                lambda n: (n + 1) * ((n + 1) * (n + 2) / 2 + n + 1))
+    grid = axis[1]
     block = max(1, _BLOCK_CELLS // axis.size)
     best, dense = None, 0
     for w1 in map(float, axis):

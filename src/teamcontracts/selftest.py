@@ -271,9 +271,9 @@ def suite_lower_bound_tightness(rng, trials=200, chain_n=2000) -> SuiteResult:
         acts = draw_superset(rng, a0, 3)
         g = gm.induce_game(w, acts)
         hi, _ = gm.extremal_br_path(g, "MAX")
-        if acts.actions[hi].prob < pbar - 1e-6:
+        if acts.probs[hi] < pbar - 1e-6:
             failures.append(
-                f"trial {t}: maximal equilibrium prob {acts.actions[hi].prob} "
+                f"trial {t}: maximal equilibrium prob {float(acts.probs[hi])} "
                 f"below floor {pbar}"
             )
             continue

@@ -84,9 +84,7 @@ class WorstCaseResult:
             "witness": None,
         }
         if self.witness is not None:
-            w = self.witness.actions.to_json()
-            w["eps"] = self.witness.eps
-            out["witness"] = w
+            out["witness"] = {**self.witness.actions.to_json(), "eps": self.witness.eps}
         return out
 
 
@@ -141,13 +139,12 @@ def _endpoint(w11, w10, p0, c0):
     return t_hat, p_end, t_zero
 
 
-def _best_solution(w11: float, w10: float, targets) -> OdeSolution:
-    """Endpoint of the target whose dynamics end highest (the first such
-    target on ties), from one kernel call; needs w11 >= w10."""
+def _best_solution(w11: float, w10: float, probs, costs, targets) -> OdeSolution:
+    """Endpoint of the target ``targets[k]`` at (probs[k], costs[k]) ending
+    highest (the first on ties), from one kernel call; needs w11 >= w10."""
     if w11 < w10:
         raise ContractPatternError(f"need w11 >= w10, got w11={w11} < w10={w10}")
-    t_hat, p_end, t_zero = _endpoint(w11, w10, [a.prob for a in targets],
-                                     [a.cost for a in targets])
+    t_hat, p_end, t_zero = _endpoint(w11, w10, probs, costs)
     k = int(np.argmax(p_end))
     return OdeSolution(targets[k], w11, w10, float(t_hat[k]), float(p_end[k]),
                        float(t_zero[k]))
@@ -156,15 +153,16 @@ def _best_solution(w11: float, w10: float, targets) -> OdeSolution:
 def pbar_closed_form(w11: float, w10: float, a0: ActionSpec) -> OdeSolution:
     """Closed-form endpoint of the undercut dynamics started at a0 (see
     ``_endpoint``); needs w11 >= w10."""
-    return _best_solution(w11, w10, (a0,))
+    return _best_solution(w11, w10, [a0.prob], [a0.cost], (a0,))
 
 
 def best_known_solution(w11: float, w10: float, a0_set: ActionSet) -> OdeSolution:
     """Endpoint of the known target whose dynamics end highest (the first
     such target on ties)."""
-    if not a0_set.known:
+    known = a0_set.known
+    if not known:
         raise ValueError("action set has no known prefix to target")
-    return _best_solution(w11, w10, a0_set.known)
+    return _best_solution(w11, w10, known.probs, known.costs, known)
 
 
 def shirk_branch(pbar, w11, w10):
@@ -215,8 +213,7 @@ def jpe_value(
     if with_witness and res.binding == SHIRK_EQ and best.t_hat > 0.0:
         n = int(min(max(2, math.ceil(best.t_hat / witness_eps)), MAX_WITNESS_CHAIN))
         chain = euler_adversary(contract, best.a0, n, verify=False)
-        tail = chain.actions.actions[1:]
-        res = replace(res, witness=Witness(a0_set.extend(tail), witness_eps))
+        res = replace(res, witness=Witness(a0_set.extend(chain.actions[1:]), witness_eps))
     return res
 
 
@@ -235,27 +232,21 @@ def jpe_value_w00(contract: Contract, a0_set: ActionSet) -> WorstCaseResult:
         raise ContractPatternError("pattern requires w10 = w01 = 0")
     if w11 <= 0.0 or w00 < 0.0:
         raise ContractPatternError("pattern requires w11 > 0 and w00 >= 0")
-    if not a0_set.known:
+    known = a0_set.known
+    if not known:
         raise ValueError("action set has no known prefix to target")
 
+    # In vertex form a*(p - p_sing)^2, a = (w11 + w00)/2, falls by the cost:
+    # p_sing is reached at cost a*(p0 - p_sing)^2, else p_sing + sqrt(r/a).
     p_sing = w00 / (w11 + w00)
-
-    def g2(p):
-        return (w11 + w00) * p * p / 2.0 - w00 * p
-
-    pbar = 0.0
-    for a in a0_set.known:
-        p0, c0 = a.prob, a.cost
-        if p0 <= p_sing:
-            p_end = 0.0
-        else:
-            t_sing = g2(p0) - g2(p_sing)
-            if c0 >= t_sing:
-                p_end = 0.0
-            else:
-                disc = w00 * w00 + 2.0 * (w11 + w00) * (g2(p0) - c0)
-                p_end = (w00 + math.sqrt(max(disc, 0.0))) / (w11 + w00)
-        pbar = max(pbar, p_end)
+    a = (w11 + w00) / 2.0
+    with np.errstate(all="ignore"):  # overflowed wages are refused below
+        r = a * (known.probs - p_sing) ** 2 - known.costs
+        keep = (known.probs > p_sing) & (r > 0.0)
+        roots = _stable_root(a, 0.0, r[keep])
+    pbar = float(p_sing + roots.max()) if roots.size else 0.0
+    if not math.isfinite(pbar):
+        raise OverflowError("undercut endpoint is not finite")
 
     shirk = pbar * pbar * (1.0 - w11) + (1.0 - pbar) ** 2 * (-w00)
     return _min_branch(pbar, 1.0 - w11, shirk, a0_set, False)
@@ -274,20 +265,17 @@ def ipe_optimal(a0_set: ActionSet) -> IpeOptimum:
     (p - c/w)*(1 - w).  The per-action optimum is interior at w = sqrt(c/p)
     whenever c < p, with value (sqrt(p) - sqrt(c))^2."""
     check_known_assumptions(a0_set)
-    best_val = -math.inf
-    best_w = 1.0
-    best_a = a0_set.known[0]
-    for a in a0_set.known:
-        p, c = a.prob, a.cost
-        if c < p:
-            w = math.sqrt(c / p)
-            val = (math.sqrt(p) - math.sqrt(c)) ** 2
-        else:
-            w = 1.0
-            val = 0.0
-        if val > best_val:
-            best_val, best_w, best_a = val, w, a
-    return IpeOptimum(best_w, best_a, best_val, 2.0 * best_val)
+    known = a0_set.known
+    p, c = known.probs, known.costs
+    root_gap = np.sqrt(p) - np.sqrt(c)
+    # Squaring doubles is strictly monotone, so the product picks the first
+    # action Python's ** (libm pow), whose bits the value keeps, would pick.
+    k = int(np.argmax(np.where(c < p, root_gap * root_gap, 0.0)))
+    a = known[k]
+    w, val = 1.0, 0.0
+    if a.cost < a.prob:
+        w, val = math.sqrt(a.cost / a.prob), float(root_gap[k]) ** 2
+    return IpeOptimum(w, a, val, 2.0 * val)
 
 
 def ipe_value(
@@ -331,11 +319,10 @@ def rpe_value(
     known = a0_set.known
     if not known:
         raise ValueError("action set has no known prefix")
-    prob = np.array([a.prob for a in known])
-    surplus = prob - np.array([a.cost for a in known]) / w10
+    surplus = known.probs - known.costs / w10
     keep = surplus > 0.0
     a = w11 / w10 - 1.0
-    roots = _stable_root(a, 1.0 - a * prob[keep], surplus[keep])
+    roots = _stable_root(a, 1.0 - a * known.probs[keep], surplus[keep])
     p_star = min(1.0, float(roots.max(initial=0.0)))
 
     per_agent = shirk_branch(p_star, w11, w10)
@@ -360,14 +347,6 @@ class EulerAdversary:
     verified: bool | None
     failure_step: int | None
     max_eq_prob: float | None
-
-    @property
-    def chain_probs(self) -> tuple[float, ...]:
-        return tuple(a.prob for a in self.actions.actions)
-
-    @property
-    def chain_costs(self) -> tuple[float, ...]:
-        return tuple(a.cost for a in self.actions.actions)
 
 
 def euler_adversary(
@@ -400,7 +379,7 @@ def euler_adversary(
     sol = pbar_closed_form(w11, w10, a0)
     t_hat = sol.t_hat
     if t_hat <= 0.0:
-        chain = ActionSet((a0,), 1)
+        chain = ActionSet([a0.cost], [a0.prob])
         return EulerAdversary(chain, 0.0, 0.0, 0.0, False, True, None, a0.prob)
 
     eps = t_hat / n
@@ -421,10 +400,10 @@ def euler_adversary(
         probs.append(nxt)
         q = nxt
 
-    actions = [a0]
-    for k in range(1, n + 1):
-        actions.append(ActionSpec((n - k) * t_hat / n, probs[k]))
-    chain = ActionSet(tuple(actions), 1)
+    # (n - k)*t_hat/n with that Python expression's bits: n - k is exact
+    costs = np.arange(n, -1, -1, dtype=float) * t_hat / n
+    costs[0] = a0.cost
+    chain = ActionSet(costs, probs, 1)
 
     verified = None
     failure_step = None
@@ -432,14 +411,10 @@ def euler_adversary(
     if verify:
         game = induce_game(contract, chain)
         limit, path = extremal_br_path(game, "MAX")
-        max_eq_prob = chain.actions[limit].prob
+        max_eq_prob = float(chain.probs[limit])
         verified = limit == n
         if not verified:
-            expected = list(range(len(path)))
-            failure_step = next(
-                (k for k, (got, want) in enumerate(zip(path, expected)) if got != want),
-                len(path),
-            )
+            failure_step = next((k for k, got in enumerate(path) if got != k), len(path))
     return EulerAdversary(chain, eps, rho_n, t_hat, clamped, verified, failure_step, max_eq_prob)
 
 
@@ -507,7 +482,8 @@ def ipe_adversary(w: float, a0_set: ActionSet, eps: float) -> AdversarySet:
         raise ValueError("eps must be positive")
     if not a0_set.known:
         raise ValueError("action set has no known prefix")
-    target = max(a.prob - a.cost / w for a in a0_set.known) + eps
+    known = a0_set.known
+    target = float((known.probs - known.costs / w).max()) + eps
     clamped = target < 0.0 or target > 1.0
     target = min(1.0, max(0.0, target))
     return AdversarySet(a0_set.extend([ActionSpec(0.0, target)]), eps, clamped, w)
@@ -518,10 +494,13 @@ def ipe_adversary(w: float, a0_set: ActionSet, eps: float) -> AdversarySet:
 # ---------------------------------------------------------------------------
 
 def pbar_grid(w11: np.ndarray, w10: np.ndarray, a0_set: ActionSet) -> np.ndarray:
-    """Elementwise max over known actions of the undercut endpoint."""
+    """Elementwise max over known actions of the undercut endpoint.  One
+    kernel call per target keeps each temporary grid-sized; a single call
+    over targets x grid is slower once there are more than a few targets."""
+    known = a0_set.known
     out = np.zeros(np.broadcast(w11, w10).shape)
-    for a in a0_set.known:
-        out = np.maximum(out, _endpoint(w11, w10, a.prob, a.cost)[1])
+    for p0, c0 in zip(known.probs.tolist(), known.costs.tolist()):
+        out = np.maximum(out, _endpoint(w11, w10, p0, c0)[1])
     return out
 
 

@@ -67,7 +67,7 @@ def test_c03_naive_pooling_collapses():
 def test_c04_two_step_undercut_chain():
     contract = tc.Contract(0.5, 0.0, 0.0, 0.0)
     adv = tc.euler_adversary(contract, TARGET, 2, rho=1e-9)
-    probs = adv.chain_probs
+    probs = adv.actions.probs
     assert abs(probs[0] - 1.0) <= 1e-6
     assert abs(probs[1] - 0.75) <= 1e-6
     assert abs(probs[2] - 5.0 / 12.0) <= 1e-6

@@ -93,6 +93,20 @@ class TestEvaluate:
         })
         assert main(["evaluate", "--input", inp]) == 2
 
+    def test_fractional_known_count_exits_2(self, tmp_path, capsys):
+        contract = {"w11": 0.6, "w10": 0.0, "w01": 0.0, "w00": 0.0}
+        actions = [{"cost": 0.25, "prob": 1.0}, {"cost": 0.1, "prob": 0.5}]
+        inp = write(tmp_path, "in.json", {
+            "contract": contract, "actions": {"actions": actions, "known": 1.5}})
+        out = tmp_path / "out.json"
+        assert main(["evaluate", "--input", inp, "--output", str(out)]) == 2
+        assert capsys.readouterr().err == "error: bad action set: not an integer: 1.5\n"
+        assert not out.exists()
+        inp = write(tmp_path, "in.json", {
+            "contract": contract, "actions": {"actions": actions, "known": 2.0}})
+        assert main(["evaluate", "--input", inp, "--output", str(out)]) == 0
+        assert read_result(out)["witness"]["known"] == 2
+
     def test_malformed_json_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

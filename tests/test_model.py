@@ -1,7 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from teamcontracts import (
     ActionSet,
@@ -167,8 +170,6 @@ class TestActionSet:
     def test_ranking_productivity_order(self):
         acts = ActionSet.from_pairs([(0.0, 0.45), (0.25, 1.0), (0.125, 0.76)])
         assert acts.ranking() == (1, 2, 0)
-        assert acts.max_index == 1
-        assert acts.min_index == 0
 
     def test_ties_broken_by_cost_then_index(self):
         acts = ActionSet.from_pairs([(0.3, 0.5), (0.1, 0.5), (0.1, 0.5)])
@@ -208,6 +209,128 @@ class TestActionSet:
             check_known_assumptions(ActionSet.from_pairs([(0.0, 0.5)]))
         with pytest.raises(AssumptionError):
             check_known_assumptions(ActionSet.from_pairs([(0.1, 0.9)], known_count=0))
+
+    def test_known_assumptions_match_the_loop(self):
+        rng = np.random.default_rng(101)
+        outcomes = set()
+        for _ in range(2000):
+            n = int(rng.integers(1, 7))
+            costs = rng.choice((0.0, -0.0, 5e-324, 0.3, 0.6, *rng.uniform(0, 1, 2)), n)
+            probs = rng.choice((0.0, 0.3, 0.6, 1.0, *rng.uniform(0, 1, 2)), n)
+            acts = ActionSet(costs, probs, int(rng.integers(0, n + 1)))
+            got = want = None
+            try:
+                check_known_assumptions(acts)
+            except AssumptionError as exc:
+                got = str(exc)
+            try:
+                check_known_assumptions_loop(acts)
+            except AssumptionError as exc:
+                want = str(exc)
+            assert got == want
+            outcomes.add(want.split(";")[0] if want else None)
+        assert len(outcomes) == 4  # empty, free action, no surplus, and passing sets
+
+
+def check_known_assumptions_loop(a0):
+    """``check_known_assumptions`` as written over the tuple of
+    ``ActionSpec``s: the oracle of its array form, message for message."""
+    known = a0.known
+    if not known:
+        raise AssumptionError("known action set is empty")
+    for a in known:
+        if a.cost <= 0.0:
+            raise AssumptionError(
+                f"known actions must be costly; got cost {a.cost} at prob {a.prob}"
+            )
+    if not any(a.prob - a.cost > 0.0 for a in known):
+        raise AssumptionError(
+            "no known action generates strictly positive surplus (prob - cost > 0)"
+        )
+
+
+def tuple_to_json(pairs, known):
+    """``ActionSet.to_json`` as written over the tuple of ``ActionSpec``s:
+    the byte oracle of the array encoder."""
+    actions = tuple(ActionSpec(float(c), float(p)) for c, p in pairs)
+    return {"actions": [{"cost": a.cost, "prob": a.prob} for a in actions], "known": known}
+
+
+def first_spec_error(pairs):
+    """The error of the first failing ``ActionSpec`` in list order, or None:
+    what building the tuple of ``ActionSpec``s raised."""
+    try:
+        for c, p in pairs:
+            ActionSpec(c, p)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+EDGE_COSTS = st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e300])
+EDGE_PROBS = st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 0.5, 1.0])
+COSTS = EDGE_COSTS | st.floats(0.0, 1e300, allow_subnormal=True)
+PROBS = EDGE_PROBS | st.floats(0.0, 1.0, allow_subnormal=True)
+BAD = st.sampled_from([-1.0, -5e-324, 1.5, math.inf, -math.inf, math.nan])
+
+
+class TestArrayForm:
+    """The array form of ``ActionSet`` against the tuple of ``ActionSpec``s
+    it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(COSTS, PROBS), min_size=1, max_size=12), st.data())
+    def test_to_json_matches_the_tuple_encoder(self, pairs, data):
+        known = data.draw(st.integers(0, len(pairs)))
+        acts = ActionSet.from_pairs(pairs, known)
+        want = json.dumps(tuple_to_json(pairs, known), sort_keys=True)
+        assert json.dumps(acts.to_json(), sort_keys=True) == want
+        assert ActionSet.from_json(json.loads(want)) == acts
+        assert list(acts) == [ActionSpec(c, p) for c, p in pairs]
+        assert [repr(a) for a in acts.known] == [repr(ActionSpec(c, p)) for c, p in pairs[:known]]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(COSTS | BAD, PROBS | BAD), min_size=1, max_size=8))
+    def test_errors_match_the_first_failing_action_spec(self, pairs):
+        want = first_spec_error(pairs)
+        if want is None:
+            ActionSet.from_pairs(pairs)
+        else:
+            with pytest.raises(ValueError) as exc:
+                ActionSet.from_pairs(pairs)
+            assert str(exc.value) == want
+
+    def test_error_names_the_first_failing_action_and_field(self):
+        # a bad probability at index 1 goes ahead of a bad cost at index 2
+        with pytest.raises(ValueError, match=r"^success probability .* got 1.5$"):
+            ActionSet.from_pairs([(0.1, 0.5), (0.2, 1.5), (-1.0, 0.5)])
+        with pytest.raises(ValueError, match="^action cost must be finite and >= 0, got nan$"):
+            ActionSet.from_pairs([(0.1, 0.5), (math.nan, 1.5)])
+
+    def test_arrays_are_read_only_copies(self):
+        costs, probs = np.array([0.25, 0.0, 0.1]), [1.0, 0.4, 0.5]
+        acts = ActionSet(costs, probs, 2)
+        costs[0], probs[1] = 0.5, 0.9
+        assert acts.costs.tolist() == [0.25, 0.0, 0.1] and acts.probs.tolist() == [1.0, 0.4, 0.5]
+        for arr in (acts.costs, acts.probs, acts.known.costs, acts[1:].probs):
+            assert arr.dtype == np.float64
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.3
+        with pytest.raises(AttributeError):
+            acts.known_count = 3
+
+    def test_sequence_of_action_specs(self):
+        acts = ActionSet([0.25, 0.0, 0.1], [1.0, 0.4, 0.5], 2)
+        assert len(acts) == 3 and acts[1] == ActionSpec(0.0, 0.4) and acts[-1].prob == 0.5
+        assert acts.known == ActionSet([0.25, 0.0], [1.0, 0.4])
+        assert acts[1:] == ActionSet([0.0, 0.1], [0.4, 0.5], 1)
+        assert len(acts[:0]) == 0 and not ActionSet([0.1], [0.5], 0).known
+        assert acts.extend([ActionSpec(0.0, 1.0)]) == ActionSet([0.25, 0.0, 0.1, 0.0],
+                                                               [1.0, 0.4, 0.5, 1.0], 2)
+        assert acts.extend(acts[2:]) == acts.extend([ActionSpec(0.1, 0.5)])
+        assert acts.extend([]) == acts
+        assert acts != ActionSet([0.25, 0.0, 0.1], [1.0, 0.4, 0.5], 3)
+        assert acts.actions is acts
 
 
 class TestContractJson:

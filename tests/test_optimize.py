@@ -286,16 +286,18 @@ def _flat_grid(axis):
 
 
 def _known(a0):
-    return np.array([a.prob for a in a0.known]), np.array([a.cost for a in a0.known])
+    return a0.known.probs, a0.known.costs
 
 
-def _discriminatory_ipe_reference(a0, grid):
+def _discriminatory_ipe_reference(a0, grid, step=None):
     """The max-min scan as written before it went by rows, kept as the oracle
     of ``discriminatory_ipe``: for each w1, every (c1, p2) cell of every
     w2 <= w1 scored at once with ``_inner_adversary_reference``'s
     expressions, the first minimum per pair, then the first maximum in
-    (w1, w2) order.  Returns ``(w1, w2, witness, value)``."""
+    (w1, w2) order.  p1 is rounded up to multiples of ``step``, by default
+    the axis spacing 1/N.  Returns ``(w1, w2, witness, value)``."""
     axis = np.linspace(0.0, 1.0, max(1, round(1.0 / grid)) + 1)
+    grid = axis[1] if step is None else step
     kp, kc = _known(a0)
     c1f, p2f = _flat_grid(axis)
     best = None
@@ -325,8 +327,9 @@ def _ipe_tuple(res):
 
 
 def _kernel(a0, w1, w2, grid, axis=None):
-    """``_inner_rows`` on one wage pair, as ``discriminatory_inner`` calls it;
-    returns ((value, (c1, p1, p2)) or (inf, None), rows scored densely)."""
+    """``_inner_rows`` on one wage pair, as ``discriminatory_inner`` calls it
+    but with p1 rounded on ``grid`` itself, not on the axis spacing; returns
+    ((value, (c1, p1, p2)) or (inf, None), rows scored densely)."""
     if axis is None:
         axis = np.linspace(0.0, 1.0, max(1, round(1.0 / grid)) + 1)
     kp, kc = _known(a0)
@@ -409,14 +412,39 @@ class TestDiscriminatory:
             assert _regime_a(axis, 5e-2, float(w1), m1)[0] == (0 if w1 < 0.99 else 1)
 
     def test_max_min_with_dense_rows_matches_reference(self):
-        # 1/grid not an integer: the fallback runs inside the max-min scan
+        # the max-min scan of ``discriminatory_ipe`` with p1 rounded on the
+        # raw step 0.07, off the axis of spacing 1/14: the fallback runs
         rng = np.random.default_rng(79)
         dense = 0
         for a0 in [A0] + [_seeded_known_set(rng) for _ in range(5)]:
-            res = discriminatory_ipe(a0, 0.07)
-            dense += res.dense_rows
-            assert repr(_ipe_tuple(res)) == repr(_discriminatory_ipe_reference(a0, 0.07))
+            axis, kp, kc = _inner_grid(a0, 0.07, lambda n: 1)
+            best = None
+            for w1 in map(float, axis):
+                m1 = float(_best_known(kp, kc, w1))
+                w2 = axis[axis <= w1 + 1e-15]
+                val, c1, p1, p2, d = _inner_rows(axis, 0.07, w1, m1, w2, _best_known(kp, kc, w2),
+                                                 *_regime_a(axis, 0.07, w1, m1))
+                dense += d
+                k = int(np.argmax(np.where(val < np.inf, val, -np.inf)))
+                if val[k] < np.inf and (best is None or val[k] > best[3]):
+                    best = (w1, float(w2[k]), (float(c1[k]), float(p1[k]), float(p2[k])),
+                            float(val[k]))
+            assert repr(best) == repr(_discriminatory_ipe_reference(a0, 0.07, 0.07))
         assert dense > 0
+
+    def test_non_integer_steps_round_on_the_axis(self):
+        # both agents' actions on the axis of spacing 1/N, N = round(1/step):
+        # at step 0.03 the running example is worth 0.6116 (0.6138 at 1e-2),
+        # where rounding p1 on 0.03 itself gave 0.6894 with 486 dense rows
+        rng = np.random.default_rng(83)
+        for k, a0 in enumerate([A0] + [_seeded_known_set(rng) for _ in range(5)]):
+            for grid in (0.03, 0.07):
+                res = discriminatory_ipe(a0, grid)
+                assert repr(_ipe_tuple(res)) == repr(_discriminatory_ipe_reference(a0, grid))
+                axis = np.linspace(0.0, 1.0, round(1.0 / grid) + 1)
+                assert res.inner_witness[1] in axis and res.dense_rows == 0
+                if k == 0 and grid == 0.03:
+                    assert res.value_total == pytest.approx(0.6116, abs=1e-4)
 
     def test_benchmark_like_sets_at_grid_1e_2(self):
         for a0 in (ActionSet.from_pairs([(0.2, 0.9), (0.3, 0.95), (0.1, 0.5)]),

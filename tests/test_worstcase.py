@@ -16,6 +16,7 @@ from teamcontracts import (
     ContractPatternError,
     OdeSolution,
     calibrate_jpe,
+    check_known_assumptions,
     euler_adversary,
     euler_error_bound,
     ipe_adversary,
@@ -32,7 +33,7 @@ from teamcontracts.selftest import (
     ode_quadrature,
     ode_quadrature_w00,
 )
-from teamcontracts.worstcase import _endpoint, best_known_solution, pbar_grid
+from teamcontracts.worstcase import IpeOptimum, _endpoint, best_known_solution, pbar_grid
 
 A0 = ActionSet.from_pairs([(0.25, 1.0)])
 TARGET = ActionSpec(0.25, 1.0)
@@ -89,7 +90,7 @@ class TestJpeValue:
 
     def test_full_success_witness(self):
         res = jpe_value(Contract(1.2, 1.1, 0.0, 0.0), A0, with_witness=True)
-        star = res.witness.actions.actions[-1]
+        star = res.witness.actions[-1]
         assert (star.cost, star.prob) == (0.0, 1.0)
 
     def test_shirk_witness_carries_eps(self):
@@ -97,7 +98,7 @@ class TestJpeValue:
                         with_witness=True, witness_eps=1e-3)
         assert res.witness.eps == 1e-3
         assert len(res.witness.actions) > 100
-        assert res.witness.actions.known == A0.actions
+        assert res.witness.actions.known == A0
 
     def test_rejects_wrong_class(self):
         with pytest.raises(ContractPatternError):
@@ -139,6 +140,74 @@ class TestJpeValueW00:
         with pytest.raises(ContractPatternError):
             jpe_value_w00(Contract(0.5, 0.1, 0.0, 0.2), A0)
 
+    def test_endpoint_against_80_digit_reference(self):
+        # 20 000 seeded single-target draws: three in four with a budget of
+        # at most 90 % of the cost of reaching p_sing, so the endpoint is
+        # well conditioned; the rest start at or below p_sing or spend the
+        # budget, and end at 0.  The stable root is held to a bound no looser
+        # than the worst error of the former formula on the same draws.
+        rng = np.random.default_rng(89)
+        worst, worst_former, interior = 0.0, 0.0, 0
+        for _ in range(20_000):
+            w11, w00 = rng.uniform(0.01, 1.5), rng.uniform(0.0, 1.5)
+            p0 = rng.uniform(0.0, 1.0)
+            p_sing = w00 / (w11 + w00)
+            t_sing = (w11 + w00) / 2.0 * max(p0 - p_sing, 0.0) ** 2
+            c0 = t_sing * rng.uniform(0.0, 0.9) if rng.uniform() < 0.75 else \
+                t_sing * rng.uniform(1.0, 2.0)
+            got = jpe_value_w00(Contract(w11, 0.0, 0.0, w00), ActionSet([c0], [p0])).pbar
+            former = _w00_endpoint_former(w11, w00, p0, c0)
+            exact = _w00_endpoint_exact(w11, w00, p0, c0)
+            if exact == 0:
+                assert got == former == 0.0
+                continue
+            interior += 1
+            worst = max(worst, float(abs(Decimal(got) - exact) / exact))
+            worst_former = max(worst_former, float(abs(Decimal(former) - exact) / exact))
+        assert interior > 5_000
+        assert worst <= W00_REL_BOUND <= worst_former, (worst, worst_former)
+
+    def test_known_set_takes_the_highest_endpoint(self):
+        rng = np.random.default_rng(91)
+        for _ in range(300):
+            w = Contract(rng.uniform(0.1, 1.2), 0.0, 0.0, rng.uniform(0.0, 1.0))
+            known = draw_known_set(rng, 4)
+            ends = [jpe_value_w00(w, ActionSet([a.cost], [a.prob])).pbar for a in known]
+            assert jpe_value_w00(w, known).pbar == max(ends)
+
+
+# Bound on the relative error of the W00 endpoint.  On the seeded draws of
+# the test the stable root's worst is 1.1e-15 and the former formula's 2.4e-12.
+W00_REL_BOUND = 4e-15
+
+
+def _w00_endpoint_former(w11, w00, p0, c0):
+    """jpe_value_w00's endpoint for one target as first written, with its own
+    quadratic root: the reference for the stable root's accuracy."""
+    p_sing = w00 / (w11 + w00)
+
+    def g2(p):
+        return (w11 + w00) * p * p / 2.0 - w00 * p
+
+    if p0 <= p_sing or c0 >= g2(p0) - g2(p_sing):
+        return 0.0
+    disc = w00 * w00 + 2.0 * (w11 + w00) * (g2(p0) - c0)
+    return (w00 + math.sqrt(max(disc, 0.0))) / (w11 + w00)
+
+
+def _w00_endpoint_exact(w11, w00, p0, c0):
+    """The W00 endpoint in 80-digit decimal arithmetic, from the binary
+    inputs: p_sing + sqrt(r/a), r = a*(p0 - p_sing)^2 - c0, a = (w11+w00)/2,
+    or 0 where p0 <= p_sing or r <= 0."""
+    with localcontext() as ctx:
+        ctx.prec = 80
+        w11, w00, p0, c0 = map(Decimal, (w11, w00, p0, c0))
+        p_sing, a = w00 / (w11 + w00), (w11 + w00) / 2
+        r = a * (p0 - p_sing) ** 2 - c0
+        if p0 <= p_sing or r <= 0:
+            return Decimal(0)
+        return p_sing + (r / a).sqrt()
+
 
 class TestIpeOptimal:
     def test_running_example(self):
@@ -160,6 +229,21 @@ class TestIpeOptimal:
         with pytest.raises(AssumptionError):
             ipe_optimal(ActionSet.from_pairs([(0.5, 0.5)]))
 
+    def test_matches_the_loop(self):
+        rng = np.random.default_rng(103)
+        for _ in range(3000):
+            n = int(rng.integers(1, 9))
+            probs = rng.choice((0.3, 0.5, 1.0, *rng.uniform(0.0, 1.0, 4)), n)
+            costs = rng.choice((0.25, 0.3, *(probs[:2] * rng.uniform(0.0, 1.5, 2)),
+                                *rng.uniform(1e-3, 1.0, 2)), n)
+            known = ActionSet(costs, probs, int(rng.integers(1, n + 1)))
+            try:
+                check_known_assumptions(known)
+            except AssumptionError:
+                continue
+            got, want = ipe_optimal(known), _ipe_optimal_loop(known)
+            assert repr(astuple(got)) == repr(astuple(want))
+
     def test_interior_wage_beats_neighbors(self):
         rng = np.random.default_rng(13)
         for _ in range(50):
@@ -173,6 +257,25 @@ class TestIpeOptimal:
             assert res.per_agent >= value(res.w_star * 1.01) - 1e-12
             assert res.per_agent >= value(res.w_star * 0.99) - 1e-12
             assert res.per_agent == pytest.approx(value(res.w_star), abs=1e-12)
+
+
+def _ipe_optimal_loop(a0_set):
+    """ipe_optimal as written over the tuple of ``ActionSpec``s: the bitwise
+    oracle of its array form."""
+    best_val = -math.inf
+    best_w = 1.0
+    best_a = a0_set.known[0]
+    for a in a0_set.known:
+        p, c = a.prob, a.cost
+        if c < p:
+            w = math.sqrt(c / p)
+            val = (math.sqrt(p) - math.sqrt(c)) ** 2
+        else:
+            w = 1.0
+            val = 0.0
+        if val > best_val:
+            best_val, best_w, best_a = val, w, a
+    return IpeOptimum(best_w, best_a, best_val, 2.0 * best_val)
 
 
 def _rpe_bisection_reference(w11, w10, known, tol=1e-10):
@@ -260,11 +363,11 @@ class TestRpeValue:
 class TestEulerAdversary:
     def test_two_step_chain_at_binding_limits(self):
         adv = euler_adversary(Contract(0.5, 0.0, 0.0, 0.0), TARGET, 2, rho=1e-9)
-        probs = adv.chain_probs
+        probs = adv.actions.probs
         assert probs[0] == 1.0
         assert probs[1] == pytest.approx(0.75, abs=1e-6)
         assert probs[2] == pytest.approx(5.0 / 12.0, abs=1e-6)
-        assert adv.chain_costs == (0.25, 0.125, 0.0)
+        assert adv.actions.costs.tolist() == [0.25, 0.125, 0.0]
         assert adv.verified
         assert adv.max_eq_prob == probs[2]
 
@@ -272,7 +375,7 @@ class TestEulerAdversary:
         w = calibrate_jpe(0.5, ActionSpec(0.2, 0.8), 0.1)
         adv = euler_adversary(w, ActionSpec(0.2, 0.8), 1)
         denom = 0.8 * w.w11 + 0.2 * w.w10
-        assert adv.chain_probs[1] == pytest.approx(0.8 - 0.2 / denom + adv.rho, abs=1e-15)
+        assert adv.actions.probs[1] == pytest.approx(0.8 - 0.2 / denom + adv.rho, abs=1e-15)
         assert adv.verified
 
     def test_long_chain_approaches_collapsed_floor(self):
@@ -290,7 +393,20 @@ class TestEulerAdversary:
     def test_clamping_flagged(self):
         adv = euler_adversary(Contract(0.5, 0.0, 0.0, 0.0), TARGET, 1, rho=2.0)
         assert adv.clamped
-        assert adv.chain_probs[1] == 1.0
+        assert adv.actions.probs[1] == 1.0
+
+    def test_chain_costs_are_the_python_expression(self):
+        # bit for bit (n - k)*t_hat/n, up to the 10^5-step cap
+        rng = np.random.default_rng(107)
+        for n in (1, 2, 3, 10, 997, 20_000, 99_991, 100_000):
+            w10 = rng.uniform(0.0, 0.6)
+            w = Contract(rng.uniform(w10 + 0.02, 1.2), w10, 0.0, 0.0)
+            target = ActionSpec(rng.uniform(0.01, 0.5), rng.uniform(0.5, 1.0))
+            adv = euler_adversary(w, target, n, verify=False)
+            t_hat = adv.t_hat
+            assert t_hat > 0.0
+            want = [target.cost] + [(n - k) * t_hat / n for k in range(1, n + 1)]
+            assert adv.actions.costs.tobytes() == np.array(want).tobytes()
 
     def test_default_rho_schedule(self):
         adv = euler_adversary(Contract(0.5, 0.0, 0.0, 0.0), TARGET, 4)
@@ -301,7 +417,7 @@ class TestEulerAdversary:
         adv = euler_adversary(Contract(2.0 / 3.0, 0.0, 0.0, 0.0), TARGET, 5)
         assert len(adv.actions) == 6
         assert adv.actions.known_count == 1
-        assert adv.actions.actions[0] == TARGET
+        assert adv.actions[0] == TARGET
 
 
 class TestEulerErrorBound:
@@ -334,21 +450,21 @@ class TestEulerErrorBound:
 class TestIpeAdversary:
     def test_single_free_undercut(self):
         adv = ipe_adversary(0.5, A0, 0.01)
-        star = adv.actions.actions[-1]
+        star = adv.actions[-1]
         assert star == ActionSpec(0.0, 0.51)
         assert adv.unique_equilibrium
         assert not adv.clamped
 
     def test_value_approaches_optimum(self):
         adv = ipe_adversary(0.5, A0, 1e-6)
-        p = adv.actions.actions[-1].prob
+        p = adv.actions[-1].prob
         total = 2 * p * 0.5
         assert total == pytest.approx(0.5, abs=1e-5)
 
     def test_clamping_reported(self):
         adv = ipe_adversary(0.5, A0, 0.7)
         assert adv.clamped
-        assert adv.actions.actions[-1].prob == 1.0
+        assert adv.actions[-1].prob == 1.0
 
 
 class TestIpeValue:
@@ -376,7 +492,7 @@ class TestIpeValue:
         finally:
             tracemalloc.stop()
         assert len(res.witness.actions) == 3001
-        assert res.witness.actions.actions[:3000] == known.actions
+        assert res.witness.actions[:3000] == known
         assert peak < 3001 ** 2 * 8 / 8, peak  # an eighth of one dense payoff matrix
 
 
@@ -768,9 +884,12 @@ class TestEndpointBits:
 
 class TestBestKnownSolution:
     def test_first_of_tied_targets(self):
-        known = ActionSet.from_pairs([(0.0, 0.2), (0.25, 1.0), (0.25, 1.0)])
-        best = best_known_solution(0.5, 0.5, known)
-        assert best.a0 is known.actions[1] and best.p_end == 0.5
+        # at w = 0.5 both (0.25, 1.0) and (0.2, 0.9) end at exactly 0.5
+        first, second = (0.25, 1.0), (0.2, 0.9)
+        for order in ((first, second), (second, first)):
+            known = ActionSet.from_pairs([(0.0, 0.2), *order])
+            best = best_known_solution(0.5, 0.5, known)
+            assert best.a0 == ActionSpec(*order[0]) and best.p_end == 0.5
 
     def test_takes_highest_endpoint(self):
         rng = np.random.default_rng(57)
@@ -782,4 +901,4 @@ class TestBestKnownSolution:
 
     def test_needs_known_prefix(self):
         with pytest.raises(ValueError):
-            best_known_solution(0.5, 0.0, ActionSet((TARGET,), 0))
+            best_known_solution(0.5, 0.0, ActionSet([TARGET.cost], [TARGET.prob], 0))
