@@ -1,4 +1,10 @@
-from .cli import main
+import os
+
+# No kernel here uses BLAS at a size where threads pay, and an idle OpenBLAS
+# worker spins on a spare core through every call; a value already set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from .cli import main  # noqa: E402  (numpy must load after the line above)
 
 if __name__ == "__main__":
     raise SystemExit(main())

@@ -140,7 +140,7 @@ def _emit(args, result: dict, csv_rows=None, csv_header=None) -> None:
         sys.stdout.write(text)
 
 
-def _field(obj: dict, key: str, convert=float):
+def _field(obj: dict, key: str, convert=md.number):
     """``convert(obj[key])``, or a validation error naming the field."""
     try:
         return convert(obj[key])
@@ -251,8 +251,8 @@ def cmd_sweep(args) -> int:
     payload = _load_json(args.input)
     _require_keys(payload, {"p_grid", "c_grid"})
     try:
-        p_grid = [float(x) for x in payload["p_grid"]]
-        c_grid = [float(x) for x in payload["c_grid"]]
+        p_grid = [md.number(x, "p_grid entry") for x in payload["p_grid"]]
+        c_grid = [md.number(x, "c_grid entry") for x in payload["c_grid"]]
     except (TypeError, ValueError) as exc:
         raise CliError(EXIT_VALIDATION, f"bad grid: {exc}")
     cells = opt.sweep_regimes(p_grid, c_grid, coarse=args.grid_step,

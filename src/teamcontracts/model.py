@@ -42,9 +42,17 @@ class ActionSpec:
             raise ValueError(f"success probability must be in [0, 1], got {self.prob}")
 
 
-def integral(x) -> int:
+def number(x, what: str = "value") -> float:
+    """``float(x)`` for an int or float, else TypeError naming ``what``: a
+    number field of JSON input takes a JSON number, not a bool or a string."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise TypeError(f"{what} is not a number: {x!r}")
+    return float(x)
+
+
+def integral(x, what: str = "value") -> int:
     """``int(x)`` for a number with no fractional part, else ValueError."""
-    if not float(x).is_integer():
+    if not number(x, what).is_integer():
         raise ValueError(f"not an integer: {x!r}")
     return int(x)
 
@@ -137,18 +145,26 @@ class ActionSet:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ActionSet":
+        if not isinstance(obj, dict):
+            raise ValueError(f"action set must be an object, got {type(obj).__name__}")
         extra = set(obj) - {"actions", "known"}
         if extra:
             raise ValueError(f"unknown action-set fields: {sorted(extra)}")
-        if "actions" not in obj:
+        if not isinstance(obj.get("actions"), list):
             raise ValueError("action-set JSON requires an 'actions' list")
         pairs = []
-        for entry in obj["actions"]:
+        for i, entry in enumerate(obj["actions"]):
+            if not isinstance(entry, dict):
+                raise ValueError(f"action {i} must be an object with 'cost' and 'prob', "
+                                 f"got {type(entry).__name__}")
             bad = set(entry) - {"cost", "prob"}
             if bad:
                 raise ValueError(f"unknown action fields: {sorted(bad)}")
-            pairs.append((float(entry["cost"]), float(entry["prob"])))
-        return cls.from_pairs(pairs, integral(obj.get("known", len(pairs))))
+            missing = {"cost", "prob"} - set(entry)
+            if missing:
+                raise ValueError(f"action {i} is missing field {sorted(missing)[0]!r}")
+            pairs.append(tuple(number(entry[k], f"action {i} {k}") for k in ("cost", "prob")))
+        return cls.from_pairs(pairs, integral(obj.get("known", len(pairs)), "known"))
 
 
 def check_known_assumptions(a0: ActionSet) -> None:
@@ -195,6 +211,8 @@ class Contract:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Contract":
+        if not isinstance(obj, dict):
+            raise ValueError(f"contract must be an object, got {type(obj).__name__}")
         keys = {"w11", "w10", "w01", "w00"}
         extra = set(obj) - keys
         if extra:
@@ -202,7 +220,7 @@ class Contract:
         missing = keys - set(obj)
         if missing:
             raise ValueError(f"contract JSON missing fields: {sorted(missing)}")
-        return cls(*(float(obj[k]) for k in ("w11", "w10", "w01", "w00")))
+        return cls(*(number(obj[k], k) for k in ("w11", "w10", "w01", "w00")))
 
 
 @dataclass(frozen=True)

@@ -396,6 +396,47 @@ class TestBadInputNoTraceback:
         assert main([verb, "--input", inp]) == 2
         assert capsys.readouterr().err.startswith(f"error: bad field '{field}'")
 
+    @pytest.mark.parametrize("actions, message", [
+        ({"actions": [{"prob": 1.0}], "known": 1}, "action 0 is missing field 'cost'"),
+        ({"actions": [{"cost": 0.25, "prob": 1.0}, {"cost": 0.1}]},
+         "action 1 is missing field 'prob'"),
+        ({"actions": {"cost": 0.25}}, "action-set JSON requires an 'actions' list"),
+        ({"actions": [{"cost": 0.25, "prob": 1.0}, 0.5]},
+         "action 1 must be an object with 'cost' and 'prob', got float"),
+        ([{"cost": 0.25, "prob": 1.0}], "action set must be an object, got list"),
+    ])
+    def test_malformed_action_set_exits_2_naming_it(self, tmp_path, capsys, actions, message):
+        inp = write(tmp_path, "in.json", {
+            "contract": {"w11": 0.6, "w10": 0.0, "w01": 0.0, "w00": 0.0}, "actions": actions})
+        assert main(["evaluate", "--input", inp]) == 2
+        assert capsys.readouterr().err == f"error: bad action set: {message}\n"
+
+    @pytest.mark.parametrize("verb, payload, message", [
+        ("evaluate", {"contract": {"w11": True, "w10": False, "w01": 0.0, "w00": 0.0},
+                      "actions": A0_JSON}, "bad contract: w11 is not a number: True"),
+        ("evaluate", {"contract": {"w11": 0.6, "w10": "0.1", "w01": 0.0, "w00": 0.0},
+                      "actions": A0_JSON}, "bad contract: w10 is not a number: '0.1'"),
+        ("optimize", {"actions": [{"cost": "0.25", "prob": 1.0}]},
+         "bad action set: action 0 cost is not a number: '0.25'"),
+        ("optimize", {"actions": [{"cost": 0.25, "prob": True}]},
+         "bad action set: action 0 prob is not a number: True"),
+        ("optimize", {"actions": [{"cost": 0.25, "prob": 1.0}], "known": True},
+         "bad action set: known is not a number: True"),
+        ("multi", {"n": "3", "w0": 0.4, "b": 0.1, "actions": A0_JSON},
+         "bad field 'n': value is not a number: '3'"),
+        ("bayes", {"mu": 0.9, "p0": 0.5, "c0": 0.25, "p_star": True},
+         "bad field 'p_star': value is not a number: True"),
+        ("sweep", {"p_grid": [0.9], "c_grid": ["0.2"]},
+         "bad grid: c_grid entry is not a number: '0.2'"),
+    ])
+    def test_number_field_takes_only_json_numbers(self, tmp_path, capsys, verb, payload,
+                                                  message):
+        inp = write(tmp_path, "in.json", payload)
+        out = tmp_path / "out.json"
+        assert main([verb, "--input", inp, "--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_grid_too_fine_for_memory_exits_2(self, tmp_path, capsys):
         # refused on its work estimate, before its 80 MB axis is allocated
         inp = write(tmp_path, "a0.json", A0_JSON)

@@ -343,3 +343,9 @@ class TestContractJson:
             Contract.from_json({"w11": 1, "w10": 0, "w01": 0, "w00": 0, "w2": 3})
         with pytest.raises(ValueError):
             Contract.from_json({"w11": 1, "w10": 0})
+
+    def test_non_object_inputs_are_named(self):
+        with pytest.raises(ValueError, match="contract must be an object, got str"):
+            Contract.from_json("w11")
+        with pytest.raises(ValueError, match="action set must be an object, got list"):
+            ActionSet.from_json([{"cost": 0.1, "prob": 0.5}])
