@@ -86,12 +86,14 @@ _EXPORTS = {
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+# Submodules that export no name but resolve as attributes before any import.
+_UNLISTED = ("cli", "selftest")
 
 __all__ = [*_EXPORTS, *_HOME]
 
 
 def __getattr__(name):
-    if name in _EXPORTS:
+    if name in _EXPORTS or name in _UNLISTED:
         return _import_module(f".{name}", __name__)
     if name in _HOME:
         return getattr(_import_module(f".{_HOME[name]}", __name__), name)

@@ -6,6 +6,10 @@ overflowing numbers, infeasible model, unknown fields), 3 numerical
 non-convergence.  Outputs are written atomically (temp file + rename),
 embed a metadata block echoing the exact configuration, and are
 byte-identical across runs given the same config and seed.
+
+Each verb imports the solver modules it calls inside its ``cmd_``
+function, so a process loads only those: where no bytecode is cached,
+every module a process imports is compiled from source.
 """
 
 from __future__ import annotations
@@ -20,13 +24,8 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from . import extensions as ext
 from . import model as md
-from . import optimize as opt
-from . import selftest as st
-from . import worstcase as wc
 from .errors import AssumptionError, ConvergenceError
-from .game import induce_game
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -167,6 +166,8 @@ def _parse_actions(obj) -> md.ActionSet:
 # ---------------------------------------------------------------------------
 
 def cmd_evaluate(args) -> int:
+    from . import worstcase as wc
+
     payload = _load_json(args.input)
     _require_keys(payload, {"contract", "actions"})
     contract = _parse_contract(payload["contract"])
@@ -206,6 +207,8 @@ def cmd_evaluate(args) -> int:
             raise CliError(EXIT_VALIDATION, f"--dump-game of {len(base)} actions asks for about "
                            f"{len(base) ** 2:.3g} payoff cells, above the cap of "
                            f"{MAX_DUMP_CELLS:.3g}; use a larger --eps")
+        from .game import induce_game
+
         dump = _game_chunks(base, induce_game(reduced, base).payoff_row)
     _emit(args, out)
     if dump is not None:
@@ -214,6 +217,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    from . import optimize as opt
+
     a0 = _parse_actions(_load_json(args.input))
     res = opt.optimize_jpe(a0, coarse=args.grid_step, refine_rounds=args.refine)
     _emit(args, res.to_json())
@@ -221,6 +226,8 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_adversary(args) -> int:
+    from . import worstcase as wc
+
     payload = _load_json(args.input)
     _require_keys(payload, {"contract", "actions"})
     contract = _parse_contract(payload["contract"])
@@ -248,6 +255,8 @@ def cmd_adversary(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from . import optimize as opt
+
     payload = _load_json(args.input)
     _require_keys(payload, {"p_grid", "c_grid"})
     try:
@@ -269,6 +278,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_discriminate(args) -> int:
+    from . import optimize as opt
+
     a0 = _parse_actions(_load_json(args.input))
     res = opt.discriminatory_ipe(a0, grid=args.grid_step)
     _emit(args, res.to_json())
@@ -276,6 +287,8 @@ def cmd_discriminate(args) -> int:
 
 
 def cmd_bayes(args) -> int:
+    from . import extensions as ext
+
     payload = _load_json(args.input)
     _require_keys(payload, {"p0", "c0", "p_star"}, optional={"mu", "w0"})
     if args.mu is None and "mu" not in payload:
@@ -301,6 +314,8 @@ def cmd_bayes(args) -> int:
 
 
 def cmd_multi(args) -> int:
+    from . import extensions as ext
+
     payload = _load_json(args.input)
     _require_keys(payload, {"n", "w0", "b", "actions"})
     a0 = _parse_actions(payload["actions"])
@@ -312,6 +327,8 @@ def cmd_multi(args) -> int:
 
 
 def cmd_asym(args) -> int:
+    from . import extensions as ext
+
     payload = _load_json(args.input)
     _require_keys(payload, {"contract", "a0"})
     contract = _parse_contract(payload["contract"])
@@ -324,6 +341,8 @@ def cmd_asym(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from . import selftest as st
+
     results = st.run_all(seed=args.seed, quick=args.quick)
     width = max(len(r.name) for r in results)
     ok = True
@@ -388,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("adversary", help="undercut chain realizing the worst case")
     p.add_argument("--input", required=True, help='JSON {"contract":..., "actions":...}')
     p.add_argument("--n", required=True, help="chain length", type=_checked(
-        int, lambda n: 1 <= n <= wc.MAX_WITNESS_CHAIN, f"in [1, {wc.MAX_WITNESS_CHAIN}]"))
+        int, lambda n: 1 <= n <= md.MAX_WITNESS_CHAIN, f"in [1, {md.MAX_WITNESS_CHAIN}]"))
     p.add_argument("--rho", type=_non_negative, help="override the rounding margin")
     common(p)
     p.set_defaults(func=cmd_adversary)
@@ -423,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_asym)
 
     p = sub.add_parser("selftest", help="run the randomized property suites")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count, default=0)
     p.add_argument("--quick", action="store_true", help="reduced trial counts")
     p.set_defaults(func=cmd_selftest)
 

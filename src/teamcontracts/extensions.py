@@ -1,5 +1,9 @@
 """Extension models: many agents, Bayesian technology uncertainty,
-agent-specific unknown actions, and pessimistic equilibrium selection."""
+agent-specific unknown actions, and pessimistic equilibrium selection.
+
+``multi_agent_value`` and ``pessimistic_value`` import ``worstcase`` and
+``game`` when they run, so the Bayesian and asymmetric models load
+neither."""
 
 from __future__ import annotations
 
@@ -8,17 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractPatternError
-from .game import (
-    PESSIMISTIC_PARETO,
-    Profile,
-    enumerate_equilibria,
-    extremal_br_path,
-    induce_game,
-    principal_value,
-    select_and_value,
-)
 from .model import JPE, ActionSet, ActionSpec, Contract, check_known_assumptions, classify
-from .worstcase import jpe_value
 
 
 @dataclass(frozen=True)
@@ -47,6 +41,8 @@ def multi_agent_value(mac: MultiAgentContract, a0_set: ActionSet) -> tuple[float
     two-agent case with w11 = w0 + b and w10 = w0, and the total is n times
     that, since each agent's incentives depend on the others only through
     their common equilibrium success probability."""
+    from .worstcase import jpe_value
+
     check_known_assumptions(a0_set)
     per_agent = jpe_value(mac.two_agent_equivalent(), a0_set).per_agent
     return per_agent, mac.n * per_agent
@@ -214,6 +210,16 @@ def pessimistic_value(
     general; it does hold on the dominance-solvable worst-case witness
     sets.)
     """
+    from .game import (
+        PESSIMISTIC_PARETO,
+        Profile,
+        enumerate_equilibria,
+        extremal_br_path,
+        induce_game,
+        principal_value,
+        select_and_value,
+    )
+
     game = induce_game(contract, actions)
     if mixed is None:
         mixed = len(actions) <= cap

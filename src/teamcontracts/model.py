@@ -27,6 +27,10 @@ OTHER = "OTHER"
 # Tolerance for the affine decomposition w11 = w10 + w01 - w00.
 AFFINE_TOL = 1e-9
 
+# Cap on the length of an undercut chain: the witnesses `worstcase` sizes
+# from an eps target, and the chains the command line may ask for.
+MAX_WITNESS_CHAIN = 100_000
+
 
 @dataclass(frozen=True)
 class ActionSpec:

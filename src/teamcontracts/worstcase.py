@@ -19,6 +19,10 @@ from ``_stable_root``.  Every other cell takes the constant-slope branch at
 wage w10, where a zero wage leaves a free target at p(a0) and sends a costly
 one to zero.  ``pbar_closed_form`` and ``best_known_solution`` make one
 kernel call over their targets, ``pbar_grid`` one per known target.
+
+Only chain verification and ``AdversarySet.unique_equilibrium`` build a
+game, and they import ``game`` when they run, so a process that never
+verifies a chain does not load it.
 """
 
 from __future__ import annotations
@@ -30,16 +34,12 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ContractPatternError
-from .game import enumerate_equilibria, extremal_br_path, induce_game
-from .model import ActionSet, ActionSpec, Contract, check_known_assumptions
+from .model import MAX_WITNESS_CHAIN, ActionSet, ActionSpec, Contract, check_known_assumptions
 
 FULL_SUCCESS = "FULL_SUCCESS"
 SHIRK_EQ = "SHIRK_EQ"
 
 DEFAULT_WITNESS_EPS = 1e-4
-
-# Cap on Euler chain length when sizing witnesses from an eps target.
-MAX_WITNESS_CHAIN = 100_000
 
 
 @dataclass(frozen=True)
@@ -409,6 +409,8 @@ def euler_adversary(
     failure_step = None
     max_eq_prob = None
     if verify:
+        from .game import extremal_br_path, induce_game
+
         game = induce_game(contract, chain)
         limit, path = extremal_br_path(game, "MAX")
         max_eq_prob = float(chain.probs[limit])
@@ -463,6 +465,8 @@ class AdversarySet:
     def unique_equilibrium(self) -> bool:
         """Whether mutual play of the new action is the unique pure
         equilibrium; enumerated on the dense game at first read."""
+        from .game import enumerate_equilibria, induce_game
+
         game = induce_game(Contract(self.wage, self.wage, 0.0, 0.0), self.actions)
         pure = enumerate_equilibria(game, mixed=False)
         idx = len(self.actions) - 1

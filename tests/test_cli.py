@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teamcontracts import cli
+from teamcontracts import game as gm
+from teamcontracts import optimize as opt
 from teamcontracts import worstcase as wc
 from teamcontracts.cli import main
 from teamcontracts.game import induce_game
@@ -248,7 +250,7 @@ class TestGameDump:
             seen.update(actions=actions, payoff=payoff)
             return SimpleNamespace(payoff_row=payoff.__getitem__)
 
-        monkeypatch.setattr(cli, "induce_game", poisoned)
+        monkeypatch.setattr(gm, "induce_game", poisoned)
         inp = write(tmp_path, "in.json", {
             "contract": {"w11": 2 / 3, "w10": 0.0, "w01": 0.0, "w00": 0.0},
             "actions": A0_JSON,
@@ -460,7 +462,7 @@ class TestGridCaps:
         def scan(*args, **kwargs):
             raise AssertionError("a refused grid was scanned")
 
-        monkeypatch.setattr(cli.opt, "_triangle_best", scan)
+        monkeypatch.setattr(opt, "_triangle_best", scan)
         inp = write(tmp_path, "a0.json", {"actions": [{"cost": 0.25, "prob": 1.0},
                                                        {"cost": 0.1, "prob": 0.5}], "known": 2})
         assert main(["optimize", "--input", inp, "--grid-step", "1e-4"]) == 2
@@ -483,7 +485,7 @@ class TestGridCaps:
         def inner(*args, **kwargs):
             raise Reached
 
-        monkeypatch.setattr(cli.opt, "_inner_rows", inner)
+        monkeypatch.setattr(opt, "_inner_rows", inner)
         inp = write(tmp_path, "a0.json", A0_JSON)
         with pytest.raises(Reached):
             main(["discriminate", "--input", inp, "--grid-step", "1e-3"])
@@ -493,7 +495,7 @@ class TestGridCaps:
         def inner(*args, **kwargs):
             raise AssertionError("a wage pair of a refused grid was scanned")
 
-        monkeypatch.setattr(cli.opt, "_inner_rows", inner)
+        monkeypatch.setattr(opt, "_inner_rows", inner)
         inp = write(tmp_path, "a0.json", A0_JSON)
         assert main(["discriminate", "--input", inp, "--grid-step", "5e-4"]) == 2
         assert capsys.readouterr().err == (
@@ -518,6 +520,12 @@ class TestSelftestVerb:
         assert main(["selftest", "--quick", "--seed", "0"]) == 0
         out = capsys.readouterr().out
         assert "[PASS]" in out and "[FAIL]" not in out
+
+    def test_negative_seed_exits_2_naming_the_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["selftest", "--quick", "--seed", "-1"])
+        assert exc.value.code == 2
+        assert "error: argument --seed: must be >= 0, got -1" in capsys.readouterr().err
 
 
 JPE_JSON = {"contract": {"w11": 0.6, "w10": 0.0, "w01": 0.0, "w00": 0.0},
@@ -547,7 +555,7 @@ class TestNumericFlags:
         def build(*args, **kwargs):
             raise AssertionError("an out-of-range chain was built")
 
-        monkeypatch.setattr(cli.wc, "euler_adversary", build)
+        monkeypatch.setattr(wc, "euler_adversary", build)
         inp = write(tmp_path, "in.json", JPE_JSON)
         with pytest.raises(SystemExit) as exc:
             main(["adversary", "--input", inp, "--n", "100001"])

@@ -1,6 +1,8 @@
-"""The package namespace resolves its names lazily, and a command-line
-process runs BLAS on one thread while a library import sets nothing."""
+"""The package namespace resolves its names lazily, a command-line
+process runs BLAS on one thread while a library import sets nothing, and
+each verb loads only the solver modules it calls."""
 
+import json
 import os
 import subprocess
 import sys
@@ -75,3 +77,55 @@ def test_unknown_name_raises_attribute_error():
         teamcontracts.no_such_name
     with pytest.raises(ImportError):
         from teamcontracts import no_such_name  # noqa: F401
+
+
+def test_unlisted_submodules_resolve_in_a_fresh_process():
+    code = ("import json, sys, teamcontracts; "
+            "print(json.dumps([[getattr(teamcontracts, m) is sys.modules['teamcontracts.' + m]"
+            " for m in ('selftest', 'cli')], teamcontracts.__all__]))")
+    resolved, listed = json.loads(run_python(code))
+    assert resolved == [True, True]
+    assert sorted(listed) == sorted(EAGER_NAMES)
+
+
+# Runs the entry point's main in a fresh process, then prints its exit code,
+# whether numpy is loaded, and the package's loaded submodules.
+LOADED = """
+import json, sys
+from teamcontracts.__main__ import main
+try:
+    code = main({argv!r})
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, "numpy" in sys.modules,
+                  [m.split(".", 1)[1] for m in sys.modules if m.startswith("teamcontracts.")]]))
+"""
+A0_JSON = {"actions": [{"cost": 0.25, "prob": 1.0}], "known": 1}
+JPE_JSON = {"contract": {"w11": 0.6, "w10": 0.0, "w01": 0.0, "w00": 0.0}, "actions": A0_JSON}
+SOLVERS = {"worstcase", "game", "optimize", "extensions", "selftest"}
+
+
+VERB_CASES = [
+    ("--version", None, [], SOLVERS),
+    ("optimize", A0_JSON, [], {"game", "extensions", "selftest"}),
+    ("sweep", {"p_grid": [1.0], "c_grid": [0.25]}, [], {"game", "extensions", "selftest"}),
+    ("discriminate", A0_JSON, [], {"game", "extensions", "selftest"}),
+    ("bayes", {"mu": 0.9, "p0": 1.0, "c0": 0.25, "p_star": 0.5}, [],
+     {"worstcase", "game", "optimize", "selftest"}),
+    ("evaluate", JPE_JSON, [], {"optimize", "extensions", "selftest"}),
+    ("adversary", JPE_JSON, ["--n", "100"], {"optimize", "extensions", "selftest"}),
+]
+
+
+@pytest.mark.parametrize("verb, payload, flags, not_loaded", VERB_CASES,
+                         ids=[case[0].lstrip("-") for case in VERB_CASES])
+def test_verb_loads_only_its_modules(tmp_path, verb, payload, flags, not_loaded):
+    argv = [verb]
+    if payload is not None:
+        inp = tmp_path / "in.json"
+        inp.write_text(json.dumps(payload))
+        argv += ["--input", str(inp), *flags, "--output", str(tmp_path / "out.json")]
+    out = run_python(LOADED.format(argv=argv), PYTHONDONTWRITEBYTECODE="1")
+    code, numpy_loaded, loaded = json.loads(out.splitlines()[-1])
+    assert code == 0 and numpy_loaded
+    assert not_loaded.isdisjoint(loaded), sorted(not_loaded & set(loaded))
