@@ -50,7 +50,7 @@ for w, label in [
 ]:
     g = induce_game(w, work_shirk)
     print(f"{label}: modularity {check_modularity(g)}")
-    print(np.round(g.payoff, 5))
+    print(np.round([g.payoff_row(i) for i in range(len(g))], 5))  # the matrix U[i, j]
 
 # Under the team bonus both mutual work and mutual shirk can be equilibria.
 g = induce_game(Contract(0.5, 0.0, 0.0, 0.0),

@@ -5,7 +5,7 @@ Exit codes: 0 success, 2 validation error (malformed input, non-finite or
 overflowing numbers, infeasible model, unknown fields), 3 numerical
 non-convergence.  Outputs are written atomically (temp file + rename),
 embed a metadata block echoing the exact configuration, and are
-byte-identical across runs given the same config and seed.
+byte-identical across runs given the same config.
 
 Each verb imports the solver modules it calls inside its ``cmd_``
 function, so a process loads only those: where no bytecode is cached,
@@ -388,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--output", help="write result here (default: stdout)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
 
     p = sub.add_parser("evaluate", help="worst-case value of a contract on a known set")
     p.add_argument("--input", required=True, help='JSON {"contract":..., "actions":...}')

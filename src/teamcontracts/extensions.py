@@ -195,9 +195,7 @@ def asym_unknown_value(contract: Contract, a0: ActionSpec) -> tuple[float, float
     return p1, p2, total
 
 
-def pessimistic_value(
-    contract: Contract, actions: ActionSet, mixed: bool | None = None, cap: int = 12
-) -> float:
+def pessimistic_value(contract: Contract, actions: ActionSet, mixed: bool | None = None) -> float:
     """Principal's worst weakly Pareto-efficient equilibrium value.
 
     For a joint evaluation with zero failure wages the induced game is
@@ -211,6 +209,7 @@ def pessimistic_value(
     sets.)
     """
     from .game import (
+        MIXED_CAP,
         PESSIMISTIC_PARETO,
         Profile,
         enumerate_equilibria,
@@ -222,8 +221,8 @@ def pessimistic_value(
 
     game = induce_game(contract, actions)
     if mixed is None:
-        mixed = len(actions) <= cap
-    eqs = enumerate_equilibria(game, mixed=mixed, cap=cap)
+        mixed = len(actions) <= MIXED_CAP
+    eqs = enumerate_equilibria(game, mixed=mixed)
     report = select_and_value(game, eqs, PESSIMISTIC_PARETO)
 
     cls = classify(contract)

@@ -1,9 +1,9 @@
 """Finite two-player games induced by a contract and an action set.
 
 Both agents are identical and the contract is symmetric, so a single payoff
-matrix U describes the game: U[i, j] is the expected utility of an agent
-playing action i while the other plays action j, from the action set's
-``probs`` and ``costs`` arrays, read with no copy.  The module detects
+U describes the game: U[i, j] is the expected utility of an agent playing
+action i while the other plays action j, from the action set's ``probs``
+and ``costs`` arrays, read with no copy.  The module detects
 super/submodularity in the productivity order, runs extremal best-response
 dynamics, enumerates equilibria, and applies equilibrium-selection rules.
 
@@ -11,7 +11,11 @@ The payoff is bilinear: with S_j = q_j*w11 + (1-q_j)*w10 and
 F_j = q_j*w01 + (1-q_j)*w00 the pay after own success and own failure
 against opponent action j (success probability q_j),
 
-    U[i, j] = p_i*s_j - c_i + F_j,    s_j = S_j - F_j.
+    U[i, j] = p_i*S_j + (1-p_i)*F_j - c_i = p_i*s_j - c_i + F_j,    s_j = S_j - F_j.
+
+No n x n matrix is built: cells, rows and columns evaluate the first form
+over broadcast indices, and U @ y against a mixture y needs only y.S and
+y.F, so profile verification and agent payoffs are O(n).
 
 F_j does not depend on i, so the best response to j maximises the line
 x -> p_i*x - c_i at x = s_j: a query on the upper envelope of the n lines.
@@ -23,10 +27,8 @@ envelope neighbours and over the best line below the envelope must clear
 ``tau``, a bound on the rounding error of both formulas.  Queries that fail
 (near-ties, duplicate actions, equal probabilities) are rescored from the
 column with the productivity-rank tie rule, so every best response equals
-the dense one bit for bit.  Best responses take O(n) memory; the dense
-n x n matrix ``InducedGame.payoff`` serves only small games: equilibrium
-enumeration, profile verification and agent payoffs; the game dump streams
-``payoff_row``.  Modularity is read off the sign of the cross-partial, in O(n).
+the dense one bit for bit.  Modularity is read off the sign of the
+cross-partial, in O(n).
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ PESSIMISTIC_PARETO = "PESSIMISTIC_PARETO"
 # Best-response verification tolerance for equilibrium candidates.
 EQ_TOL = 1e-9
 
-# Default action-count cap for mixed-equilibrium enumeration.
+# Action-count cap for mixed-equilibrium enumeration.
 MIXED_CAP = 12
 
 # Best-response certificate threshold per unit of the game's magnitude
@@ -74,24 +76,26 @@ class InducedGame:
         w, q = self.contract, self.actions.probs
         return q * w.w11 + (1.0 - q) * w.w10, q * w.w01 + (1.0 - q) * w.w00
 
+    def _cells(self, i, j) -> np.ndarray:
+        """U[i, j] = p_i*S_j + (1-p_i)*F_j - c_i over broadcast indices."""
+        pay_success, pay_failure = self._pay
+        p = self.actions.probs[i]
+        return p * pay_success[j] + (1.0 - p) * pay_failure[j] - self.actions.costs[i]
+
+    def _against(self, y: np.ndarray) -> np.ndarray:
+        """Expected utility of every own action against the mixture ``y``:
+        U @ y, in O(n) from y.S and y.F."""
+        pay_success, pay_failure = self._pay
+        p = self.actions.probs
+        return p * (y @ pay_success) + (1.0 - p) * (y @ pay_failure) - self.actions.costs
+
     def payoff_column(self, j: int) -> np.ndarray:
         """Expected utilities of every own action against opponent action j."""
-        pay_success, pay_failure = self._pay
-        p, c = self.actions.probs, self.actions.costs
-        return p * pay_success[j] + (1.0 - p) * pay_failure[j] - c
+        return self._cells(slice(None), j)
 
     def payoff_row(self, i: int) -> np.ndarray:
         """Expected utilities of own action i against every opponent action."""
-        pay_success, pay_failure = self._pay
-        p = self.actions.probs[i]
-        return p * pay_success + (1.0 - p) * pay_failure - self.actions.costs[i]
-
-    @cached_property
-    def payoff(self) -> np.ndarray:
-        """Full payoff matrix U[i, j]; built lazily (O(n^2) memory)."""
-        pay_success, pay_failure = self._pay
-        p, c = self.actions.probs[:, None], self.actions.costs[:, None]
-        return p * pay_success[None, :] + (1.0 - p) * pay_failure[None, :] - c
+        return self._cells(i, slice(None))
 
     @cached_property
     def _rank_pos(self) -> np.ndarray:
@@ -129,7 +133,7 @@ def expected_wage(contract: Contract, p_own: float, p_other: float) -> float:
     )
 
 
-def check_modularity(game: InducedGame, tol: float = 1e-12) -> str:
+def check_modularity(game: InducedGame) -> str:
     """Increasing/decreasing differences in the productivity order.
 
     By the bilinear payoff every difference
@@ -137,12 +141,12 @@ def check_modularity(game: InducedGame, tol: float = 1e-12) -> str:
     kappa*(p_i2 - p_i1)*(q_j2 - q_j1) with kappa = w11 - w10 - w01 + w00,
     so its extremes over ordered pairs are 0 and kappa*(p_max - p_min)^2.
     Returns SUPERMODULAR, SUBMODULAR, or BOTH when that extreme is within
-    ``tol`` of zero (e.g. any independent evaluation).
+    1e-12 of zero (e.g. any independent evaluation).
     """
     w11, w10, w01, w00 = game.contract.as_tuple()
     p = game.actions.probs
     extreme = (w11 - w10 - w01 + w00) * float(p.max() - p.min()) ** 2
-    if abs(extreme) <= tol:
+    if abs(extreme) <= 1e-12:
         return BOTH
     return SUPERMODULAR if extreme > 0.0 else SUBMODULAR
 
@@ -298,13 +302,12 @@ class Profile:
 
 
 def agent_payoffs(game: InducedGame, profile: Profile) -> tuple[float, float]:
-    u = game.payoff
     if profile.is_pure:
         i, j = profile.indices
-        return float(u[i, j]), float(u[j, i])
+        return tuple(game._cells([i, j], [j, i]).tolist())
     x = np.asarray(profile.x)
     y = np.asarray(profile.y)
-    return float(x @ u @ y), float(y @ u @ x)
+    return float(x @ game._against(y)), float(y @ game._against(x))
 
 
 def principal_value(game: InducedGame, profile: Profile) -> float:
@@ -321,64 +324,59 @@ def principal_value(game: InducedGame, profile: Profile) -> float:
     return px + py - expected_wage(w, px, py) - expected_wage(w, py, px)
 
 
-def verify_profile(game: InducedGame, profile: Profile, tol: float = EQ_TOL) -> bool:
-    """Independent check: no pure deviation gains more than tol."""
-    u = game.payoff
+def verify_profile(game: InducedGame, profile: Profile) -> bool:
+    """Independent check: no pure deviation gains more than EQ_TOL."""
     x = np.asarray(profile.x)
     y = np.asarray(profile.y)
-    ex1 = u @ y
-    ex2 = u @ x
-    return bool(x @ ex1 >= ex1.max() - tol and y @ ex2 >= ex2.max() - tol)
+    ex1, ex2 = game._against(y), game._against(x)
+    return bool(x @ ex1 >= ex1.max() - EQ_TOL and y @ ex2 >= ex2.max() - EQ_TOL)
 
 
-def enumerate_equilibria(
-    game: InducedGame,
-    mixed: bool = False,
-    cap: int = MIXED_CAP,
-    tol: float = EQ_TOL,
-) -> list[Profile]:
+def enumerate_equilibria(game: InducedGame, mixed: bool = False) -> list[Profile]:
     """All pure Nash profiles, plus strictly-mixed 2x2-support equilibria.
 
-    Pure profiles come from one mask of best responses.  With
-    ``mixed=True`` (allowed up to ``cap`` actions) every support pair of size
-    two per player is solved in closed form for the indifference mixture;
+    Pure profiles come, in row-major order, from each column's EQ_TOL
+    best-response set, built one column at a time.  With ``mixed=True``
+    (allowed up to MIXED_CAP actions) every support pair of size two per
+    player is solved in closed form for the indifference mixture;
     candidates must mix strictly inside (0, 1) and survive the full
     unilateral-deviation check.  One-sided mixtures, which exist only on
     knife-edge payoff ties, are not enumerated.
     """
     n = len(game)
-    if mixed and n > cap:
-        raise GameSizeError(f"mixed enumeration capped at {cap} actions, got {n}")
-    u = game.payoff
-    ok = u >= u.max(axis=0) - tol  # ok[i, j]: i is a best response to j
-    out = [Profile.pure(int(i), int(j), n) for i, j in np.argwhere(ok & ok.T)]
+    if mixed and n > MIXED_CAP:
+        raise GameSizeError(f"mixed enumeration capped at {MIXED_CAP} actions, got {n}")
+    # best[j]: the actions within EQ_TOL of the best response to j
+    best = [(col >= col.max() - EQ_TOL).nonzero()[0].tolist()
+            for col in map(game.payoff_column, range(n))]
+    is_best = [set(b) for b in best]
+    out = [Profile.pure(i, j, n) for i in range(n) for j in best[i] if i in is_best[j]]
     if not mixed:
         return out
 
+    # Opponent weight q on j1 that makes the row player indifferent between
+    # i1 and i2, for every (row pair, column pair) at once; the game is
+    # symmetric, so the column player's coefficients for the weight r on i1
+    # are the transposes.  Pairs run in the upper triangle's row-major
+    # order, so candidates come out ordered by (i1, i2, j1, j2).
+    lo, hi = np.nonzero(np.arange(n)[:, None] < np.arange(n))
+    i1, i2, j1, j2 = lo[:, None], hi[:, None], lo[None, :], hi[None, :]
+    a = game._cells(i1, j1) - game._cells(i2, j1)
+    b = game._cells(i2, j2) - game._cells(i1, j2)
+    d = a + b
+    ok = ~(abs(d) < 1e-12)
+    rows, cols = np.nonzero(ok & ok.T)
+    q = b[rows, cols] / d[rows, cols]
+    r = b[cols, rows] / d[cols, rows]
     interior = 1e-9
-    for i1 in range(n):
-        for i2 in range(i1 + 1, n):
-            for j1 in range(n):
-                for j2 in range(j1 + 1, n):
-                    # Opponent weight q on j1 making row player indifferent
-                    # between i1 and i2; weight r on i1 symmetric for columns.
-                    a1 = u[i1, j1] - u[i2, j1]
-                    b1 = u[i2, j2] - u[i1, j2]
-                    a2 = u[j1, i1] - u[j2, i1]
-                    b2 = u[j2, i2] - u[j1, i2]
-                    if abs(a1 + b1) < 1e-12 or abs(a2 + b2) < 1e-12:
-                        continue
-                    q = b1 / (a1 + b1)
-                    r = b2 / (a2 + b2)
-                    if not (interior < q < 1.0 - interior and interior < r < 1.0 - interior):
-                        continue
-                    x = [0.0] * n
-                    y = [0.0] * n
-                    x[i1], x[i2] = r, 1.0 - r
-                    y[j1], y[j2] = q, 1.0 - q
-                    prof = Profile(tuple(x), tuple(y))
-                    if verify_profile(game, prof, tol):
-                        out.append(prof)
+    keep = (interior < q) & (q < 1.0 - interior) & (interior < r) & (r < 1.0 - interior)
+    for k in np.flatnonzero(keep):
+        x, y = [0.0] * n, [0.0] * n
+        x[lo[rows[k]]], x[hi[rows[k]]] = r[k], 1.0 - r[k]
+        y[lo[cols[k]]], y[hi[cols[k]]] = q[k], 1.0 - q[k]
+        prof = Profile(tuple(x), tuple(y))
+        if verify_profile(game, prof):
+            out.append(prof)
     return out
 
 

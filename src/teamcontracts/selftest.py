@@ -1,8 +1,8 @@
 """Randomized property suites and independent numerical oracles.
 
 Everything here is driven by an explicit seed so runs are reproducible.
-The quadrature routines integrate the undercut dynamics by fixed-step
-Runge-Kutta and exist purely to cross-check the closed forms; production
+The quadrature routine integrates the undercut dynamics by fixed-step
+Runge-Kutta and exists purely to cross-check the closed forms; production
 code never integrates numerically.
 """
 
@@ -56,38 +56,6 @@ def ode_quadrature(w11, w10, p0, budget, steps: int = 1_000_000):
         k4 = f(p + h * k3)
         p = p + sixth_h * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return p, np.minimum(w10 + gap * p0, w10 + gap * p)
-
-
-def ode_quadrature_w00(w11, w00, p0, budget, steps: int = 200_000):
-    """RK4 for the joint-failure variant dp/dt = -1/(p*w11 - (1-p)*w00).
-
-    Integration freezes once the denominator comes within ``sing_tol`` of
-    its singularity; a frozen path with leftover budget collapses to zero,
-    matching the free undercutting available below the singularity.
-    """
-    w11 = np.atleast_1d(np.asarray(w11, dtype=float))
-    w00, p0, budget = (np.broadcast_to(np.asarray(a, dtype=float), w11.shape).copy()
-                       for a in (w00, p0, budget))
-    p = p0.copy()
-    h = budget / steps
-    sing_tol = 1e-7
-    frozen = (p * w11 - (1.0 - p) * w00) <= sing_tol
-
-    half_h, sixth_h = 0.5 * h, h / 6.0  # as in ode_quadrature
-
-    def f(x):
-        return -1.0 / np.maximum(x * w11 - (1.0 - x) * w00, sing_tol)
-
-    for _ in range(steps):
-        k1 = f(p)
-        k2 = f(p + half_h * k1)
-        k3 = f(p + half_h * k2)
-        k4 = f(p + h * k3)
-        step = sixth_h * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        nxt = np.where(frozen, p, p + step)
-        frozen |= (nxt * w11 - (1.0 - nxt) * w00) <= sing_tol
-        p = nxt
-    return np.where(frozen, 0.0, p)
 
 
 # ---------------------------------------------------------------------------

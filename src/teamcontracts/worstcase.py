@@ -464,7 +464,7 @@ class AdversarySet:
     @cached_property
     def unique_equilibrium(self) -> bool:
         """Whether mutual play of the new action is the unique pure
-        equilibrium; enumerated on the dense game at first read."""
+        equilibrium; enumerated at first read."""
         from .game import enumerate_equilibria, induce_game
 
         game = induce_game(Contract(self.wage, self.wage, 0.0, 0.0), self.actions)

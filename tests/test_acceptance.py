@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import teamcontracts as tc
+from teamcontracts import game as gm
 from teamcontracts.game import extremal_br_path, induce_game
 from teamcontracts.selftest import (
     draw_jpe,
@@ -18,6 +19,8 @@ from teamcontracts.selftest import (
     draw_superset,
     ode_quadrature,
 )
+
+from dense_game import dense_agent_payoffs, dense_enumerate_equilibria, dense_verify_profile
 
 A0 = tc.ActionSet.from_pairs([(0.25, 1.0)])
 TARGET = tc.ActionSpec(0.25, 1.0)
@@ -229,6 +232,26 @@ def test_c14_pessimistic_selection(jpe_instances):
         assert val < base_total
     report(14, "pessimistic = maximal equilibrium on 500 instances; "
                "every linear share loses to the independent optimum")
+
+
+def test_c14_instances_match_dense_oracle(jpe_instances, monkeypatch):
+    """Equilibria, verification and selection read the bilinear form; on the
+    criterion-14 instances they decide as the dense-matrix versions did."""
+    for w, _, acts in jpe_instances:
+        game = induce_game(w, acts)
+        n = len(acts)
+        eqs = tc.enumerate_equilibria(game, mixed=True)
+        assert eqs == dense_enumerate_equilibria(game, mixed=True)
+        for prof in [tc.Profile.pure(i, j, n) for i in range(n) for j in range(n)] + eqs:
+            assert tc.verify_profile(game, prof) == dense_verify_profile(game, prof)
+        for rule in ("PRINCIPAL_BEST", "PESSIMISTIC_PARETO"):
+            got = tc.select_and_value(game, eqs, rule)
+            with monkeypatch.context() as m:
+                m.setattr(gm, "agent_payoffs", dense_agent_payoffs)
+                want = tc.select_and_value(game, eqs, rule)
+            assert got.selected == want.selected
+            assert got.principal_total == want.principal_total
+            assert got.agent_payoffs == pytest.approx(want.agent_payoffs, rel=1e-15, abs=1e-15)
 
 
 def test_c15_closed_form_vs_quadrature():

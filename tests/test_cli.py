@@ -16,6 +16,8 @@ from teamcontracts.cli import main
 from teamcontracts.game import induce_game
 from teamcontracts.model import ActionSet, Contract
 
+from dense_game import dense_payoff
+
 A0_JSON = {"actions": [{"cost": 0.25, "prob": 1.0}], "known": 1}
 
 
@@ -79,7 +81,7 @@ class TestEvaluate:
         want = induce_game(Contract.from_json(res["contract_evaluated"]),
                            ActionSet.from_json({k: game[k] for k in ("actions", "known")}))
         # repr round-trips floats, so the parsed matrix is the computed one exactly
-        assert np.array_equal(np.array(game["payoff"]), want.payoff)
+        assert np.array_equal(np.array(game["payoff"]), dense_payoff(want))
 
     def test_unsupported_pattern_exits_2(self, tmp_path):
         inp = write(tmp_path, "in.json", {
@@ -159,7 +161,7 @@ def dumped_games(draw):
     actions = ActionSet.from_pairs(pairs, known_count=draw(st.integers(0, n)))
     if draw(st.booleans()):
         wages = draw(st.tuples(*[st.floats(0.0, 1e3)] * 4))
-        payoff = induce_game(Contract(*wages), actions).payoff
+        payoff = dense_payoff(induce_game(Contract(*wages), actions))
     else:
         payoff = np.array(draw(st.lists(PAYOFF, min_size=n * n, max_size=n * n))).reshape(n, n)
     # tiny products round to signed zeros and subnormals
@@ -189,7 +191,7 @@ class TestGameDump:
     def test_seeded_witness_game_matches_json_dumps(self):
         game = self.seeded_witness_game()
         assert ("".join(cli._game_chunks(game.actions, game.payoff_row))
-                == dump_oracle(game.actions, game.payoff))
+                == dump_oracle(game.actions, dense_payoff(game)))
 
     def test_streamed_dump_holds_no_n_by_n_array(self):
         game = self.seeded_witness_game()
@@ -244,7 +246,7 @@ class TestGameDump:
         seen = {}
 
         def poisoned(contract, actions):
-            payoff = induce_game(contract, actions).payoff.copy()
+            payoff = dense_payoff(induce_game(contract, actions))
             # the first in row-major order is named, not the first by column
             payoff[1, 2], payoff[2, 1] = -math.inf, math.nan
             seen.update(actions=actions, payoff=payoff)
@@ -526,6 +528,13 @@ class TestSelftestVerb:
             main(["selftest", "--quick", "--seed", "-1"])
         assert exc.value.code == 2
         assert "error: argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+
+    def test_seed_is_a_selftest_flag_only(self, tmp_path, capsys):
+        inp = write(tmp_path, "in.json", A0_JSON)
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize", "--input", inp, "--seed", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
 
 JPE_JSON = {"contract": {"w11": 0.6, "w10": 0.0, "w01": 0.0, "w00": 0.0},

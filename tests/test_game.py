@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from teamcontracts import (
     ActionSet,
@@ -11,12 +14,22 @@ from teamcontracts import (
     enumerate_equilibria,
     extremal_br_path,
     induce_game,
+    ipe_adversary,
     paired_br_limit,
     principal_value,
     reduce_failure_wages,
     select_and_value,
     verify_profile,
 )
+from teamcontracts.game import agent_payoffs
+
+from dense_game import (
+    dense_agent_payoffs,
+    dense_enumerate_equilibria,
+    dense_payoff,
+    dense_verify_profile,
+)
+from test_best_response import games
 
 WORK_SHIRK = ActionSet.from_pairs([(0.25, 1.0), (0.0, 0.45)])
 
@@ -24,13 +37,13 @@ WORK_SHIRK = ActionSet.from_pairs([(0.25, 1.0), (0.0, 0.45)])
 class TestInduceGame:
     def test_independent_payoffs(self):
         g = induce_game(Contract(0.5, 0.5, 0.0, 0.0), WORK_SHIRK)
-        u = g.payoff
+        u = dense_payoff(g)
         assert np.allclose(u[0], 0.25)
         assert np.allclose(u[1], 0.225)
 
     def test_joint_bonus_payoffs(self):
         g = induce_game(Contract(0.5, 0.0, 0.0, 0.0), WORK_SHIRK)
-        u = g.payoff
+        u = dense_payoff(g)
         assert u[0, 0] == pytest.approx(0.25)
         assert u[0, 1] == pytest.approx(-0.025)
         assert u[1, 1] == pytest.approx(0.10125)
@@ -38,7 +51,7 @@ class TestInduceGame:
 
     def test_zero_contract_pays_costs(self):
         g = induce_game(Contract(0.0, 0.0, 0.0, 0.0), WORK_SHIRK)
-        assert np.allclose(g.payoff, -np.array([[0.25, 0.25], [0.0, 0.0]]))
+        assert np.allclose(dense_payoff(g), -np.array([[0.25, 0.25], [0.0, 0.0]]))
 
     def test_columns_match_matrix(self):
         """Rows and columns have the matrix's bits, signed zeros included."""
@@ -53,7 +66,7 @@ class TestInduceGame:
                 w = Contract(*rng.uniform(0, 1, 4))
                 pairs = zip(rng.uniform(0, 0.5, n), rng.uniform(0, 1, n))
             g = induce_game(w, ActionSet.from_pairs(pairs))
-            u = g.payoff
+            u = dense_payoff(g)
             negative_zeros += np.count_nonzero((u == 0.0) & np.signbit(u))
             for k in range(n):
                 assert g.payoff_column(k).tobytes() == u[:, k].tobytes()
@@ -65,7 +78,7 @@ def dense_modularity(game, tol=1e-12):
     """check_modularity's former loop over all ordered action pairs, kept as
     the oracle for the closed form."""
     asc = list(reversed(game.actions.ranking()))
-    v = game.payoff[np.ix_(asc, asc)]
+    v = dense_payoff(game)[np.ix_(asc, asc)]
     m = len(asc)
     lo, hi = 0.0, 0.0
     iu, ju = np.triu_indices(m, 1)
@@ -89,8 +102,8 @@ def dense_modularity(game, tol=1e-12):
 
 def dense_pure_equilibria(game, tol=1e-9):
     """enumerate_equilibria's former double loop over all pure profiles,
-    kept as the oracle for its best-response mask."""
-    u = game.payoff
+    kept as the oracle for its best-response sets."""
+    u = dense_payoff(game)
     colmax = u.max(axis=0)
     n = len(game)
     out = []
@@ -197,8 +210,10 @@ class TestEnumerate:
         assert verify_profile(g, mixed[0])
 
     def test_pure_mask_matches_dense_oracle(self):
+        """Pure and mixed lists equal the dense oracle's: indices, order and
+        weight bits."""
         rng = np.random.default_rng(67)
-        counts = set()
+        counts, mixed_found = set(), 0
         for t in range(2000):
             n = int(rng.integers(1, 9))
             # rounded draws make duplicate actions and exact payoff ties common
@@ -208,9 +223,13 @@ class TestEnumerate:
             w = np.round(rng.uniform(0, 1, 4), 1) * (rng.random(4) < 0.7)
             g = induce_game(Contract(*w), acts)
             got = enumerate_equilibria(g)
-            assert got == dense_pure_equilibria(g)
+            assert got == dense_pure_equilibria(g) == dense_enumerate_equilibria(g)
             counts.add(min(len(got), 3))
+            got = enumerate_equilibria(g, mixed=True)
+            assert got == dense_enumerate_equilibria(g, mixed=True)
+            mixed_found += sum(not e.is_pure for e in got)
         assert counts == {1, 2, 3}
+        assert mixed_found > 400
 
     def test_anticoordination_mixed(self):
         acts = ActionSet.from_pairs([(0.08, 0.8), (0.0, 0.3)])
@@ -233,6 +252,39 @@ class TestEnumerate:
             g = induce_game(w, acts)
             for e in enumerate_equilibria(g, mixed=True):
                 assert verify_profile(g, e)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(games())
+    def test_small_games_match_dense_oracle(self, game):
+        # duplicate actions and exact dyadic ties, up to 10 actions
+        for mixed in (False, True):
+            got = enumerate_equilibria(game, mixed=mixed)
+            assert got == dense_enumerate_equilibria(game, mixed)
+        for e in got:
+            assert verify_profile(game, e) and dense_verify_profile(game, e)
+            assert agent_payoffs(game, e) == pytest.approx(dense_agent_payoffs(game, e),
+                                                           rel=1e-15, abs=1e-15)
+            if e.is_pure:
+                assert agent_payoffs(game, e) == dense_agent_payoffs(game, e)
+
+    def test_large_games_hold_no_n_by_n_array(self):
+        # free actions below the undercut, which is every action's unique best response
+        n = 2000
+        free = [(0.0, 0.5 * k / n) for k in range(n - 2)]
+        adv = ipe_adversary(0.5, ActionSet.from_pairs([(0.25, 1.0)] + free, known_count=1), 1e-3)
+        game = induce_game(Contract(0.5, 0.5, 0.0, 0.0), adv.actions)
+        assert len(game) == n
+        game.payoff_column(0)  # the cached pay vectors are the game's
+        tracemalloc.start()
+        try:
+            eqs = enumerate_equilibria(game)
+            verified = verify_profile(game, Profile.pure(n - 1, n - 1, n))
+            unique = adv.unique_equilibrium
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [e.indices for e in eqs] == [(n - 1, n - 1)] and verified and unique
+        assert peak < n ** 2 * 8, peak
 
     def test_cap(self):
         acts = ActionSet.from_pairs([(0.01 * k, 0.05 * k) for k in range(1, 14)])

@@ -27,12 +27,7 @@ from teamcontracts import (
     pbar_closed_form,
     rpe_value,
 )
-from teamcontracts.selftest import (
-    draw_jpe,
-    draw_known_set,
-    ode_quadrature,
-    ode_quadrature_w00,
-)
+from teamcontracts.selftest import draw_jpe, draw_known_set, ode_quadrature
 from teamcontracts.worstcase import IpeOptimum, _endpoint, best_known_solution, pbar_grid
 
 A0 = ActionSet.from_pairs([(0.25, 1.0)])
@@ -610,6 +605,39 @@ def _rk4_w00_reference(w11, w00, p0, budget, steps):
         k3 = f(p + 0.5 * h * k2)
         k4 = f(p + h * k3)
         step = h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        nxt = np.where(frozen, p, p + step)
+        frozen |= (nxt * w11 - (1.0 - nxt) * w00) <= sing_tol
+        p = nxt
+    return np.where(frozen, 0.0, p)
+
+
+def ode_quadrature_w00(w11, w00, p0, budget, steps: int = 200_000):
+    """RK4 for the joint-failure variant dp/dt = -1/(p*w11 - (1-p)*w00):
+    the oracle for ``jpe_value_w00``.
+
+    Integration freezes once the denominator comes within ``sing_tol`` of
+    its singularity; a frozen path with leftover budget collapses to zero,
+    matching the free undercutting available below the singularity.
+    """
+    w11 = np.atleast_1d(np.asarray(w11, dtype=float))
+    w00, p0, budget = (np.broadcast_to(np.asarray(a, dtype=float), w11.shape).copy()
+                       for a in (w00, p0, budget))
+    p = p0.copy()
+    h = budget / steps
+    sing_tol = 1e-7
+    frozen = (p * w11 - (1.0 - p) * w00) <= sing_tol
+
+    half_h, sixth_h = 0.5 * h, h / 6.0  # as in selftest.ode_quadrature
+
+    def f(x):
+        return -1.0 / np.maximum(x * w11 - (1.0 - x) * w00, sing_tol)
+
+    for _ in range(steps):
+        k1 = f(p)
+        k2 = f(p + half_h * k1)
+        k3 = f(p + half_h * k2)
+        k4 = f(p + h * k3)
+        step = sixth_h * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         nxt = np.where(frozen, p, p + step)
         frozen |= (nxt * w11 - (1.0 - nxt) * w00) <= sing_tol
         p = nxt
