@@ -15,11 +15,14 @@ every module a process imports is compiled from source.
 from __future__ import annotations
 
 import argparse
+import errno
+import itertools
 import json
 import math
 import os
 import sys
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 
@@ -66,53 +69,150 @@ def _require_keys(obj: dict, required: set[str], optional: set[str] = frozenset(
         raise CliError(EXIT_VALIDATION, f"missing fields: {sorted(missing)}")
 
 
-def _atomic_write(path: str, chunks) -> None:
-    """Write the strings of ``chunks``, in order, to ``path`` or not at all."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-teamcontracts-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(chunks)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+def _write(targets) -> None:
+    """Write each ``(path, chunks)`` pair, in order, to stdout where the path
+    is None.
 
-
-def _dumps(obj) -> str:
-    """JSON text of ``obj``; NaN and infinities are not JSON, so they raise."""
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
-
-
-def _game_chunks(actions: md.ActionSet, payoff_row):
-    """``_dumps({**actions.to_json(), "payoff": U.tolist()})`` for the matrix
-    U whose row i is ``payoff_row(i)``, as text chunks of one row each, so
-    memory is one row of floats and of text.
-
-    Whatever would make that call raise is raised here, before the first
-    chunk: a non-finite payoff raises json's own error for the first such
-    cell in row-major order.
+    Files are written to temp files beside them, all created before anything
+    is written, and renamed into place only once all are complete: a failure
+    leaves none of them.  The ``OSError`` of a write is a validation error
+    naming where it went.
     """
-    head = _dumps(actions.to_json())  # "actions", "known": both sort before "payoff"
-    for i in range(len(actions)):
-        row = payoff_row(i)
-        finite = np.isfinite(row)
-        if not finite.all():
-            _dumps(float(row[np.argmin(finite)]))
-    return _game_rows(head[:-len("\n}\n")], payoff_row, len(actions))
+    files = [path for path, _ in targets if path is not None]
+    temps = []
+    try:
+        for where in files:
+            if os.path.isdir(where):  # the one target os.replace would refuse at the end
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(where)),
+                                       prefix=".tmp-teamcontracts-")
+            temps.append(tmp)
+            os.close(fd)
+        names = iter(temps)
+        for path, chunks in targets:
+            where = path or "<stdout>"
+            if path is None:
+                sys.stdout.writelines(chunks)
+                sys.stdout.flush()
+            else:
+                with open(next(names), "w", encoding="utf-8", newline="\n") as fh:
+                    fh.writelines(chunks)
+        for where, tmp in zip(files, temps):
+            os.replace(tmp, where)
+    except OSError as exc:
+        raise CliError(EXIT_VALIDATION, f"cannot write {where}: {exc.strerror or exc}")
+    finally:
+        for tmp in temps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
 
 
-def _game_rows(head: str, payoff_row, n: int):
-    yield head + ',\n  "payoff": ['
-    for i in range(n):
-        cells = ",\n      ".join(map(float.__repr__, payoff_row(i).tolist()))
-        yield ("," if i else "") + "\n    [\n      " + cells + "\n    ]"
-    yield "\n  ]\n}\n"
+def _dumps(obj, default=None) -> str:
+    """JSON text of ``obj``; NaN and infinities are not JSON, so they raise."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False, default=default) + "\n"
 
 
-def _emit(args, result: dict, csv_rows=None, csv_header=None) -> None:
-    """Write (or print) the result with a config-echo metadata block."""
+# Rows per chunk of a streamed list: a few hundred kB of text.
+_BLOCK = 4096
+# Holds the place of a streamed list in json's text; no string the CLI
+# writes holds a NUL.
+_MARK = "\0rows\0"
+
+
+class _Rows:
+    """A long list that the writer formats from float arrays, not through json.
+
+    ``blocks()`` yields the rows in order, as 2-D float arrays of ``width``
+    columns; it is called once to check them and once to write them.  In
+    JSON, a row is the record of ``keys``, given in sorted order as json
+    writes them, or the list of its floats where there are no keys.
+    """
+
+    def __init__(self, blocks, width: int, keys=None):
+        self.blocks, self.width, self.keys = blocks, width, keys
+
+    @classmethod
+    def of(cls, *columns, keys=None) -> "_Rows":
+        """The 1-D arrays ``columns`` side by side."""
+        table = np.column_stack(columns)
+        return cls(lambda: (table[i:i + _BLOCK] for i in range(0, len(table), _BLOCK)),
+                   len(columns), keys)
+
+    def check(self) -> None:
+        """Raise json's error for the first non-finite value, in row-major order."""
+        for block in self.blocks():
+            finite = np.isfinite(block)
+            if not finite.all():
+                _dumps(float(block.flat[np.argmin(finite)]))
+
+    def text(self, template: str, sep: str = ""):
+        """Chunks of the rows, each through ``template % tuple(row)``, joined by
+        ``sep``.  ``%r`` is ``float.__repr__``, which json writes floats with."""
+        for k, block in enumerate(self.blocks()):
+            yield (sep if k else "") + (sep.join([template] * len(block))
+                                        % tuple(block.ravel().tolist()))
+
+    def json_text(self, pad: int):
+        """Chunks of the JSON list, opened on a line indented by ``pad``."""
+        inner, field = "\n" + " " * (pad + 2), "\n" + " " * (pad + 4)
+        if self.keys is None:
+            template = "[" + ",".join([field + "%r"] * self.width) + inner + "]"
+        else:
+            fields = (f"{field}{json.dumps(k)}: %r" for k in self.keys)
+            template = "{" + ",".join(fields) + inner + "}"
+        yield "[" + inner
+        yield from self.text(template, "," + inner)
+        yield "\n" + " " * pad + "]"
+
+
+def _chunks(doc):
+    """``_dumps(doc)`` as text chunks, where ``doc`` may hold ``_Rows``.
+
+    json writes the document with a mark in place of each ``_Rows``, which
+    is then formatted where its mark stands, at the indentation json gives
+    that line.  Whatever would make ``_dumps`` raise raises here, before
+    the first chunk.
+    """
+    rows = []
+
+    def mark(obj):
+        rows.append(obj)
+        return _MARK
+
+    parts = _dumps(doc, default=mark).split(json.dumps(_MARK))
+    for r in rows:
+        r.check()
+    return _spliced(parts, rows)
+
+
+def _spliced(parts, rows):
+    yield parts[0]
+    for before, r, after in zip(parts, rows, parts[1:]):
+        line = before[before.rfind("\n") + 1:]
+        yield from r.json_text(len(line) - len(line.lstrip(" ")))
+        yield after
+
+
+def _actions_doc(actions: md.ActionSet) -> dict:
+    """``actions.to_json()``, with the action list streamed."""
+    return {"actions": _Rows.of(actions.costs, actions.probs, keys=("cost", "prob")),
+            "known": actions.known_count}
+
+
+def _game_doc(actions: md.ActionSet, payoff_row) -> dict:
+    """The --dump-game document: the actions and the matrix whose row i is
+    ``payoff_row(i)``, streamed a row at a time, so memory is one row."""
+    n = len(actions)
+    return {**_actions_doc(actions),
+            "payoff": _Rows(lambda: (payoff_row(i)[None] for i in range(n)), n)}
+
+
+def _emit(args, result, csv_text=None, csv_header=None, files=()) -> None:
+    """Write (or print) the result with a config-echo metadata block, together
+    with the ``(path, document)`` pairs ``files``.
+
+    For CSV, ``csv_text`` gives the rows' text in chunks, a line per row.
+    """
     # The output path is where the file lives, not part of what it records.
     config = {
         k: v
@@ -120,23 +220,18 @@ def _emit(args, result: dict, csv_rows=None, csv_header=None) -> None:
         if k not in ("func", "output") and v is not None
     }
     if args.format == "csv":
-        if csv_rows is None:
+        if csv_text is None:
             raise CliError(EXIT_VALIDATION, "this verb has no CSV representation")
-        lines = [f"# tool=teamcontracts version={__version__}"]
-        lines.append("# " + " ".join(f"{k}={v}" for k, v in config.items()))
-        lines.append(",".join(csv_header))
-        lines.extend(",".join(row) for row in csv_rows)
-        text = "\n".join(lines) + "\n"
+        head = (f"# tool=teamcontracts version={__version__}\n"
+                + "# " + " ".join(f"{k}={v}" for k, v in config.items()) + "\n"
+                + ",".join(csv_header) + "\n")
+        chunks = itertools.chain((head,), csv_text)
     else:
-        doc = {
+        chunks = _chunks({
             "meta": {"tool": "teamcontracts", "version": __version__, "config": config},
             "result": result,
-        }
-        text = _dumps(doc)
-    if args.output:
-        _atomic_write(args.output, (text,))
-    else:
-        sys.stdout.write(text)
+        })
+    _write([(args.output or None, chunks), *((path, _chunks(doc)) for path, doc in files)])
 
 
 def _field(obj: dict, key: str, convert=md.number):
@@ -196,11 +291,13 @@ def cmd_evaluate(args) -> int:
             "supported: zero failure wages, or w11/w00 with w10=w01=0",
         )
 
-    out = res.to_json()
+    out = replace(res, witness=None).to_json()
+    if res.witness is not None:
+        out["witness"] = {**_actions_doc(res.witness.actions), "eps": res.witness.eps}
     out["classification"] = cls.tag
     out["contract_evaluated"] = reduced.to_json()
     out["reduction_applied"] = was_reduced
-    dump = None
+    files = []
     if args.dump_game:
         base = res.witness.actions if res.witness is not None else a0
         if len(base) ** 2 > MAX_DUMP_CELLS:
@@ -209,10 +306,8 @@ def cmd_evaluate(args) -> int:
                            f"{MAX_DUMP_CELLS:.3g}; use a larger --eps")
         from .game import induce_game
 
-        dump = _game_chunks(base, induce_game(reduced, base).payoff_row)
-    _emit(args, out)
-    if dump is not None:
-        _atomic_write(args.dump_game, dump)
+        files.append((args.dump_game, _game_doc(base, induce_game(reduced, base).payoff_row)))
+    _emit(args, out, files=files)
     return EXIT_OK
 
 
@@ -239,18 +334,19 @@ def cmd_adversary(args) -> int:
             EXIT_NONCONVERGENCE,
             f"chain construction failed verification at step {adv.failure_step}",
         )
-    # _emit reads the rows only for CSV and the result only for JSON
-    costs, probs = adv.actions.costs.tolist(), adv.actions.probs.tolist()
-    rows = ((str(k), repr(c), repr(p)) for k, (c, p) in enumerate(zip(costs, probs)))
-    result = None if args.format == "csv" else {
-        "chain": adv.actions.to_json()["actions"],
+    if args.format == "csv":
+        actions = adv.actions
+        steps = _Rows.of(np.arange(len(actions)), actions.costs, actions.probs)
+        _emit(args, None, csv_text=steps.text("%d,%r,%r\n"), csv_header=("step", "cost", "prob"))
+        return EXIT_OK
+    _emit(args, {
+        "chain": _actions_doc(adv.actions)["actions"],
         "eps": adv.step,
         "rho": adv.rho,
         "t_hat": adv.t_hat,
         "clamped": adv.clamped,
         "max_eq_prob": adv.max_eq_prob,
-    }
-    _emit(args, result, csv_rows=rows, csv_header=("step", "cost", "prob"))
+    })
     return EXIT_OK
 
 
@@ -272,7 +368,7 @@ def cmd_sweep(args) -> int:
          "per_agent": c.per_agent, "regime": c.regime}
         for c in cells
     ]
-    _emit(args, {"cells": result}, csv_rows=rows,
+    _emit(args, {"cells": result}, csv_text=(",".join(row) + "\n" for row in rows),
           csv_header=("p0", "c0", "w11", "w10", "per_agent", "regime"))
     return EXIT_OK
 

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from teamcontracts import cli
+from teamcontracts import __version__, cli
 from teamcontracts import game as gm
 from teamcontracts import optimize as opt
 from teamcontracts import worstcase as wc
@@ -19,6 +23,8 @@ from teamcontracts.model import ActionSet, Contract
 from dense_game import dense_payoff
 
 A0_JSON = {"actions": [{"cost": 0.25, "prob": 1.0}], "known": 1}
+JPE_JSON = {"contract": {"w11": 0.6, "w10": 0.0, "w01": 0.0, "w00": 0.0},
+            "actions": A0_JSON}
 
 
 def write(tmp_path, name, obj):
@@ -146,8 +152,10 @@ def dump_oracle(actions, payoff):
                       indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-# zeros of both signs, subnormals, and magnitudes that repr writes with an exponent
-SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 1e-310, 9.99e-5, 1e-4, -3.5e-7, 0.1, 1 / 3,
+# zeros of both signs, subnormals, the smallest normal, and magnitudes on both
+# sides of repr's switches to an exponent (below 1e-4, from 1e16 on)
+SPECIAL = (0.0, -0.0, 1.0, 5e-324, -5e-324, 1e-310, 2.225073858507201e-308,
+           2.2250738585072014e-308, 1e-5, 9.99e-5, 1e-4, -3.5e-7, 0.1, 1 / 3,
            1e16, -1e16, 9999999999999998.0, 1.5e17, 1.7976931348623157e308)
 PAYOFF = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=False, allow_infinity=False))
 COST = st.one_of(st.sampled_from((0.0, 5e-324, 1e-5, 0.25, 1e16)), st.floats(0.0, 1e20))
@@ -175,7 +183,7 @@ class TestGameDump:
     @given(dumped_games())
     def test_small_games_match_json_dumps(self, game):
         actions, payoff = game
-        chunks = cli._game_chunks(actions, payoff.__getitem__)
+        chunks = cli._chunks(cli._game_doc(actions, payoff.__getitem__))
         assert "".join(chunks) == dump_oracle(actions, payoff)
 
     @staticmethod
@@ -190,7 +198,7 @@ class TestGameDump:
 
     def test_seeded_witness_game_matches_json_dumps(self):
         game = self.seeded_witness_game()
-        assert ("".join(cli._game_chunks(game.actions, game.payoff_row))
+        assert ("".join(cli._chunks(cli._game_doc(game.actions, game.payoff_row)))
                 == dump_oracle(game.actions, dense_payoff(game)))
 
     def test_streamed_dump_holds_no_n_by_n_array(self):
@@ -198,7 +206,7 @@ class TestGameDump:
         game.payoff_row(0)  # the cached pay vectors are the game's, not the dump's
         tracemalloc.start()
         try:
-            size = sum(map(len, cli._game_chunks(game.actions, game.payoff_row)))
+            size = sum(map(len, cli._chunks(cli._game_doc(game.actions, game.payoff_row))))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -230,7 +238,7 @@ class TestGameDump:
         def reached(*args):
             raise AssertionError("a 10^10-cell dump was started")
 
-        monkeypatch.setattr(cli, "_game_chunks", reached)
+        monkeypatch.setattr(cli, "_game_doc", reached)
         inp = write(tmp_path, "in.json", {
             "contract": {"w11": 2 / 3, "w10": 0.0, "w01": 0.0, "w00": 0.0},
             "actions": A0_JSON,
@@ -267,6 +275,72 @@ class TestGameDump:
         assert str(want.value).endswith(": -inf")
         assert not out.exists() and not dump.exists()
         assert not list(tmp_path.glob(".tmp-teamcontracts-*"))
+
+
+@st.composite
+def long_lists(draw):
+    """A list as the writer streams it, and as json is given it: action
+    records or rows of floats, cut into blocks of any size."""
+    n, step = draw(st.integers(1, 9)), draw(st.integers(1, 4))
+    keys = draw(st.sampled_from((("cost", "prob"), None)))
+    width = 2 if keys else draw(st.integers(1, 4))
+    table = np.array(draw(st.lists(PAYOFF, min_size=n * width, max_size=n * width)))
+    table = table.reshape(n, width) * draw(st.sampled_from((1.0, -1.0, 1e-300)))
+    rows = cli._Rows(lambda: (table[i:i + step] for i in range(0, n, step)), width, keys)
+    plain = table.tolist()
+    return rows, plain if keys is None else [dict(zip(keys, row)) for row in plain]
+
+
+SMALL = st.one_of(PAYOFF, st.integers(), st.booleans(), st.none(), st.text(max_size=3),
+                  st.lists(PAYOFF, max_size=2))
+
+
+@st.composite
+def streamed_docs(draw):
+    """A document with a long list inside one, two or three objects: the
+    depths of a dump's lists, an adversary chain and an evaluate witness.
+    Siblings sort before and after it, and some are long lists too."""
+    doc, want = draw(long_lists())
+    for _ in range(draw(st.integers(1, 3))):
+        key = draw(st.sampled_from(("actions", "chain", "payoff", "result", "witness")))
+        small = draw(st.dictionaries(st.sampled_from(("a", "eps", "known", "meta", "zeta")),
+                                     SMALL, max_size=3))
+        doc, want = {**small, key: doc}, {**small, key: want}
+        if draw(st.booleans()):
+            doc["rows"], want["rows"] = draw(long_lists())
+    return doc, want
+
+
+class TestWriter:
+    """The streamed text is the bytes of ``json.dumps`` of the plain document."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(streamed_docs())
+    def test_documents_match_json_dumps(self, docs):
+        doc, want = docs
+        assert "".join(cli._chunks(doc)) == (
+            json.dumps(want, indent=2, sort_keys=True, allow_nan=False) + "\n")
+
+    def test_non_finite_value_raises_json_error_before_any_chunk(self):
+        chain = cli._Rows.of(np.array([0.25, 0.5]), np.array([1.0, math.inf]),
+                             keys=("cost", "prob"))
+        with pytest.raises(ValueError) as want:
+            cli._dumps({"chain": [{"cost": 0.25, "prob": 1.0}, {"cost": 0.5, "prob": math.inf}]})
+        with pytest.raises(ValueError, match=f"^{want.value}$"):
+            cli._chunks({"chain": chain})
+
+    def test_chain_at_the_cap_streams_in_little_memory(self):
+        contract, a0 = Contract(0.6, 0.0, 0.0, 0.0), ActionSet.from_json(A0_JSON)
+        adv = wc.euler_adversary(contract, a0[0], 10**5)
+        tracemalloc.start()
+        try:
+            chain = cli._Rows.of(adv.actions.costs, adv.actions.probs, keys=("cost", "prob"))
+            size = sum(map(len, cli._chunks({"meta": {}, "result": {"chain": chain}})))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert size > 7e6  # 100 001 records of two floats
+        assert peak < 20e6, peak  # json's indent encoder peaks at about 83 MB here
 
 
 class TestOptimize:
@@ -310,6 +384,65 @@ class TestAdversary:
         assert probs[0] == 1.0
         assert probs[1] == pytest.approx(0.75, abs=1e-6)
         assert probs[2] == pytest.approx(5 / 12, abs=1e-6)
+
+
+    # a chain of 5 000 steps, so the writer's blocks of 4 096 rows do not divide it
+    N = 5000
+
+    @staticmethod
+    def config(argv):
+        """The config echo of the call, as ``_emit`` writes it."""
+        args = cli.build_parser().parse_args(argv)
+        return {k: v for k, v in sorted(vars(args).items())
+                if k not in ("func", "output") and v is not None}
+
+    def former_json(self, argv, result):
+        """The output as written when the result was a dict of dicts."""
+        return cli._dumps({"meta": {"tool": "teamcontracts", "version": __version__,
+                                    "config": self.config(argv)}, "result": result})
+
+    def chain(self):
+        contract, a0 = Contract.from_json(JPE_JSON["contract"]), ActionSet.from_json(A0_JSON)
+        best = wc.best_known_solution(contract.w11, contract.w10, a0)
+        return wc.euler_adversary(contract, best.a0, self.N)
+
+    def run(self, tmp_path, capsys, argv, to_file):
+        out = tmp_path / "out"
+        assert main(argv + (["--output", str(out)] if to_file else [])) == 0
+        printed = capsys.readouterr().out
+        return out.read_text() if to_file else printed
+
+    @pytest.mark.parametrize("to_file", [True, False])
+    def test_chain_json_is_the_former_dict_document(self, tmp_path, capsys, to_file):
+        argv = ["adversary", "--input", write(tmp_path, "in.json", JPE_JSON), "--n", str(self.N)]
+        adv = self.chain()
+        want = self.former_json(argv, {
+            "chain": adv.actions.to_json()["actions"], "eps": adv.step, "rho": adv.rho,
+            "t_hat": adv.t_hat, "clamped": adv.clamped, "max_eq_prob": adv.max_eq_prob})
+        assert self.run(tmp_path, capsys, argv, to_file) == want
+
+    @pytest.mark.parametrize("to_file", [True, False])
+    def test_chain_csv_is_the_former_rows(self, tmp_path, capsys, to_file):
+        argv = ["adversary", "--input", write(tmp_path, "in.json", JPE_JSON), "--n", str(self.N),
+                "--format", "csv"]
+        actions = self.chain().actions
+        rows = (",".join((str(k), repr(c), repr(p)))
+                for k, (c, p) in enumerate(zip(actions.costs.tolist(), actions.probs.tolist())))
+        want = "\n".join([f"# tool=teamcontracts version={__version__}",
+                          "# " + " ".join(f"{k}={v}" for k, v in self.config(argv).items()),
+                          "step,cost,prob", *rows]) + "\n"
+        assert self.run(tmp_path, capsys, argv, to_file) == want
+
+    @pytest.mark.parametrize("to_file", [True, False])
+    def test_evaluate_witness_is_the_former_dict_document(self, tmp_path, capsys, to_file):
+        argv = ["evaluate", "--input", write(tmp_path, "in.json", JPE_JSON), "--eps", "5e-5"]
+        contract = Contract.from_json(JPE_JSON["contract"])
+        res = wc.jpe_value(contract, ActionSet.from_json(A0_JSON), with_witness=True,
+                           witness_eps=5e-5)
+        assert len(res.witness.actions) == self.N + 1
+        result = {**res.to_json(), "classification": "JPE",
+                  "contract_evaluated": contract.to_json(), "reduction_applied": False}
+        assert self.run(tmp_path, capsys, argv, to_file) == self.former_json(argv, result)
 
 
 class TestSweepDeterminism:
@@ -537,10 +670,6 @@ class TestSelftestVerb:
         assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
 
-JPE_JSON = {"contract": {"w11": 0.6, "w10": 0.0, "w01": 0.0, "w00": 0.0},
-            "actions": A0_JSON}
-
-
 class TestNumericFlags:
     @pytest.mark.parametrize("verb, payload, flags", [
         ("evaluate", JPE_JSON, ["--eps", "0"]),
@@ -580,3 +709,44 @@ class TestNumericFlags:
         assert main(["asym", "--input", inp, "--output", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: Out of range float")
         assert not out.exists()
+
+
+class TestUnwritableOutput:
+    """An output that cannot be written exits 2 naming it, with no traceback,
+    and no file appears."""
+
+    def test_missing_directory_exits_2(self, tmp_path, capsys):
+        inp = write(tmp_path, "in.json", JPE_JSON)
+        out = tmp_path / "missing" / "x.json"
+        assert main(["evaluate", "--input", inp, "--output", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: cannot write {out}: No such file or directory\n")
+
+    @pytest.mark.parametrize("failing", ["dump", "output", "dump-dir"])
+    def test_output_and_dump_appear_together_or_not_at_all(self, tmp_path, capsys, failing):
+        inp = write(tmp_path, "in.json", JPE_JSON)
+        ok, bad = tmp_path / "ok.json", tmp_path / "missing" / "x.json"
+        why = "No such file or directory"
+        if failing == "dump-dir":  # a directory is found only when renaming onto it
+            bad, why = tmp_path / "missing", "Is a directory"
+            bad.mkdir()
+        out, dump = (bad, ok) if failing == "output" else (ok, bad)
+        code = main(["evaluate", "--input", inp, "--eps", "0.05", "--output", str(out),
+                     "--dump-game", str(dump)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: cannot write {bad}: {why}\n"
+        assert not ok.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(  # no temp file left
+            ["in.json"] + (["missing"] if failing == "dump-dir" else []))
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+    def test_full_stdout_exits_2(self, tmp_path):
+        inp = write(tmp_path, "in.json", A0_JSON)
+        path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        with open("/dev/full", "w") as full:
+            done = subprocess.run([sys.executable, "-m", "teamcontracts", "optimize",
+                                   "--input", inp], stdout=full, stderr=subprocess.PIPE,
+                                  env=env, text=True, timeout=120)
+        assert (done.returncode, done.stderr) == (
+            2, "error: cannot write <stdout>: No space left on device\n")
