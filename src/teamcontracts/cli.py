@@ -70,14 +70,15 @@ def _require_keys(obj: dict, required: set[str], optional: set[str] = frozenset(
 
 
 def _write(targets) -> None:
-    """Write each ``(path, chunks)`` pair, in order, to stdout where the path
-    is None.
+    """Write each ``(path, chunks)`` pair, to stdout where the path is None.
 
     Files are written to temp files beside them, all created before anything
-    is written, and renamed into place only once all are complete: a failure
-    leaves none of them.  The ``OSError`` of a write is a validation error
-    naming where it went.
+    is written, and stdout is written after them; the files are renamed into
+    place only once all are complete.  So a failure leaves none of them and
+    prints nothing.  The ``OSError`` of a write is a validation error naming
+    where it went.
     """
+    targets = sorted(targets, key=lambda target: target[0] is None)
     files = [path for path, _ in targets if path is not None]
     temps = []
     try:
@@ -92,8 +93,16 @@ def _write(targets) -> None:
         for path, chunks in targets:
             where = path or "<stdout>"
             if path is None:
-                sys.stdout.writelines(chunks)
-                sys.stdout.flush()
+                try:
+                    sys.stdout.writelines(chunks)
+                    sys.stdout.flush()
+                except OSError:
+                    # Bytes stdout still holds would fail again when the
+                    # interpreter flushes it at exit, with a traceback.
+                    null = os.open(os.devnull, os.O_WRONLY)
+                    os.dup2(null, sys.stdout.fileno())
+                    os.close(null)
+                    raise
             else:
                 with open(next(names), "w", encoding="utf-8", newline="\n") as fh:
                     fh.writelines(chunks)

@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -739,14 +740,37 @@ class TestUnwritableOutput:
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(  # no temp file left
             ["in.json"] + (["missing"] if failing == "dump-dir" else []))
 
+    def test_dump_failing_after_its_temp_file_prints_nothing(self, tmp_path, capsys,
+                                                             monkeypatch):
+        def disk_full(path, mode="r", **kwargs):  # the dump's temp file is made, not written
+            if "w" in mode:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return open(path, mode, **kwargs)
+
+        monkeypatch.setattr(cli, "open", disk_full, raising=False)
+        inp = write(tmp_path, "in.json", JPE_JSON)
+        dump = tmp_path / "g.json"
+        code = main(["evaluate", "--input", inp, "--eps", "0.05", "--dump-game", str(dump)])
+        assert code == 2
+        assert capsys.readouterr() == (
+            "", f"error: cannot write {dump}: No space left on device\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["in.json"]
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
-    def test_full_stdout_exits_2(self, tmp_path):
-        inp = write(tmp_path, "in.json", A0_JSON)
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    @pytest.mark.parametrize("verb", ["optimize", "adversary"])
+    def test_full_stdout_exits_2(self, tmp_path, verb, unbuffered):
+        # buffered stdout keeps what it failed to write, and the interpreter
+        # flushes it again at exit; the adversary chain overflows the buffer
+        if verb == "optimize":
+            argv = ["optimize", "--input", write(tmp_path, "in.json", A0_JSON)]
+        else:
+            argv = ["adversary", "--input", write(tmp_path, "in.json", JPE_JSON), "--n", "5000"]
         path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)),
+               "PYTHONUNBUFFERED": unbuffered}
         with open("/dev/full", "w") as full:
-            done = subprocess.run([sys.executable, "-m", "teamcontracts", "optimize",
-                                   "--input", inp], stdout=full, stderr=subprocess.PIPE,
-                                  env=env, text=True, timeout=120)
+            done = subprocess.run([sys.executable, "-m", "teamcontracts", *argv], stdout=full,
+                                  stderr=subprocess.PIPE, env=env, text=True, timeout=120)
         assert (done.returncode, done.stderr) == (
             2, "error: cannot write <stdout>: No space left on device\n")
