@@ -20,6 +20,8 @@ import itertools
 import json
 import math
 import os
+import re
+import stat
 import sys
 import tempfile
 from dataclasses import replace
@@ -69,14 +71,25 @@ def _require_keys(obj: dict, required: set[str], optional: set[str] = frozenset(
         raise CliError(EXIT_VALIDATION, f"missing fields: {sorted(missing)}")
 
 
+def _mode_for(path: str) -> int:
+    """Permission bits for a file written at ``path``: those of the file it
+    replaces, else 0o666 less the umask, as ``open`` would create it."""
+    try:
+        return stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        return 0o666 & ~umask
+
+
 def _write(targets) -> None:
     """Write each ``(path, chunks)`` pair, to stdout where the path is None.
 
-    Files are written to temp files beside them, all created before anything
-    is written, and stdout is written after them; the files are renamed into
-    place only once all are complete.  So a failure leaves none of them and
-    prints nothing.  The ``OSError`` of a write is a validation error naming
-    where it went.
+    Files are written to temp files beside them, all created, with the mode
+    of ``_mode_for``, before anything is written, and stdout is written after
+    them; the files are renamed into place only once all are complete.  So a
+    failure leaves none of them and prints nothing.  The ``OSError`` of a
+    write is a validation error naming where it went.
     """
     targets = sorted(targets, key=lambda target: target[0] is None)
     files = [path for path, _ in targets if path is not None]
@@ -89,6 +102,7 @@ def _write(targets) -> None:
                                        prefix=".tmp-teamcontracts-")
             temps.append(tmp)
             os.close(fd)
+            os.chmod(tmp, _mode_for(where))
         names = iter(temps)
         for path, chunks in targets:
             where = path or "<stdout>"
@@ -216,6 +230,18 @@ def _game_doc(actions: md.ActionSet, payoff_row) -> dict:
             "payoff": _Rows(lambda: (payoff_row(i)[None] for i in range(n)), n)}
 
 
+# A config-echo value that could end its line or its field is written
+# JSON-quoted; so is one that starts with a quote, which a reader would
+# take for a quoted value.
+_QUOTE = re.compile(r'^"|[\s\x00-\x1f\x7f-\x9f]')
+
+
+def _echo(value) -> str:
+    """A config value as the CSV echo writes it."""
+    text = str(value)
+    return json.dumps(text) if _QUOTE.search(text) else text
+
+
 def _emit(args, result, csv_text=None, csv_header=None, files=()) -> None:
     """Write (or print) the result with a config-echo metadata block, together
     with the ``(path, document)`` pairs ``files``.
@@ -232,7 +258,7 @@ def _emit(args, result, csv_text=None, csv_header=None, files=()) -> None:
         if csv_text is None:
             raise CliError(EXIT_VALIDATION, "this verb has no CSV representation")
         head = (f"# tool=teamcontracts version={__version__}\n"
-                + "# " + " ".join(f"{k}={v}" for k, v in config.items()) + "\n"
+                + "# " + " ".join(f"{k}={_echo(v)}" for k, v in config.items()) + "\n"
                 + ",".join(csv_header) + "\n")
         chunks = itertools.chain((head,), csv_text)
     else:

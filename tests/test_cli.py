@@ -2,6 +2,7 @@ import errno
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -459,6 +460,41 @@ class TestSweepDeterminism:
         assert header == "p0,c0,w11,w10,per_agent,regime"
 
 
+    @pytest.mark.parametrize("name", ["g\nrid.json", "g rid.json", "g\trid.json", '"g".json'],
+                             ids=["newline", "space", "tab", "quote"])
+    def test_config_echo_quotes_values_that_could_split_it(self, tmp_path, monkeypatch, name):
+        # a value with whitespace or a control character, or one starting
+        # with a quote, is written JSON-quoted; others keep their bytes
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path, name, {"p_grid": [1.0], "c_grid": [0.25]})
+        assert main(["sweep", "--input", name, "--output", "s.csv", "--format", "csv"]) == 0
+        lines = (tmp_path / "s.csv").read_text().splitlines()
+        assert len(lines) == 4 and lines[2] == "p0,c0,w11,w10,per_agent,regime"
+        assert lines[1] == ("# format=csv grid_step=0.01 input=" + json.dumps(name)
+                            + " refine=3 verb=sweep")
+
+
+class TestOutputMode:
+    """Output files are created as ``open`` would create them, under the
+    umask, and a replaced file keeps its mode."""
+
+    @pytest.mark.parametrize("umask", [0o022, 0o002], ids=["022", "002"])
+    def test_new_and_replaced_files(self, tmp_path, umask):
+        inp = write(tmp_path, "in.json", JPE_JSON)
+        new, dump, old = tmp_path / "new.json", tmp_path / "dump.json", tmp_path / "old.json"
+        old.write_text("{}")
+        old.chmod(0o604)
+        before = os.umask(umask)
+        try:
+            for out in (new, old):
+                assert main(["evaluate", "--input", inp, "--eps", "0.05", "--output", str(out),
+                             "--dump-game", str(dump)]) == 0
+        finally:
+            os.umask(before)
+        assert [stat.S_IMODE(p.stat().st_mode) for p in (new, dump, old)] == [
+            0o666 & ~umask, 0o666 & ~umask, 0o604]
+
+
 class TestDiscriminate:
     def test_runs_small_grid(self, tmp_path):
         inp = write(tmp_path, "a0.json", A0_JSON)
@@ -611,32 +647,29 @@ class TestGridCaps:
         out = tmp_path / "d.json"
         assert main(["discriminate", "--input", inp, "--grid-step", "1e-2",
                      "--output", str(out)]) == 0
-        assert read_result(out)["w1"] == 0.56
+        assert read_result(out)["w1"] == 0.55
 
-    def test_discriminate_grid_1e_3_reaches_the_pair_loop(self, tmp_path, monkeypatch):
-        # about 40 s end to end, so the scan itself is not run here
-        class Reached(Exception):
-            pass
-
-        def inner(*args, **kwargs):
-            raise Reached
-
-        monkeypatch.setattr(opt, "_inner_rows", inner)
+    def test_discriminate_grid_1e_3_runs(self, tmp_path):
+        # 5.0e5 wage pairs, a few seconds
         inp = write(tmp_path, "a0.json", A0_JSON)
-        with pytest.raises(Reached):
-            main(["discriminate", "--input", inp, "--grid-step", "1e-3"])
+        out = tmp_path / "d.json"
+        assert main(["discriminate", "--input", inp, "--grid-step", "1e-3",
+                     "--output", str(out)]) == 0
+        res = read_result(out)
+        assert (res["w1"], res["w2"]) == (0.547, 0.327)
+        assert res["value_total"] == pytest.approx(0.61137, abs=1e-5)
 
     def test_discriminate_grid_5e_4_is_refused_before_the_pair_loop(self, tmp_path, capsys,
                                                                     monkeypatch):
         def inner(*args, **kwargs):
             raise AssertionError("a wage pair of a refused grid was scanned")
 
-        monkeypatch.setattr(opt, "_inner_rows", inner)
+        monkeypatch.setattr(opt, "_inner_lp", inner)
         inp = write(tmp_path, "a0.json", A0_JSON)
         assert main(["discriminate", "--input", inp, "--grid-step", "5e-4"]) == 2
         assert capsys.readouterr().err == (
-            "error: grid step 0.0005 asks for about 4.01e+09 inner-adversary rows (N+1 per"
-            " wage pair and per agent-one wage), above the cap of 6e+08; use a coarser step\n")
+            "error: grid step 0.0005 asks for about 2e+06 wage pairs (w2 <= w1), above the"
+            " cap of 1e+06; use a coarser step\n")
 
     @pytest.mark.parametrize("verb, payload, refine, step", [
         ("optimize", A0_JSON, "15", "1e-17"),

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -17,14 +18,9 @@ from teamcontracts import (
     optimize_jpe,
     sweep_regimes,
 )
-import teamcontracts.optimize as opt
 from teamcontracts.optimize import (
     IC_TOL,
     _BLOCK_CELLS,
-    _best_known,
-    _inner_grid,
-    _inner_rows,
-    _regime_a,
     _triangle_best,
 )
 from teamcontracts.worstcase import value_grid
@@ -40,6 +36,11 @@ def _grid_best(w11, w10, a0_set):
     vals = np.where(w10 <= w11 + 1e-15, value_grid(w11, w10, a0_set), -np.inf)
     k = np.unravel_index(np.argmax(vals), vals.shape)
     return float(w11[k]), float(w10[k]), float(vals[k])
+
+
+def _score(a0_set):
+    """``value_grid`` on ``a0_set``, as ``optimize_jpe`` scores its cells."""
+    return lambda w11, w10: value_grid(w11, w10, a0_set)
 
 
 def _grid_best_reference(w11, w10, a0_set):
@@ -84,7 +85,7 @@ class TestTriangleBest:
         w11, w10 = np.meshgrid(ax11, ax10, indexing="ij")
         expected = _grid_best(w11, w10, a0)
         for cells in blocks:
-            assert _triangle_best(ax11, ax10, a0, block_cells=cells) == expected
+            assert _triangle_best(ax11, ax10, _score(a0), block_cells=cells) == expected
 
     def test_seeded_sets_at_step_1e_2(self):
         rng = np.random.default_rng(53)
@@ -110,7 +111,7 @@ class TestTriangleBest:
         # c0 close to p0: every cell of the step-1e-2 grid is worth exactly 0
         a0 = ActionSet.from_pairs([(0.9999, 1.0)])
         axis = np.linspace(0.0, 1.0, 101)
-        assert _triangle_best(axis, axis, a0, block_cells=1) == (0.0, 0.0, 0.0)
+        assert _triangle_best(axis, axis, _score(a0), block_cells=1) == (0.0, 0.0, 0.0)
         self._check(axis, axis, a0)
 
     def test_cells_within_tolerance_above_the_diagonal_are_feasible(self):
@@ -118,14 +119,14 @@ class TestTriangleBest:
             ax11 = np.array([c])
             ax10 = np.array([c + 4e-16])
             assert ax10[0] > ax11[0]
-            best = _triangle_best(ax11, ax10, A0)
+            best = _triangle_best(ax11, ax10, _score(A0))
             assert best[2] > -math.inf
             self._check(ax11, ax10, A0)
 
     def test_no_feasible_cell_gives_minus_infinity_at_the_first_cell(self):
         ax11 = np.array([0.1, 0.2])
         ax10 = np.array([0.5, 0.6])
-        assert _triangle_best(ax11, ax10, A0) == (0.1, 0.5, -math.inf)
+        assert _triangle_best(ax11, ax10, _score(A0)) == (0.1, 0.5, -math.inf)
         self._check(ax11, ax10, A0)
 
     def test_fine_grid_memory_stays_in_blocks(self):
@@ -170,7 +171,7 @@ class TestOptimizeJpe:
                 w11, w10 = np.meshgrid(ax11, ax10, indexing="ij")
                 first = _grid_best_reference(w11, w10, a0)
                 assert _grid_best(w11, w10, a0) == first
-                assert _triangle_best(ax11, ax10, a0) == first
+                assert _triangle_best(ax11, ax10, _score(a0)) == first
 
     def test_small_surplus_is_mixed(self):
         res = optimize_jpe(ActionSet.from_pairs([(0.9, 1.0)]))
@@ -259,8 +260,9 @@ class TestSweep:
 
 
 def _inner_adversary_reference(kp, kc, w1, w2, c1f, p2f, grid):
-    """The inner adversary as first written, kept as the oracle of the row
-    kernel: every cell of the flat (c1, p2) grid scored, first minimum."""
+    """The inner adversary as first written, on a grid: every cell of the
+    flat (c1, p2) grid scored, first minimum.  Each cell is a feasible point
+    of the inner LP, so its value bounds ``discriminatory_inner`` above."""
     m1 = float((kp * w1 - kc).max())
     m2 = float((kp * w2 - kc).max())
     if w1 > 0.0:
@@ -289,15 +291,15 @@ def _known(a0):
     return a0.known.probs, a0.known.costs
 
 
-def _discriminatory_ipe_reference(a0, grid, step=None):
-    """The max-min scan as written before it went by rows, kept as the oracle
-    of ``discriminatory_ipe``: for each w1, every (c1, p2) cell of every
+def _discriminatory_ipe_reference(a0, grid):
+    """The max-min scan as first written, on a grid, an upper bound of
+    ``discriminatory_ipe``: for each w1, every (c1, p2) cell of every
     w2 <= w1 scored at once with ``_inner_adversary_reference``'s
     expressions, the first minimum per pair, then the first maximum in
-    (w1, w2) order.  p1 is rounded up to multiples of ``step``, by default
-    the axis spacing 1/N.  Returns ``(w1, w2, witness, value)``."""
+    (w1, w2) order.  p1 is rounded up to multiples of the axis spacing 1/N.
+    Returns ``(w1, w2, witness, value)``."""
     axis = np.linspace(0.0, 1.0, max(1, round(1.0 / grid)) + 1)
-    grid = axis[1] if step is None else step
+    grid = axis[1]
     kp, kc = _known(a0)
     c1f, p2f = _flat_grid(axis)
     best = None
@@ -326,66 +328,111 @@ def _ipe_tuple(res):
     return (res.w1, res.w2, res.inner_witness, res.value_total)
 
 
-def _kernel(a0, w1, w2, grid, axis=None):
-    """``_inner_rows`` on one wage pair, as ``discriminatory_inner`` calls it
-    but with p1 rounded on ``grid`` itself, not on the axis spacing; returns
-    ((value, (c1, p1, p2)) or (inf, None), rows scored densely)."""
-    if axis is None:
-        axis = np.linspace(0.0, 1.0, max(1, round(1.0 / grid)) + 1)
+def _inner_lp_reference(a0, w1, w2):
+    """The inner adversary as the 3-variable LP in (c1, p1, p2), solved by
+    brute force at each wage pair of the arrays ``w1, w2``: every vertex of
+    its ten planes (four incentive constraints, the unit box) from
+    ``np.linalg.solve``, the least objective over the vertices feasible to
+    1e-12.  Returns the values."""
     kp, kc = _known(a0)
-    m1 = float(_best_known(kp, kc, w1))
-    w2s = np.array([w2])
-    val, c1, p1, p2, dense = _inner_rows(axis, grid, w1, m1, w2s, _best_known(kp, kc, w2s),
-                                         *_regime_a(axis, grid, w1, m1))
-    if not math.isfinite(val[0]):
-        return (math.inf, None), dense
-    return (float(val[0]), (float(c1[0]), float(p1[0]), float(p2[0]))), dense
+    w1, w2 = np.asarray(w1, float), np.asarray(w2, float)
+    m1, m2 = ((np.multiply.outer(w, kp) - kc).max(axis=-1) for w in (w1, w2))
+    one, zero = np.ones_like(w1), np.zeros_like(w1)
+    # rows g . (c1, p1, p2) >= h: agent one against m1 and against p2, agent
+    # two against m2 and against p1, then the box
+    g = np.stack([np.stack(row, axis=-1) for row in (
+        (-one, w1, zero), (-one, w1, -w1), (zero, zero, w2), (one, -w2, w2),
+        (one, zero, zero), (-one, zero, zero), (zero, one, zero), (zero, -one, zero),
+        (zero, zero, one), (zero, zero, -one))], axis=-2)
+    h = np.stack([m1 - IC_TOL, zero - IC_TOL, m2 - IC_TOL, zero - IC_TOL,
+                  zero, -one, zero, -one, zero, -one], axis=-1)
+    triples = np.array(list(itertools.combinations(range(10), 3)))
+    a, r = g[:, triples], h[:, triples]
+    regular = abs(np.linalg.det(a)) > 1e-13
+    x = np.linalg.solve(np.where(regular[..., None, None], a, np.eye(3)), r[..., None])[..., 0]
+    feas = regular & (np.einsum("pkj,pvj->pvk", g, x) >= h[:, None, :] - 1e-12).all(axis=-1)
+    obj = x[..., 1] * (1.0 - w1[:, None]) + x[..., 2] * (1.0 - w2[:, None])
+    return np.where(feas, obj, np.inf).min(axis=1)
 
 
-# Known sets at the ends of the two regimes: prob 1 at a tiny cost puts
-# almost every cell of every row in regime A (p2*w1 <= m1); a cost just
-# under the prob makes m1 < 0 for w1 < 0.99, so every row is regime B.
+def _check_witness(a0, w1, w2, value, witness):
+    """The witness lies in the unit cube, is worth ``value``, and meets both
+    agents' incentive constraints up to IC_TOL, in floating point."""
+    kp, kc = _known(a0)
+    c1, p1, p2 = witness
+    assert all(0.0 <= x <= 1.0 for x in witness)
+    assert value == p1 * (1.0 - w1) + p2 * (1.0 - w2)
+    m1, m2 = float((kp * w1 - kc).max()), float((kp * w2 - kc).max())
+    assert p1 * w1 - c1 >= max(m1, p2 * w1) - IC_TOL
+    assert p2 * w2 >= max(m2, p1 * w2 - c1) - IC_TOL
+
+
+def _check_inner(a0, pairs, grid=None):
+    """``discriminatory_inner`` at each (w1, w2) of ``pairs``: equal to the
+    brute-force LP within 1e-12, a valid witness, and, on a grid of step
+    ``grid``, no worse than the grid's reference up to 1e-12."""
+    w1s, w2s = np.array(pairs, float).T
+    expected = _inner_lp_reference(a0, w1s, w2s)
+    if grid is not None:
+        axis = np.linspace(0.0, 1.0, max(1, round(1.0 / grid)) + 1)
+        flat = _flat_grid(axis)
+    for (w1, w2), ref in zip(pairs, expected):
+        val, witness = discriminatory_inner(a0, w1, w2)
+        assert abs(val - ref) <= 1e-12
+        _check_witness(a0, w1, w2, val, witness)
+        if grid is not None:
+            assert val <= _inner_adversary_reference(*_known(a0), w1, w2, *flat, grid)[0] + 1e-12
+
+
+def _check_max_min(a0, grid, res):
+    """``discriminatory_ipe``'s result at ``grid``: wages on the axis with
+    w2 <= w1, the brute-force LP's max-min within 1e-12 at that pair and over
+    all pairs, a valid witness, and no worse than the grid's reference."""
+    axis = np.linspace(0.0, 1.0, max(1, round(1.0 / grid)) + 1)
+    assert res.w1 in axis and res.w2 in axis and res.w2 <= res.w1
+    w1s, w2s = np.meshgrid(axis, axis, indexing="ij")
+    w1s, w2s = w1s[w2s <= w1s], w2s[w2s <= w1s]
+    assert abs(_inner_lp_reference(a0, w1s, w2s).max() - res.value_total) <= 1e-12
+    assert abs(_inner_lp_reference(a0, [res.w1], [res.w2])[0] - res.value_total) <= 1e-12
+    _check_witness(a0, res.w1, res.w2, res.value_total, res.inner_witness)
+    assert res.value_total <= _discriminatory_ipe_reference(a0, grid)[3] + 1e-12
+
+
+# Known sets at two extremes of agent one's constraint against its known
+# actions: prob 1 at a tiny cost makes m1 almost w1, so the constraint
+# binds wherever p1 < 1; a cost just under the prob makes m1 < 0 for
+# w1 < 0.99, so it is slack.
 REGIME_A_SET = ActionSet.from_pairs([(1e-3, 1.0)])
 REGIME_B_SET = ActionSet.from_pairs([(0.99, 1.0)])
 
 
 class TestDiscriminatory:
-    """``discriminatory_ipe`` and ``discriminatory_inner`` against the dense
-    oracles, compared by repr so that signed zeros count."""
+    """``discriminatory_inner`` and ``discriminatory_ipe`` against the
+    brute-force LP and the grid references."""
 
     def test_inner_adversary_matches_reference(self):
         rng = np.random.default_rng(61)
         for grid in (1e-2, 0.05):
-            axis, _, _ = _inner_grid(A0, grid, lambda n: 1)
-            c1f, p2f = _flat_grid(axis)
-            for _ in range(1500):
+            axis = np.linspace(0.0, 1.0, round(1.0 / grid) + 1)
+            for _ in range(150):
                 a0 = _seeded_known_set(rng)
-                kp, kc = _known(a0)
-                w1, w2 = sorted(map(float, rng.choice(axis, 2)), reverse=True)
-                if rng.uniform() < 0.1:
-                    w1 = 0.0 if rng.uniform() < 0.5 else w1
-                    w2 = min(w2, w1)
-                got = discriminatory_inner(a0, w1, w2, grid)
-                assert repr(got) == repr(
-                    _inner_adversary_reference(kp, kc, w1, w2, c1f, p2f, grid))
+                pairs = []
+                for _ in range(10):
+                    w1, w2 = sorted(map(float, rng.choice(axis, 2)), reverse=True)
+                    if rng.uniform() < 0.1:
+                        w1 = 0.0 if rng.uniform() < 0.5 else w1
+                        w2 = 0.0 if rng.uniform() < 0.5 else min(w2, w1)
+                    pairs.append((w1, w2))
+                _check_inner(a0, pairs, grid)
 
     def test_inner_at_any_wages_in_the_unit_square(self):
-        # off-axis wages, w2 > w1, and steps whose inverse is not an integer,
-        # where the ceilings' step and the axis spacing differ and rows
-        # need the dense fallback
+        # off-axis wages and w2 > w1, against grids whose step has no
+        # integer inverse
         rng = np.random.default_rng(71)
-        dense = 0
-        for _ in range(600):
+        for _ in range(200):
             grid = float(rng.choice([0.05, 0.03, 0.07, 0.13]))
-            a0 = _seeded_known_set(rng)
-            kp, kc = _known(a0)
-            axis, _, _ = _inner_grid(a0, grid, lambda n: 1)
-            w1, w2 = (float(w) for w in rng.uniform(0.0, 1.0, 2))
-            got, d = _kernel(a0, w1, w2, grid)
-            dense += d
-            assert repr(got) == repr(
-                _inner_adversary_reference(kp, kc, w1, w2, *_flat_grid(axis), grid))
-        assert dense > 0
+            pairs = [tuple(float(w) for w in rng.uniform(0.0, 1.0, 2)) for _ in range(3)]
+            _check_inner(_seeded_known_set(rng), pairs, grid)
 
     def test_wages_outside_the_unit_interval_are_refused(self):
         for w1, w2 in ((1.5, 0.5), (0.5, -0.1), (math.nan, 0.5)):
@@ -394,123 +441,44 @@ class TestDiscriminatory:
 
     def test_max_min_matches_reference_on_seeded_sets(self):
         rng = np.random.default_rng(73)
-        sets = [REGIME_A_SET, REGIME_B_SET] + [_seeded_known_set(rng) for _ in range(300)]
-        for k, a0 in enumerate(sets):
-            grid = 2e-2 if k % 30 == 0 else 5e-2
-            res = discriminatory_ipe(a0, grid)
-            assert repr(_ipe_tuple(res)) == repr(_discriminatory_ipe_reference(a0, grid))
-            assert res.dense_rows == 0
+        for k in range(60):
+            a0 = _seeded_known_set(rng)
+            grid = 2e-2 if k % 20 == 0 else 5e-2
+            _check_max_min(a0, grid, discriminatory_ipe(a0, grid))
 
     def test_regime_extremes(self):
         axis = np.linspace(0.0, 1.0, 21)
-        for w1 in axis[1:]:
-            kp, kc = _known(REGIME_A_SET)
-            m1 = float(_best_known(kp, kc, w1))
-            assert _regime_a(axis, 5e-2, float(w1), m1)[0] >= len(axis) - 1
-            kp, kc = _known(REGIME_B_SET)
-            m1 = float(_best_known(kp, kc, w1))
-            assert _regime_a(axis, 5e-2, float(w1), m1)[0] == (0 if w1 < 0.99 else 1)
-
-    def test_max_min_with_dense_rows_matches_reference(self):
-        # the max-min scan of ``discriminatory_ipe`` with p1 rounded on the
-        # raw step 0.07, off the axis of spacing 1/14: the fallback runs
-        rng = np.random.default_rng(79)
-        dense = 0
-        for a0 in [A0] + [_seeded_known_set(rng) for _ in range(5)]:
-            axis, kp, kc = _inner_grid(a0, 0.07, lambda n: 1)
-            best = None
-            for w1 in map(float, axis):
-                m1 = float(_best_known(kp, kc, w1))
-                w2 = axis[axis <= w1 + 1e-15]
-                val, c1, p1, p2, d = _inner_rows(axis, 0.07, w1, m1, w2, _best_known(kp, kc, w2),
-                                                 *_regime_a(axis, 0.07, w1, m1))
-                dense += d
-                k = int(np.argmax(np.where(val < np.inf, val, -np.inf)))
-                if val[k] < np.inf and (best is None or val[k] > best[3]):
-                    best = (w1, float(w2[k]), (float(c1[k]), float(p1[k]), float(p2[k])),
-                            float(val[k]))
-            assert repr(best) == repr(_discriminatory_ipe_reference(a0, 0.07, 0.07))
-        assert dense > 0
+        pairs = [(float(w1), float(w2)) for w1 in axis for w2 in axis if w2 <= w1]
+        for a0 in (REGIME_A_SET, REGIME_B_SET):
+            _check_inner(a0, pairs, 5e-2)
+            _check_max_min(a0, 5e-2, discriminatory_ipe(a0, 5e-2))
 
     def test_non_integer_steps_round_on_the_axis(self):
-        # both agents' actions on the axis of spacing 1/N, N = round(1/step):
-        # at step 0.03 the running example is worth 0.6116 (0.6138 at 1e-2),
-        # where rounding p1 on 0.03 itself gave 0.6894 with 486 dense rows
+        # the wages run on the axis of spacing 1/N, N = round(1/step): at
+        # step 0.03 the running example is worth 0.6073 (0.6109 at 1e-2)
         rng = np.random.default_rng(83)
         for k, a0 in enumerate([A0] + [_seeded_known_set(rng) for _ in range(5)]):
             for grid in (0.03, 0.07):
                 res = discriminatory_ipe(a0, grid)
-                assert repr(_ipe_tuple(res)) == repr(_discriminatory_ipe_reference(a0, grid))
-                axis = np.linspace(0.0, 1.0, round(1.0 / grid) + 1)
-                assert res.inner_witness[1] in axis and res.dense_rows == 0
+                _check_max_min(a0, grid, res)
                 if k == 0 and grid == 0.03:
-                    assert res.value_total == pytest.approx(0.6116, abs=1e-4)
+                    assert res.value_total == pytest.approx(0.6073, abs=1e-4)
 
     def test_benchmark_like_sets_at_grid_1e_2(self):
         for a0 in (ActionSet.from_pairs([(0.2, 0.9), (0.3, 0.95), (0.1, 0.5)]),
                    ActionSet.from_pairs([(0.31, 0.82), (0.05, 0.27)])):
-            res = discriminatory_ipe(a0, 1e-2)
-            assert repr(_ipe_tuple(res)) == repr(_discriminatory_ipe_reference(a0, 1e-2))
-            assert res.dense_rows == 0
+            _check_max_min(a0, 1e-2, discriminatory_ipe(a0, 1e-2))
 
-    def test_dense_fallback_changes_the_answer(self, monkeypatch):
-        # grid 0.03 on a 34-point axis: at p2 = j0 the coupled part of agent
-        # two's constraint fails, yet holds further along the same row, and
-        # that row holds the minimum
-        a0 = ActionSet.from_pairs([(0.17620221241371695, 0.3659417692573047),
-                                   (0.06475856079604708, 0.20025294387364573)])
-        w1, w2, grid = 0.7476773506956695, 0.7433124218800472, 0.03
-        kp, kc = _known(a0)
-        axis, _, _ = _inner_grid(a0, grid, lambda n: 1)
-        expected = _inner_adversary_reference(kp, kc, w1, w2, *_flat_grid(axis), grid)
-        got, dense = _kernel(a0, w1, w2, grid)
-        assert repr(got) == repr(expected) and dense > 0
-        monkeypatch.setattr(opt, "_dense_row", lambda *args: (math.inf, math.nan, math.nan))
-        without, _ = _kernel(a0, w1, w2, grid)
-        assert without[0] > expected[0]
-
-    def test_undecided_row_tying_the_least_row_is_rescored(self):
-        # crafted axis, step 0.5 and w1 = w2 = 1, so every cell is worth 0:
-        # row c1 = 0 fails the coupled part at p2 = 0.3 but is feasible at
-        # p2 = 0.5, and ties row c1 = 0.2, decided at p2 = 0.3; the first
-        # row must win.  Rows 0, 0.3 and 0.5 are undecided with bound 0.
-        axis, grid = np.array([0.0, 0.2, 0.3, 0.5, 1.0]), 0.5
-        a0 = ActionSet.from_pairs([(0.25, 0.5)])
-        expected = _inner_adversary_reference(*_known(a0), 1.0, 1.0, *_flat_grid(axis), grid)
-        assert expected == (0.0, (0.0, 0.5, 0.5))
-        assert repr(_kernel(a0, 1.0, 1.0, grid, axis)) == repr((expected, 3))
-
-    def test_m2_threshold_binding_with_equality(self):
-        # the m2 threshold equals p2*w2 exactly at p2 = 0.4: the search must
-        # take that cell
-        kp, kc, w1, w2, grid = 0.6847155813711416, 0.0711778953427854, 0.8500000000000001, 0.25, 0.05
-        assert (kp * w2 - kc) - IC_TOL == 0.4 * w2
-        a0 = ActionSet.from_pairs([(kc, kp)])
-        axis, _, _ = _inner_grid(a0, grid, lambda n: 1)
-        expected = _inner_adversary_reference(*_known(a0), w1, w2, *_flat_grid(axis), grid)
-        assert expected == (0.4125, (0.1, 0.75, 0.4))
-        assert repr(_kernel(a0, w1, w2, grid)) == repr((expected, 0))
-
-    def test_coupled_constraint_binding_with_equality(self):
-        # the coupled part binds with equality at the first regime-B cell of
-        # a row: that cell is feasible, and no row is scored densely
-        a0 = ActionSet.from_pairs([(0.48256646570293216, 0.8574476411931955),
-                                   (0.35270465625415665, 0.7446928145012908)])
-        w1, w2, grid = 0.6864809611091993, 0.500005, 0.1
-        axis, _, _ = _inner_grid(a0, grid, lambda n: 1)
-        expected = _inner_adversary_reference(*_known(a0), w1, w2, *_flat_grid(axis), grid)
-        assert repr(_kernel(a0, w1, w2, grid)) == repr((expected, 0))
-
-    def test_regime_a_ends_at_equality(self):
-        # p2*w1 equals m1 exactly at p2 = 1/3: that cell is in regime A,
-        # where its p1 is the row's constant and the search decides it
-        kp, kc, w1, w2, grid = 0.40504358431373527, 0.04837296472357463, 0.674561364131813, \
-            0.562265662780428, 0.3
-        a0 = ActionSet.from_pairs([(kc, kp)])
-        axis, _, _ = _inner_grid(a0, grid, lambda n: 1)
-        assert kp * w1 - kc in axis * w1
-        expected = _inner_adversary_reference(*_known(a0), w1, w2, *_flat_grid(axis), grid)
-        assert repr(_kernel(a0, w1, w2, grid)) == repr((expected, 0))
+    def test_max_min_values_at_grid_1e_2(self):
+        # the exact inner optimum, below the (c1, p2) grid's 0.6138, 0.369
+        # and 0.1052 at the same step
+        for pairs, value, wages in (([(0.25, 1.0)], 0.61091, (0.55, 0.33)),
+                                    ([(0.1, 0.5), (0.4, 0.9)], 0.36166, (0.51, 0.3)),
+                                    ([(0.6, 0.9)], 0.10400, (0.84, 0.6))):
+            res = discriminatory_ipe(ActionSet.from_pairs(pairs), 1e-2)
+            assert res.value_total == pytest.approx(value, abs=1e-5)
+            assert (res.w1, res.w2) == wages
+            assert repr(discriminatory_ipe(ActionSet.from_pairs(pairs), 1e-2)) == repr(res)
 
     def test_max_min_memory(self):
         a0 = ActionSet.from_pairs([(0.2, 0.9), (0.3, 0.95), (0.1, 0.5)])
