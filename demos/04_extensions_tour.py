@@ -57,7 +57,7 @@ print("\n=== pessimistic equilibrium selection ===")
 w = Contract(2 / 3, 0.0, 0.0, 0.0)
 chain = euler_adversary(w, a0, 50)
 print("team scheme on its witness chain:",
-      pessimistic_value(w, chain.actions, mixed=False))
+      pessimistic_value(w, chain.actions))
 for alpha in (0.3, 0.5, 0.7):
     adv = ipe_adversary(alpha, known, 1e-4)
     val = pessimistic_value(linear_contract(alpha), adv.actions)

@@ -390,9 +390,16 @@ def cmd_sweep(args) -> int:
 
     payload = _load_json(args.input)
     _require_keys(payload, {"p_grid", "c_grid"})
+
+    def entries(key):
+        values = [md.number(x, f"{key} entry") for x in payload[key]]
+        for x in values:
+            if not math.isfinite(x):
+                raise ValueError(f"{key} entry is not finite: {x!r}")
+        return values
+
     try:
-        p_grid = [md.number(x, "p_grid entry") for x in payload["p_grid"]]
-        c_grid = [md.number(x, "c_grid entry") for x in payload["c_grid"]]
+        p_grid, c_grid = entries("p_grid"), entries("c_grid")
     except (TypeError, ValueError) as exc:
         raise CliError(EXIT_VALIDATION, f"bad grid: {exc}")
     cells = opt.sweep_regimes(p_grid, c_grid, coarse=args.grid_step,

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ContractPatternError
 from .model import JPE, ActionSet, ActionSpec, Contract, check_known_assumptions, classify
 
@@ -114,12 +112,12 @@ def best_ipe_value(env: BayesianEnv) -> float:
     )
 
 
-def best_jpe_value(env: BayesianEnv, points: int = 40) -> float:
-    """Best calibrated team scheme on an interior grid of base wages: its
-    value falls strictly in w0, with slope -(1 - mu)*p_star*(1 - p_star/p0),
-    so that is the grid's first point, which does not depend on mu."""
-    w0 = np.linspace(0.0, env.c0 / env.p0, points + 2)[1]
-    return bayesian_eval(env, JPE_SCHEME, float(w0))
+def best_jpe_value(env: BayesianEnv) -> float:
+    """Best calibrated team scheme over 40 evenly spaced interior base wages
+    in (0, c0/p0): its value falls strictly in w0, with slope
+    -(1 - mu)*p_star*(1 - p_star/p0), so that is the first, w0 = (c0/p0)/41,
+    which does not depend on mu."""
+    return bayesian_eval(env, JPE_SCHEME, env.c0 / env.p0 / 41.0)
 
 
 def _first_flip(p0: float, c0: float, p_star: float, own, rivals) -> float:
@@ -153,11 +151,10 @@ def mu_threshold_ipe(p0: float, c0: float, p_star: float) -> float:
                        (ZERO, IPE_ALWAYS_A0))
 
 
-def mu_threshold_jpe(p0: float, c0: float, p_star: float, points: int = 40) -> float:
+def mu_threshold_jpe(p0: float, c0: float, p_star: float) -> float:
     """Availability probability above which some calibrated team scheme
     strictly beats every independent scheme."""
-    return _first_flip(p0, c0, p_star, lambda env: best_jpe_value(env, points),
-                       (ZERO, IPE_MIXED, IPE_ALWAYS_A0))
+    return _first_flip(p0, c0, p_star, best_jpe_value, (ZERO, IPE_MIXED, IPE_ALWAYS_A0))
 
 
 def asym_unknown_value(contract: Contract, a0: ActionSpec) -> tuple[float, float, float]:
@@ -195,8 +192,10 @@ def asym_unknown_value(contract: Contract, a0: ActionSpec) -> tuple[float, float
     return p1, p2, total
 
 
-def pessimistic_value(contract: Contract, actions: ActionSet, mixed: bool | None = None) -> float:
-    """Principal's worst weakly Pareto-efficient equilibrium value.
+def pessimistic_value(contract: Contract, actions: ActionSet) -> float:
+    """Principal's worst weakly Pareto-efficient equilibrium value, over
+    pure and mixed equilibria up to ``game.MIXED_CAP`` actions and over pure
+    ones above it.
 
     For a joint evaluation with zero failure wages the induced game is
     supermodular with strictly positive spillovers, so the maximal
@@ -220,9 +219,7 @@ def pessimistic_value(contract: Contract, actions: ActionSet, mixed: bool | None
     )
 
     game = induce_game(contract, actions)
-    if mixed is None:
-        mixed = len(actions) <= MIXED_CAP
-    eqs = enumerate_equilibria(game, mixed=mixed)
+    eqs = enumerate_equilibria(game, mixed=len(actions) <= MIXED_CAP)
     report = select_and_value(game, eqs, PESSIMISTIC_PARETO)
 
     cls = classify(contract)

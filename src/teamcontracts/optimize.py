@@ -176,25 +176,23 @@ def optimize_jpe(
     return OptimizationResult(b11, b10, bval, step, refine_rounds > 0, regime)
 
 
-def calibration_witness(
-    a0_set: ActionSet, ladder=EPS_LADDER, min_gain: float = 1e-6
-) -> tuple[float, Contract, float]:
+def calibration_witness(a0_set: ActionSet) -> tuple[float, Contract, float]:
     """Smallest tried calibration offset whose joint evaluation strictly
     beats the best independent evaluation.
 
-    Walks ``ladder`` downward, calibrating w10 = w* - eps to the optimal
+    Walks ``EPS_LADDER`` downward, calibrating w10 = w* - eps to the optimal
     independent wage and its targeted action, and returns the first eps
-    improving the per-agent value by at least ``min_gain``.  Termination is
+    improving the per-agent value by at least 1e-6.  Termination is
     guaranteed in theory because the profit's right-derivative at eps = 0 is
     p*w*(1-w*)/2 > 0; exhausting the ladder signals numerical pathology.
     """
     ipe = ipe_optimal(a0_set)
-    for eps in ladder:
+    for eps in EPS_LADDER:
         if eps >= ipe.w_star:
             continue
         contract = calibrate_jpe(ipe.w_star, ipe.a0_star, eps)
         val = jpe_value(contract, a0_set).per_agent
-        if val >= ipe.per_agent + min_gain:
+        if val >= ipe.per_agent + 1e-6:
             return eps, contract, val
     raise ConvergenceError(
         "calibration ladder exhausted without the guaranteed improvement"

@@ -18,7 +18,8 @@ quadratic root, and so is the relative-evaluation fixed point; both come
 from ``_stable_root``.  Every other cell takes the constant-slope branch at
 wage w10, where a zero wage leaves a free target at p(a0) and sends a costly
 one to zero.  ``pbar_closed_form`` and ``best_known_solution`` make one
-kernel call over their targets, ``pbar_grid`` one per known target.
+kernel call over their targets, ``pbar_grid`` one per known target, and
+``jpe_value_w00`` one over its targets shifted to its singularity.
 
 Only chain verification and ``AdversarySet.unique_equilibrium`` build a
 game, and they import ``game`` when they run, so a process that never
@@ -226,6 +227,9 @@ def jpe_value_w00(contract: Contract, a0_set: ActionSet) -> WorstCaseResult:
     reaches the singularity the undercutting continues at no cost (below
     p_sing lower success probability is strictly preferred), so the
     worst-case probability collapses to zero and joint failures are paid.
+    The slope (w11 + w00)*(p - p_sing) is the pooled one at wage w11 + w00
+    in q = p - p_sing, so ``_endpoint`` runs there from q0 = p(a0) - p_sing;
+    it keeps q_end <= q0, and q_end <= 0 (at or past p_sing) means pbar = 0.
     """
     w11, w00 = contract.w11, contract.w00
     if contract.w10 != 0.0 or contract.w01 != 0.0:
@@ -236,17 +240,9 @@ def jpe_value_w00(contract: Contract, a0_set: ActionSet) -> WorstCaseResult:
     if not known:
         raise ValueError("action set has no known prefix to target")
 
-    # In vertex form a*(p - p_sing)^2, a = (w11 + w00)/2, falls by the cost:
-    # p_sing is reached at cost a*(p0 - p_sing)^2, else p_sing + sqrt(r/a).
     p_sing = w00 / (w11 + w00)
-    a = (w11 + w00) / 2.0
-    with np.errstate(all="ignore"):  # overflowed wages are refused below
-        r = a * (known.probs - p_sing) ** 2 - known.costs
-        keep = (known.probs > p_sing) & (r > 0.0)
-        roots = _stable_root(a, 0.0, r[keep])
-    pbar = float(p_sing + roots.max()) if roots.size else 0.0
-    if not math.isfinite(pbar):
-        raise OverflowError("undercut endpoint is not finite")
+    q_end = _best_solution(w11 + w00, 0.0, known.probs - p_sing, known.costs, known).p_end
+    pbar = p_sing + q_end if q_end > 0.0 else 0.0
 
     shirk = pbar * pbar * (1.0 - w11) + (1.0 - pbar) ** 2 * (-w00)
     return _min_branch(pbar, 1.0 - w11, shirk, a0_set, False)

@@ -132,6 +132,14 @@ class TestEvaluate:
         for verb, *flags in (["evaluate"], ["adversary", "--n", "10"]):
             assert main([verb, "--input", inp, *flags]) == 2
             assert capsys.readouterr().err.startswith("error: arithmetic overflow")
+        # w11 + w00 overflows, also where every target has p = 0
+        for prob in (1.0, 0.0):
+            inp = write(tmp_path, "in.json", {
+                "contract": {"w11": 1e308, "w10": 0.0, "w01": 0.0, "w00": 1e308},
+                "actions": {"actions": [{"cost": 0.25, "prob": prob}], "known": 1},
+            })
+            assert main(["evaluate", "--input", inp]) == 2
+            assert capsys.readouterr().err.startswith("error: arithmetic overflow")
 
     def test_non_finite_wage_exits_2(self, tmp_path):
         inp = tmp_path / "in.json"
@@ -458,6 +466,19 @@ class TestSweepDeterminism:
         assert out1.read_bytes() == out2.read_bytes()
         header = out1.read_text().splitlines()[2]
         assert header == "p0,c0,w11,w10,per_agent,regime"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("text, message", [
+        ('{"p_grid": [NaN, 0.9], "c_grid": [0.25]}', "p_grid entry is not finite: nan"),
+        ('{"p_grid": [0.9], "c_grid": [-Infinity]}', "c_grid entry is not finite: -inf"),
+    ], ids=["nan", "-inf"])
+    def test_non_finite_entry_exits_2(self, tmp_path, capsys, fmt, text, message):
+        inp, out = tmp_path / "grid.json", tmp_path / "out"
+        inp.write_text(text)
+        assert main(["sweep", "--input", str(inp), "--output", str(out),
+                     "--format", fmt]) == 2
+        assert capsys.readouterr().err == f"error: bad grid: {message}\n"
+        assert not out.exists()
 
 
     @pytest.mark.parametrize("name", ["g\nrid.json", "g rid.json", "g\trid.json", '"g".json'],

@@ -28,7 +28,13 @@ from teamcontracts import (
     rpe_value,
 )
 from teamcontracts.selftest import draw_jpe, draw_known_set, ode_quadrature
-from teamcontracts.worstcase import IpeOptimum, _endpoint, best_known_solution, pbar_grid
+from teamcontracts.worstcase import (
+    IpeOptimum,
+    _endpoint,
+    _stable_root,
+    best_known_solution,
+    pbar_grid,
+)
 
 A0 = ActionSet.from_pairs([(0.25, 1.0)])
 TARGET = ActionSpec(0.25, 1.0)
@@ -140,7 +146,8 @@ class TestJpeValueW00:
         # at most 90 % of the cost of reaching p_sing, so the endpoint is
         # well conditioned; the rest start at or below p_sing or spend the
         # budget, and end at 0.  The stable root is held to a bound no looser
-        # than the worst error of the former formula on the same draws.
+        # than the worst error of the former formula on the same draws, and
+        # to within 8 ulps of the vertex-form root it replaced.
         rng = np.random.default_rng(89)
         worst, worst_former, interior = 0.0, 0.0, 0
         for _ in range(20_000):
@@ -151,12 +158,15 @@ class TestJpeValueW00:
             c0 = t_sing * rng.uniform(0.0, 0.9) if rng.uniform() < 0.75 else \
                 t_sing * rng.uniform(1.0, 2.0)
             got = jpe_value_w00(Contract(w11, 0.0, 0.0, w00), ActionSet([c0], [p0])).pbar
+            parent = _w00_endpoint_parent(w11, w00, np.array([p0]), np.array([c0]))
+            assert abs(got - parent) <= 8 * math.ulp(parent), (got, parent)
             former = _w00_endpoint_former(w11, w00, p0, c0)
             exact = _w00_endpoint_exact(w11, w00, p0, c0)
             if exact == 0:
-                assert got == former == 0.0
+                assert got == former == parent == 0.0
                 continue
             interior += 1
+            assert parent > 0.0
             worst = max(worst, float(abs(Decimal(got) - exact) / exact))
             worst_former = max(worst_former, float(abs(Decimal(former) - exact) / exact))
         assert interior > 5_000
@@ -170,9 +180,41 @@ class TestJpeValueW00:
             ends = [jpe_value_w00(w, ActionSet([a.cost], [a.prob])).pbar for a in known]
             assert jpe_value_w00(w, known).pbar == max(ends)
 
+    def test_zero_joint_failure_pay_is_the_pooled_endpoint(self):
+        # p_sing = 0 and w11 + 0 = w11 are exact, so the shifted kernel call
+        # is jpe_value's own, bit for bit
+        rng = np.random.default_rng(97)
+        for _ in range(500):
+            w11 = rng.uniform(0.05, 1.5)
+            known = draw_known_set(rng, 4)
+            got = jpe_value_w00(Contract(w11, 0.0, 0.0, 0.0), known).pbar
+            assert got == jpe_value(Contract(w11, 0.0, 0.0, 0.0), known).pbar
+        s = ActionSet.from_pairs([(0.2, 0.9)])
+        got = jpe_value_w00(Contract(0.6, 0.0, 0.0, 0.0), s).pbar
+        assert got == jpe_value(Contract(0.6, 0.0, 0.0, 0.0), s).pbar == 0.3785938897200183
+
+    def test_targets_at_or_below_the_singularity_end_at_zero(self):
+        # p_sing = 1/2: targets at it and below it, free or not, end at 0;
+        # above it a free target keeps its probability
+        w = Contract(0.5, 0.0, 0.0, 0.5)
+        for pairs in ([(0.1, 0.4)], [(0.0, 0.4)], [(0.0, 0.5)], [(0.1, 0.5), (0.0, 0.2)]):
+            assert jpe_value_w00(w, ActionSet.from_pairs(pairs)).pbar == 0.0
+        res = jpe_value_w00(w, ActionSet.from_pairs([(0.0, 0.4), (0.0, 0.9)]))
+        assert res.pbar == pytest.approx(0.9, abs=1e-15)
+        res = jpe_value_w00(w, ActionSet.from_pairs([(0.0, 0.4), (0.02, 0.9)]))
+        assert res.pbar == _w00_endpoint_parent(0.5, 0.5, np.array([0.4, 0.9]),
+                                                np.array([0.0, 0.02]))
+
+    def test_overflowing_wage_sum_raises(self):
+        # w11 + w00 overflows even where every target has p = 0
+        for pairs in ([(0.2, 0.9)], [(0.1, 0.0)]):
+            with pytest.raises(OverflowError):
+                jpe_value_w00(Contract(1e308, 0.0, 0.0, 1e308), ActionSet.from_pairs(pairs))
+
 
 # Bound on the relative error of the W00 endpoint.  On the seeded draws of
-# the test the stable root's worst is 1.1e-15 and the former formula's 2.4e-12.
+# the test the shifted kernel's worst is 9.5e-16 (the vertex-form root it
+# replaced: 1.1e-15) and the former formula's 2.4e-12.
 W00_REL_BOUND = 4e-15
 
 
@@ -188,6 +230,21 @@ def _w00_endpoint_former(w11, w00, p0, c0):
         return 0.0
     disc = w00 * w00 + 2.0 * (w11 + w00) * (g2(p0) - c0)
     return (w00 + math.sqrt(max(disc, 0.0))) / (w11 + w00)
+
+
+def _w00_endpoint_parent(w11, w00, probs, costs):
+    """jpe_value_w00's endpoint in vertex form, with its own mask and root,
+    before it became the pooled kernel in shifted coordinates: the oracle
+    for the shifted call.  a*(p - p_sing)^2, a = (w11 + w00)/2, falls by
+    the cost; p_sing is reached at cost a*(p0 - p_sing)^2, else the end is
+    p_sing + sqrt(r/a)."""
+    p_sing = w00 / (w11 + w00)
+    a = (w11 + w00) / 2.0
+    with np.errstate(all="ignore"):
+        r = a * (probs - p_sing) ** 2 - costs
+        keep = (probs > p_sing) & (r > 0.0)
+        roots = _stable_root(a, 0.0, r[keep])
+    return float(p_sing + roots.max()) if roots.size else 0.0
 
 
 def _w00_endpoint_exact(w11, w00, p0, c0):
