@@ -7,6 +7,8 @@ individual wage w10 > 0 appears.  Agent-specific wages (discrimination)
 only help when the known action is expensive.
 """
 
+from dataclasses import astuple
+
 from teamcontracts import ActionSet, discriminatory_ipe, optimize_jpe, sweep_regimes
 
 print("=== regime sweep (rows: p0; cells: regime at c0/p0) ===")
@@ -19,7 +21,7 @@ for p0 in (0.6, 0.8, 1.0):
 print("\n=== CSV rows, as emitted by the sweep verb ===")
 print("p0,c0,w11,w10,per_agent,regime")
 for cell in sweep_regimes([1.0], [0.25, 0.5, 0.75, 0.9]):
-    print(",".join(cell.to_row()))
+    print(",".join("" if v is None else str(v) for v in astuple(cell)))
 
 print("\n=== does discrimination beat the symmetric optimum? ===")
 for c0 in (0.25, 0.75):

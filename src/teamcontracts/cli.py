@@ -24,7 +24,7 @@ import re
 import stat
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import fields
 
 import numpy as np
 
@@ -80,6 +80,15 @@ def _mode_for(path: str) -> int:
         umask = os.umask(0)
         os.umask(umask)
         return 0o666 & ~umask
+
+
+def _same_file(a: str, b: str) -> bool:
+    """Whether the paths name one file: the same file where both exist,
+    else the same resolved path."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:
+        return os.path.realpath(a) == os.path.realpath(b)
 
 
 def _write(targets) -> None:
@@ -246,7 +255,8 @@ def _emit(args, result, csv_text=None, csv_header=None, files=()) -> None:
     """Write (or print) the result with a config-echo metadata block, together
     with the ``(path, document)`` pairs ``files``.
 
-    For CSV, ``csv_text`` gives the rows' text in chunks, a line per row.
+    For CSV, ``csv_text`` gives the rows' text in chunks, a line per row;
+    only the verbs that pass it offer ``--format csv``.
     """
     # The output path is where the file lives, not part of what it records.
     config = {
@@ -255,8 +265,6 @@ def _emit(args, result, csv_text=None, csv_header=None, files=()) -> None:
         if k not in ("func", "output") and v is not None
     }
     if args.format == "csv":
-        if csv_text is None:
-            raise CliError(EXIT_VALIDATION, "this verb has no CSV representation")
         head = (f"# tool=teamcontracts version={__version__}\n"
                 + "# " + " ".join(f"{k}={_echo(v)}" for k, v in config.items()) + "\n"
                 + ",".join(csv_header) + "\n")
@@ -267,6 +275,12 @@ def _emit(args, result, csv_text=None, csv_header=None, files=()) -> None:
             "result": result,
         })
     _write([(args.output or None, chunks), *((path, _chunks(doc)) for path, doc in files)])
+
+
+def _fields(result) -> dict:
+    """A dataclass result's fields by name, the values themselves, not the
+    copies ``dataclasses.asdict`` would make of a witness's arrays."""
+    return {f.name: getattr(result, f.name) for f in fields(result)}
 
 
 def _field(obj: dict, key: str, convert=md.number):
@@ -298,6 +312,9 @@ def _parse_actions(obj) -> md.ActionSet:
 def cmd_evaluate(args) -> int:
     from . import worstcase as wc
 
+    if args.output and args.dump_game and _same_file(args.output, args.dump_game):
+        raise CliError(EXIT_VALIDATION,
+                       f"--output and --dump-game name the same file: {args.dump_game}")
     payload = _load_json(args.input)
     _require_keys(payload, {"contract", "actions"})
     contract = _parse_contract(payload["contract"])
@@ -326,12 +343,10 @@ def cmd_evaluate(args) -> int:
             "supported: zero failure wages, or w11/w00 with w10=w01=0",
         )
 
-    out = replace(res, witness=None).to_json()
+    out = {**_fields(res), "classification": cls.tag, "contract_evaluated": reduced.to_json(),
+           "reduction_applied": was_reduced}
     if res.witness is not None:
         out["witness"] = {**_actions_doc(res.witness.actions), "eps": res.witness.eps}
-    out["classification"] = cls.tag
-    out["contract_evaluated"] = reduced.to_json()
-    out["reduction_applied"] = was_reduced
     files = []
     if args.dump_game:
         base = res.witness.actions if res.witness is not None else a0
@@ -351,7 +366,7 @@ def cmd_optimize(args) -> int:
 
     a0 = _parse_actions(_load_json(args.input))
     res = opt.optimize_jpe(a0, coarse=args.grid_step, refine_rounds=args.refine)
-    _emit(args, res.to_json())
+    _emit(args, {**_fields(res), "total": 2.0 * res.per_agent})
     return EXIT_OK
 
 
@@ -402,16 +417,12 @@ def cmd_sweep(args) -> int:
         p_grid, c_grid = entries("p_grid"), entries("c_grid")
     except (TypeError, ValueError) as exc:
         raise CliError(EXIT_VALIDATION, f"bad grid: {exc}")
-    cells = opt.sweep_regimes(p_grid, c_grid, coarse=args.grid_step,
-                              refine_rounds=args.refine)
-    rows = [c.to_row() for c in cells]
-    result = [
-        {"p0": c.p0, "c0": c.c0, "w11": c.w11, "w10": c.w10,
-         "per_agent": c.per_agent, "regime": c.regime}
-        for c in cells
-    ]
-    _emit(args, {"cells": result}, csv_text=(",".join(row) + "\n" for row in rows),
-          csv_header=("p0", "c0", "w11", "w10", "per_agent", "regime"))
+    cells = [_fields(c) for c in opt.sweep_regimes(p_grid, c_grid, coarse=args.grid_step,
+                                                   refine_rounds=args.refine)]
+    # str of a float is its repr; a missing wage or value is an empty field
+    rows = (",".join("" if v is None else str(v) for v in c.values()) + "\n" for c in cells)
+    _emit(args, {"cells": cells}, csv_text=rows,
+          csv_header=[f.name for f in fields(opt.SweepCell)])
     return EXIT_OK
 
 
@@ -420,7 +431,9 @@ def cmd_discriminate(args) -> int:
 
     a0 = _parse_actions(_load_json(args.input))
     res = opt.discriminatory_ipe(a0, grid=args.grid_step)
-    _emit(args, res.to_json())
+    c1, p1, p2 = res.inner_witness
+    _emit(args, {**_fields(res), "inner_witness": {"c1": c1, "p1": p1, "p2": p2},
+                 "value_per_agent": res.value_total / 2.0})
     return EXIT_OK
 
 
@@ -523,9 +536,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p):
+    def common(p, formats=("json",)):
         p.add_argument("--output", help="write result here (default: stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.add_argument("--format", choices=formats, default="json")
 
     p = sub.add_parser("evaluate", help="worst-case value of a contract on a known set")
     p.add_argument("--input", required=True, help='JSON {"contract":..., "actions":...}')
@@ -546,14 +559,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, help="chain length", type=_checked(
         int, lambda n: 1 <= n <= md.MAX_WITNESS_CHAIN, f"in [1, {md.MAX_WITNESS_CHAIN}]"))
     p.add_argument("--rho", type=_non_negative, help="override the rounding margin")
-    common(p)
+    common(p, ("json", "csv"))
     p.set_defaults(func=cmd_adversary)
 
     p = sub.add_parser("sweep", help="optimal wages over a (p0, c0) grid")
     p.add_argument("--input", required=True, help='JSON {"p_grid":..., "c_grid":...}')
     p.add_argument("--grid-step", type=_positive, default=1e-2)
     p.add_argument("--refine", type=_count, default=3)
-    common(p)
+    common(p, ("json", "csv"))
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("discriminate", help="agent-specific success wages max-min")

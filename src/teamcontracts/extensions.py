@@ -7,6 +7,7 @@ neither."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ContractPatternError
@@ -25,10 +26,12 @@ class MultiAgentContract:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("need at least two agents")
-        if self.w0 < 0.0:
-            raise ValueError("base wage must be non-negative")
-        if self.b <= 0.0:
-            raise ValueError("bonus factor must be positive")
+        if not 0.0 <= self.w0 < math.inf:  # also rejects NaN
+            raise ValueError(f"w0 must be finite and >= 0, got {self.w0}")
+        if not 0.0 < self.b < math.inf:
+            raise ValueError(f"b must be finite and > 0, got {self.b}")
+        if not self.w0 + self.b < math.inf:
+            raise ValueError(f"w0 + b must be finite, got {self.w0 + self.b}")
 
     def two_agent_equivalent(self) -> Contract:
         return Contract(self.w0 + self.b, self.w0, 0.0, 0.0)
@@ -69,8 +72,6 @@ ZERO = "ZERO"
 IPE_MIXED = "IPE_MIXED"
 IPE_ALWAYS_A0 = "IPE_ALWAYS_A0"
 JPE_SCHEME = "JPE"
-
-BAYES_SCHEMES = (ZERO, IPE_MIXED, IPE_ALWAYS_A0, JPE_SCHEME)
 
 
 def jpe_team_bonus(env: BayesianEnv, w0: float) -> float:

@@ -71,17 +71,6 @@ class OptimizationResult:
     refined: bool
     regime: str
 
-    def to_json(self) -> dict:
-        return {
-            "w11": self.w11,
-            "w10": self.w10,
-            "per_agent": self.per_agent,
-            "total": 2.0 * self.per_agent,
-            "grid_step": self.grid_step,
-            "refined": self.refined,
-            "regime": self.regime,
-        }
-
 
 def _grid_intervals(step: float, work, cap: int, unit: str) -> int:
     """Number of intervals of a grid of step ``step`` on [0, 1], refusing
@@ -208,13 +197,6 @@ class SweepCell:
     per_agent: float | None
     regime: str
 
-    def to_row(self) -> list[str]:
-        def fmt(x):
-            return "" if x is None else repr(x)
-
-        return [repr(self.p0), repr(self.c0), fmt(self.w11), fmt(self.w10),
-                fmt(self.per_agent), self.regime]
-
 
 def sweep_regimes(
     p_grid, c_grid, coarse: float = 1e-2, refine_rounds: int = 3
@@ -243,16 +225,6 @@ class DiscriminatoryResult:
     w2: float
     inner_witness: tuple[float, float, float]  # (c1, p1, p2)
     value_total: float
-
-    def to_json(self) -> dict:
-        c1, p1, p2 = self.inner_witness
-        return {
-            "w1": self.w1,
-            "w2": self.w2,
-            "inner_witness": {"c1": c1, "p1": p1, "p2": p2},
-            "value_total": self.value_total,
-            "value_per_agent": self.value_total / 2.0,
-        }
 
 
 # The inner LP's candidate vertices: each pair of its nine lines, in this

@@ -76,18 +76,6 @@ class WorstCaseResult:
     binding: str
     witness: Witness | None = None
 
-    def to_json(self) -> dict:
-        out = {
-            "pbar": self.pbar,
-            "per_agent": self.per_agent,
-            "total": self.total,
-            "binding": self.binding,
-            "witness": None,
-        }
-        if self.witness is not None:
-            out["witness"] = {**self.witness.actions.to_json(), "eps": self.witness.eps}
-        return out
-
 
 def _stable_root(a, b, r):
     """Root ``2r/(b + sqrt(b*b + 4*a*r))`` of ``a*p^2 + b*p = r`` for b >= 0:

@@ -450,9 +450,70 @@ class TestAdversary:
         res = wc.jpe_value(contract, ActionSet.from_json(A0_JSON), with_witness=True,
                            witness_eps=5e-5)
         assert len(res.witness.actions) == self.N + 1
-        result = {**res.to_json(), "classification": "JPE",
-                  "contract_evaluated": contract.to_json(), "reduction_applied": False}
+        result = {"pbar": res.pbar, "per_agent": res.per_agent, "total": res.total,
+                  "binding": res.binding,
+                  "witness": {**res.witness.actions.to_json(), "eps": res.witness.eps},
+                  "classification": "JPE", "contract_evaluated": contract.to_json(),
+                  "reduction_applied": False}
         assert self.run(tmp_path, capsys, argv, to_file) == self.former_json(argv, result)
+
+
+class TestDocuments:
+    """The optimize, discriminate and evaluate documents of the running
+    example, byte for byte as the result dataclasses' former ``to_json``
+    methods wrote them (files under ``tests/documents``)."""
+
+    CONTRACTS = {"JPE": (0.6, 0.0, 0.0, 0.0), "RPE": (0.2, 0.6, 0.0, 0.0),
+                 "IPE": (0.5, 0.5, 0.0, 0.0), "W00": (0.6, 0.0, 0.0, 0.1)}
+
+    @pytest.mark.parametrize("name, argv", [
+        ("optimize", ["optimize", "--input", "a0.json"]),
+        ("discriminate", ["discriminate", "--input", "a0.json"]),
+        *((f"evaluate-{p}", ["evaluate", "--input", f"{p}.json", "--eps", "0.05"])
+          for p in CONTRACTS),
+    ])
+    def test_document_is_unchanged(self, tmp_path, monkeypatch, capsys, name, argv):
+        want = (Path(__file__).parent / "documents" / f"{name}.json").read_text()
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path, "a0.json", A0_JSON)
+        for pattern, wages in self.CONTRACTS.items():
+            write(tmp_path, f"{pattern}.json", {
+                "contract": dict(zip(("w11", "w10", "w01", "w00"), wages)),
+                "actions": A0_JSON})
+        assert main(argv) == 0
+        assert capsys.readouterr().out == want
+
+
+class TestFormatChoices:
+    """Only adversary and sweep write CSV; the other verbs refuse --format csv
+    when the arguments are parsed, before the input is read."""
+
+    @pytest.mark.parametrize("verb, solver", [
+        ("evaluate", "worstcase.jpe_value"),
+        ("optimize", "optimize.optimize_jpe"),
+        ("discriminate", "optimize.discriminatory_ipe"),
+        ("bayes", "extensions.bayesian_eval"),
+        ("multi", "extensions.multi_agent_value"),
+        ("asym", "extensions.asym_unknown_value"),
+    ])
+    def test_json_only_verb_refuses_csv_before_solving(self, tmp_path, capsys, monkeypatch,
+                                                      verb, solver):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{solver} called")
+
+        monkeypatch.setattr(f"teamcontracts.{solver}", refuse)
+        inp = write(tmp_path, "in.json", {
+            "evaluate": JPE_JSON, "optimize": A0_JSON, "discriminate": A0_JSON,
+            "bayes": {"mu": 0.9, "p0": 1.0, "c0": 0.25, "p_star": 0.5},
+            "multi": {"n": 3, "w0": 0.4, "b": 0.1, "actions": A0_JSON},
+            "asym": {"contract": JPE_JSON["contract"], "a0": {"cost": 0.25, "prob": 1.0}},
+        }[verb])
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as exc:
+            main([verb, "--input", inp, "--format", "csv", "--output", str(out)])
+        assert exc.value.code == 2
+        assert "argument --format: invalid choice: 'csv'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSweepDeterminism:
@@ -466,6 +527,23 @@ class TestSweepDeterminism:
         assert out1.read_bytes() == out2.read_bytes()
         header = out1.read_text().splitlines()[2]
         assert header == "p0,c0,w11,w10,per_agent,regime"
+
+    def test_json_cells_and_csv_rows_agree(self, tmp_path):
+        # three feasible cells and one INFEASIBLE (c0 >= p0)
+        inp = write(tmp_path, "grid.json", {"p_grid": [0.8, 1.0], "c_grid": [0.2, 0.9]})
+        js, cs = tmp_path / "s.json", tmp_path / "s.csv"
+        assert main(["sweep", "--input", inp, "--refine", "1", "--output", str(js)]) == 0
+        assert main(["sweep", "--input", inp, "--refine", "1", "--output", str(cs),
+                     "--format", "csv"]) == 0
+        cells = read_result(js)["cells"]
+        lines = cs.read_text().splitlines()
+        assert lines[2] == "p0,c0,w11,w10,per_agent,regime"
+        assert [c["regime"] for c in cells].count("INFEASIBLE") == 1
+        assert [list(c) for c in cells] == [sorted(lines[2].split(","))] * 4
+        for cell, line in zip(cells, lines[3:], strict=True):
+            row = dict(zip(lines[2].split(","), line.split(","), strict=True))
+            assert row.pop("regime") == cell.pop("regime")
+            assert {k: float(v) if v else None for k, v in row.items()} == cell
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("text, message", [
@@ -560,6 +638,16 @@ class TestBayesMultiAsym:
         out = tmp_path / "m-out.json"
         assert main(["multi", "--input", inp, "--output", str(out)]) == 0
         assert read_result(out)["n"] == 3
+
+    @pytest.mark.parametrize("w0, b, message", [
+        (math.nan, 0.1, "w0 must be finite and >= 0, got nan"),
+        (0.4, math.inf, "b must be finite and > 0, got inf"),
+        (1e308, 1e308, "w0 + b must be finite, got inf"),
+    ], ids=["nan-w0", "inf-b", "overflowing-sum"])
+    def test_multi_names_the_refused_field(self, tmp_path, capsys, w0, b, message):
+        inp = write(tmp_path, "m.json", {"n": 3, "w0": w0, "b": b, "actions": A0_JSON})
+        assert main(["multi", "--input", inp]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_multi_refuses_fractional_count(self, tmp_path, capsys):
         inp = write(tmp_path, "m.json", {"n": 2.9, "w0": 0.4, "b": 0.1, "actions": A0_JSON})
@@ -793,6 +881,26 @@ class TestUnwritableOutput:
         assert not ok.exists()
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(  # no temp file left
             ["in.json"] + (["missing"] if failing == "dump-dir" else []))
+
+    @pytest.mark.parametrize("link", [None, os.symlink, os.link],
+                             ids=["new", "symlink", "hardlink"])
+    def test_output_and_dump_naming_one_file_exit_2_first(self, tmp_path, capsys, monkeypatch,
+                                                          link):
+        # each file is renamed into place, so the dump would replace the result;
+        # the refusal comes before the (here missing) input is read
+        monkeypatch.chdir(tmp_path)
+        out, dump = "F.json", "./F.json"
+        if link is not None:
+            Path(out).write_text("{}")
+            dump = "L.json"
+            link(out, dump)
+        before = sorted(tmp_path.iterdir())
+        assert main(["evaluate", "--input", "missing.json", "--output", out,
+                     "--dump-game", dump]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: --output and --dump-game name the same file: {dump}\n")
+        assert sorted(tmp_path.iterdir()) == before
+        assert link is None or Path(out).read_text() == "{}"
 
     def test_dump_failing_after_its_temp_file_prints_nothing(self, tmp_path, capsys,
                                                              monkeypatch):

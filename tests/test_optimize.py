@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -18,6 +19,7 @@ from teamcontracts import (
     optimize_jpe,
     sweep_regimes,
 )
+from teamcontracts.cli import main
 from teamcontracts.optimize import (
     IC_TOL,
     _BLOCK_CELLS,
@@ -214,11 +216,13 @@ class TestOptimizeJpe:
             sweep_regimes([1.0], [0.25], refine_rounds=15)
         assert optimize_jpe(A0, refine_rounds=10).regime == "POOLED"
 
-    def test_default_refinement_is_unchanged(self):
-        assert repr(optimize_jpe(A0).to_json()) == repr({
-            "w11": 0.66666, "w10": 0.0, "per_agent": 0.3333324998687473,
-            "total": 0.6666649997374946, "grid_step": 1e-05, "refined": True,
-            "regime": "POOLED"})
+    def test_default_refinement_is_unchanged(self, tmp_path, capsys):
+        inp = tmp_path / "a0.json"
+        inp.write_text(json.dumps(A0.to_json()))
+        assert main(["optimize", "--input", str(inp)]) == 0
+        assert repr(json.loads(capsys.readouterr().out)["result"]) == repr({
+            "grid_step": 1e-05, "per_agent": 0.3333324998687473, "refined": True,
+            "regime": "POOLED", "total": 0.6666649997374946, "w10": 0.0, "w11": 0.66666})
 
 
 class TestCalibrationWitness:
@@ -252,9 +256,11 @@ class TestSweep:
         assert bad[0].regime == "INFEASIBLE"
         assert bad[0].w11 is None
 
-    def test_rows_are_stable(self):
-        cells = sweep_regimes([0.8], [0.2], refine_rounds=1)
-        row = cells[0].to_row()
+    def test_rows_are_stable(self, tmp_path, capsys):
+        inp = tmp_path / "grid.json"
+        inp.write_text(json.dumps({"p_grid": [0.8], "c_grid": [0.2]}))
+        assert main(["sweep", "--input", str(inp), "--refine", "1", "--format", "csv"]) == 0
+        row = capsys.readouterr().out.splitlines()[3].split(",")
         assert row[0] == "0.8" and row[1] == "0.2"
         assert row[5] in ("POOLED", "MIXED")
 
