@@ -99,20 +99,32 @@ def _write(targets) -> None:
     them; the files are renamed into place only once all are complete.  So a
     failure leaves none of them and prints nothing.  The ``OSError`` of a
     write is a validation error naming where it went.
+
+    A symlink is written through: the temp file goes beside the file it
+    resolves to, and replaces that file, not the link.  An existing target
+    that is not a regular file, such as a FIFO or a device, is written in
+    place, with no temp file or rename, so it stays what it is; a later
+    failure cannot take back what it was sent.
     """
     targets = sorted(targets, key=lambda target: target[0] is None)
-    files = [path for path, _ in targets if path is not None]
-    temps = []
+    temps = {}  # path -> (temp file, resolved path)
     try:
-        for where in files:
-            if os.path.isdir(where):  # the one target os.replace would refuse at the end
+        for where, _ in targets:
+            if where is None:
+                continue
+            real = os.path.realpath(where)
+            try:
+                mode = os.stat(real).st_mode
+            except FileNotFoundError:
+                mode = None
+            if mode is not None and stat.S_ISDIR(mode):  # os.replace would refuse it at the end
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(where)),
-                                       prefix=".tmp-teamcontracts-")
-            temps.append(tmp)
+            if mode is not None and not stat.S_ISREG(mode):
+                continue
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(real), prefix=".tmp-teamcontracts-")
+            temps[where] = tmp, real
             os.close(fd)
-            os.chmod(tmp, _mode_for(where))
-        names = iter(temps)
+            os.chmod(tmp, _mode_for(real))
         for path, chunks in targets:
             where = path or "<stdout>"
             if path is None:
@@ -127,14 +139,15 @@ def _write(targets) -> None:
                     os.close(null)
                     raise
             else:
-                with open(next(names), "w", encoding="utf-8", newline="\n") as fh:
+                dest = temps[path][0] if path in temps else os.path.realpath(path)
+                with open(dest, "w", encoding="utf-8", newline="\n") as fh:
                     fh.writelines(chunks)
-        for where, tmp in zip(files, temps):
-            os.replace(tmp, where)
+        for tmp, real in temps.values():
+            os.replace(tmp, real)
     except OSError as exc:
         raise CliError(EXIT_VALIDATION, f"cannot write {where}: {exc.strerror or exc}")
     finally:
-        for tmp in temps:
+        for tmp, _ in temps.values():
             if os.path.exists(tmp):
                 os.unlink(tmp)
 
@@ -496,13 +509,12 @@ def cmd_selftest(args) -> int:
 
     results = st.run_all(seed=args.seed, quick=args.quick)
     width = max(len(r.name) for r in results)
-    ok = True
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        print(f"[{status}] {r.name:<{width}}  {r.detail}")
-        ok = ok and r.passed
-    print(f"selftest: {'all suites passed' if ok else 'FAILURES detected'} "
-          f"(seed={args.seed}, quick={args.quick})")
+    ok = all(r.passed for r in results)
+    lines = [f"[{'PASS' if r.passed else 'FAIL'}] {r.name:<{width}}  {r.detail}\n"
+             for r in results]
+    lines.append(f"selftest: {'all suites passed' if ok else 'FAILURES detected'} "
+                 f"(seed={args.seed}, quick={args.quick})\n")
+    _write([(None, lines)])
     return EXIT_OK if ok else EXIT_NONCONVERGENCE
 
 

@@ -2,8 +2,9 @@
 
 Everything here is driven by an explicit seed so runs are reproducible.
 The quadrature routine integrates the undercut dynamics by fixed-step
-Runge-Kutta and exists purely to cross-check the closed forms; production
-code never integrates numerically.
+Runge-Kutta in the wage denominator u = w10 + (w11 - w10)*p, and exists
+purely to cross-check the closed forms; production code never integrates
+numerically.
 """
 
 from __future__ import annotations
@@ -31,31 +32,59 @@ def ode_quadrature(w11, w10, p0, budget, steps: int = 1_000_000):
     along the path; results with small d_min approach the singular regime
     and should not be trusted to tight tolerances.
 
-    No slope is positive, so no step moves p with the sign of the budget:
-    p is monotone along the path, and so, in floating point too, is the
-    affine denominator w10 + gap*p, whose smallest value is at one end.
+    The integration runs in the wage denominator u = w10 + gap*p, gap =
+    w11 - w10, where the dynamics read du/dt = -gap/u.  Runge-Kutta methods
+    commute with affine changes of variable, so these are the iterates of
+    RK4 in p up to rounding, for 14 ufunc calls a step instead of 29.  With
+    a = -h*gap/2 and stage quantities q_i = a/x_i, the stage points are u,
+    u + q1, u + q2 and u + 2*q3, and the step is (q1 + 2q2 + 2q3 + q4)/3.
+
+    While every stage point is positive, every q_i is negative and u falls,
+    so d_min = min(u0, u_end).  A stage point at or below zero is the
+    singularity crossed; d_min is -inf wherever a step raised u, so such a
+    path is never kept.  A path that ends at u >= d and never rose had u >= d
+    at every step, and where h*gap/2 <= d*d/4 each of its stage points is
+    at least u/4: no path kept at d has crossed.
+
+    Raises ValueError unless every input is finite, gap > 0 and budget >= 0.
     """
     w11 = np.atleast_1d(np.asarray(w11, dtype=float))
     w10, p0, budget = (np.broadcast_to(np.asarray(a, dtype=float), w11.shape).copy()
                        for a in (w10, p0, budget))
-    gap = w11 - w10
-    p = p0.copy()
-    h = budget / steps
+    if not all(np.isfinite(x).all() for x in (w11, w10, p0, budget)):
+        raise ValueError("ode_quadrature needs finite inputs")
+    if not (w11 > w10).all() or not (budget >= 0.0).all():
+        raise ValueError("ode_quadrature needs w11 > w10 and budget >= 0")
+    if steps < 1:
+        raise ValueError(f"ode_quadrature needs steps >= 1, got {steps}")
 
-    # np.maximum gives np.clip's bits at a fraction of its call overhead, and
-    # the hoisted products are the ones the expressions evaluated left to right.
-    half_h, sixth_h = 0.5 * h, h / 6.0
-
-    def f(x):
-        return -1.0 / np.maximum(w10 + gap * x, 1e-300)
-
-    for _ in range(steps):
-        k1 = f(p)
-        k2 = f(p + half_h * k1)
-        k3 = f(p + half_h * k2)
-        k4 = f(p + h * k3)
-        p = p + sixth_h * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return p, np.minimum(w10 + gap * p0, w10 + gap * p)
+    div, add, maximum = np.divide, np.add, np.maximum
+    with np.errstate(all="ignore"):
+        gap = w11 - w10
+        u0 = w10 + gap * p0
+        u = u0.copy()
+        a = -0.5 * (budget / steps) * gap
+        two_a = 2.0 * a  # (2a)/x is 2*(a/x) exactly: the 2*q3 of the last stage point
+        q1, q2, q3, x = (np.empty_like(u) for _ in range(4))
+        rise = np.full_like(u, -np.inf)
+        for _ in range(steps):
+            div(a, u, out=q1)
+            add(u, q1, out=x)
+            div(a, x, out=q2)
+            add(u, q2, out=x)
+            div(two_a, x, out=q3)
+            add(u, q3, out=x)
+            div(a, x, out=x)
+            add(q2, q2, out=q2)
+            add(q2, q1, out=q2)
+            add(q2, q3, out=q2)
+            add(q2, x, out=q2)
+            div(q2, 3.0, out=q2)
+            add(u, q2, out=u)
+            maximum(rise, q2, out=rise)
+        p_end = (u - w10) / gap
+        d_min = np.where(rise <= 0.0, np.minimum(u0, u), -np.inf)
+    return p_end, d_min
 
 
 # ---------------------------------------------------------------------------

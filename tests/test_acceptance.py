@@ -17,10 +17,10 @@ from teamcontracts.selftest import (
     draw_known_set,
     draw_rpe,
     draw_superset,
-    ode_quadrature,
 )
 
 from dense_game import dense_agent_payoffs, dense_enumerate_equilibria, dense_verify_profile
+from rk4_oracle import ode_quadrature_p
 
 A0 = tc.ActionSet.from_pairs([(0.25, 1.0)])
 TARGET = tc.ActionSpec(0.25, 1.0)
@@ -263,7 +263,7 @@ def test_c15_closed_form_vs_quadrature():
     p0 = rng.uniform(0.3, 1.0, n_cand)
     t_zero = w10 * p0 + gap * p0 * p0 / 2.0
     c0 = t_zero * rng.uniform(0.1, 0.85, n_cand)
-    p_num, d_min = ode_quadrature(w11, w10, p0, c0, steps=1_000_000)
+    p_num, d_min = ode_quadrature_p(w11, w10, p0, c0, steps=1_000_000)
     keep = np.flatnonzero(d_min >= 0.02)[:200]
     assert len(keep) == 200
     worst = 0.0

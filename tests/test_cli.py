@@ -5,6 +5,7 @@ import os
 import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -796,8 +797,8 @@ class TestGridCaps:
 class TestSelftestVerb:
     def test_quick_suite_passes(self, capsys):
         assert main(["selftest", "--quick", "--seed", "0"]) == 0
-        out = capsys.readouterr().out
-        assert "[PASS]" in out and "[FAIL]" not in out
+        want = (Path(__file__).parent / "documents" / "selftest-quick.txt").read_text()
+        assert capsys.readouterr() == (want, "")
 
     def test_negative_seed_exits_2_naming_the_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -811,6 +812,53 @@ class TestSelftestVerb:
             main(["optimize", "--input", inp, "--seed", "3"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+
+class TestSpecialTargets:
+    """A symlink named by --output or --dump-game is written through and
+    stays a link; a FIFO is written in place and stays a FIFO."""
+
+    @pytest.mark.parametrize("exists", [True, False], ids=["file", "dangling"])
+    @pytest.mark.parametrize("flag", ["--output", "--dump-game"])
+    def test_symlink_is_written_through(self, tmp_path, capsys, flag, exists):
+        inp = write(tmp_path, "in.json", JPE_JSON)
+        args = ["evaluate", "--input", inp, "--eps", "0.05"]
+        plain = tmp_path / "plain.json"
+        assert main([*args, flag, str(plain)]) == 0
+        want = plain.read_text()
+        (tmp_path / "real").mkdir()
+        real, link = tmp_path / "real" / "target.json", tmp_path / "link.json"
+        if exists:
+            real.write_text("{}")
+            real.chmod(0o640)
+        link.symlink_to(real)
+        assert main([*args, flag, str(link)]) == 0
+        assert real.read_text() == want
+        assert link.is_symlink() and link.resolve() == real
+        assert not exists or stat.S_IMODE(real.stat().st_mode) == 0o640
+        assert [p.name for p in real.parent.iterdir()] == ["target.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "in.json", "link.json", "plain.json", "real"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("flag", ["--output", "--dump-game"])
+    def test_fifo_is_written_in_place(self, tmp_path, capsys, flag):
+        inp = write(tmp_path, "in.json", JPE_JSON)
+        args = ["evaluate", "--input", inp, "--eps", "0.05"]
+        plain = tmp_path / "plain.json"
+        assert main([*args, flag, str(plain)]) == 0
+        want = plain.read_text()
+        capsys.readouterr()
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+        reader.start()
+        assert main([*args, flag, str(fifo)]) == 0
+        reader.join(timeout=60)
+        assert not reader.is_alive() and got == [want]
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.json", "pipe", "plain.json"]
 
 
 class TestNumericFlags:
@@ -920,14 +968,16 @@ class TestUnwritableOutput:
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
     @pytest.mark.parametrize("unbuffered", ["", "1"])
-    @pytest.mark.parametrize("verb", ["optimize", "adversary"])
+    @pytest.mark.parametrize("verb", ["optimize", "adversary", "selftest"])
     def test_full_stdout_exits_2(self, tmp_path, verb, unbuffered):
         # buffered stdout keeps what it failed to write, and the interpreter
         # flushes it again at exit; the adversary chain overflows the buffer
         if verb == "optimize":
             argv = ["optimize", "--input", write(tmp_path, "in.json", A0_JSON)]
-        else:
+        elif verb == "adversary":
             argv = ["adversary", "--input", write(tmp_path, "in.json", JPE_JSON), "--n", "5000"]
+        else:
+            argv = ["selftest", "--quick"]
         path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)),
                "PYTHONUNBUFFERED": unbuffered}

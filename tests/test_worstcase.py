@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from dataclasses import astuple
 from decimal import Decimal, localcontext
 
@@ -35,6 +36,8 @@ from teamcontracts.worstcase import (
     best_known_solution,
     pbar_grid,
 )
+
+from rk4_oracle import ode_quadrature_p
 
 A0 = ActionSet.from_pairs([(0.25, 1.0)])
 TARGET = ActionSpec(0.25, 1.0)
@@ -571,7 +574,7 @@ class TestLowerBoundAndQuadrature:
         p0 = rng.uniform(0.3, 1.0, n)
         t_zero = w10 * p0 + gap * p0 * p0 / 2
         c0 = t_zero * rng.uniform(0.1, 0.85, n)
-        p_num, d_min = ode_quadrature(w10 + gap, w10, p0, c0, steps=100_000)
+        p_num, d_min = ode_quadrature_p(w10 + gap, w10, p0, c0, steps=100_000)
         checked = 0
         for k in range(n):
             if d_min[k] < 0.02:
@@ -621,7 +624,7 @@ class TestCalibrationLimits:
 
 
 def _rk4_reference(w11, w10, p0, budget, steps):
-    """ode_quadrature's loop as first written, kept as the bitwise reference."""
+    """ode_quadrature_p's loop as first written, kept as the bitwise reference."""
     w11 = np.atleast_1d(np.asarray(w11, dtype=float))
     w10, p0, budget = (np.broadcast_to(np.asarray(a, dtype=float), w11.shape).copy()
                        for a in (w10, p0, budget))
@@ -684,7 +687,7 @@ def ode_quadrature_w00(w11, w00, p0, budget, steps: int = 200_000):
     sing_tol = 1e-7
     frozen = (p * w11 - (1.0 - p) * w00) <= sing_tol
 
-    half_h, sixth_h = 0.5 * h, h / 6.0  # as in selftest.ode_quadrature
+    half_h, sixth_h = 0.5 * h, h / 6.0  # as in rk4_oracle.ode_quadrature_p
 
     def f(x):
         return -1.0 / np.maximum(x * w11 - (1.0 - x) * w00, sing_tol)
@@ -711,7 +714,7 @@ class TestQuadratureBits:
         p0 = np.concatenate([[0.5, 1.0], rng.uniform(0.3, 1.0, 30)])
         # budgets up to and past the collapse point, where the clamp acts
         budget = (w10 * p0 + (w11 - w10) * p0 * p0 / 2) * rng.uniform(0.1, 1.2, 32)
-        got = ode_quadrature(w11, w10, p0, budget, steps=2000)
+        got = ode_quadrature_p(w11, w10, p0, budget, steps=2000)
         want = _rk4_reference(w11, w10, p0, budget, steps=2000)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
@@ -724,7 +727,7 @@ class TestQuadratureBits:
         gap = rng.uniform(-1.0, 1.0, n) * rng.choice([0.0, 1e-9, 1.0, 5.0], n)
         p0 = rng.uniform(-0.5, 1.2, n)
         budget = rng.uniform(-2.0, 2.0, n) * rng.choice([0.0, 1e-5, 1.0, 1e3], n)
-        got = ode_quadrature(w10 + gap, w10, p0, budget, steps=400)
+        got = ode_quadrature_p(w10 + gap, w10, p0, budget, steps=400)
         want = _rk4_reference(w10 + gap, w10, p0, budget, steps=400)
         assert np.count_nonzero(want[1] <= 0.0) > n // 10
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
@@ -738,6 +741,71 @@ class TestQuadratureBits:
         got = ode_quadrature_w00(w11, w00, p0, budget, steps=2000)
         want = _rk4_w00_reference(w11, w00, p0, budget, steps=2000)
         assert np.array_equal(got, want)
+
+
+def _suite_draws(seed, n, budget_hi):
+    """Instances of ``suite_quadrature``'s domain, budgets up to ``budget_hi``
+    times the collapse point."""
+    rng = np.random.default_rng(seed)
+    w10 = rng.uniform(0.0, 0.7, n)
+    gap = rng.uniform(0.05, 1.0, n)
+    p0 = rng.uniform(0.3, 1.0, n)
+    t_zero = w10 * p0 + gap * p0 * p0 / 2
+    return w10 + gap, w10, p0, t_zero * rng.uniform(0.1, budget_hi, n)
+
+
+class TestQuadratureCoordinates:
+    """``ode_quadrature`` integrates in the wage denominator; the p-form in
+    ``rk4_oracle`` is its oracle."""
+
+    @pytest.mark.parametrize("steps", [400, 4000])
+    def test_keeps_what_the_p_form_keeps(self, steps):
+        w11, w10, p0, budget = _suite_draws(41, 400, 1.3)
+        p_u, d_u = ode_quadrature(w11, w10, p0, budget, steps)
+        p_p, d_p = ode_quadrature_p(w11, w10, p0, budget, steps)
+        kept = d_p >= 0.02
+        assert np.array_equal(d_u >= 0.02, kept)
+        assert 0 < np.count_nonzero(~kept) < 400 // 4  # past the collapse point
+        assert np.abs(p_u[kept] - p_p[kept]).max() <= 1e-12
+        assert np.abs(d_u[kept] - d_p[kept]).max() <= 1e-12
+
+    def test_matches_the_closed_form_as_the_suite_checks_it(self):
+        w11, w10, p0, budget = _suite_draws(31, 60, 0.85)
+        p_num, d_min = ode_quadrature(w11, w10, p0, budget, steps=100_000)
+        kept = np.flatnonzero(d_min >= 0.02)
+        assert len(kept) >= 40
+        for k in kept:
+            closed = pbar_closed_form(w11[k], w10[k], ActionSpec(budget[k], p0[k])).p_end
+            assert abs(closed - p_num[k]) <= 1e-6
+
+    def test_a_path_past_its_singularity_is_never_kept(self):
+        # budgets at and far past the collapse point, then paths that start
+        # at and below the singularity
+        w11, w10 = np.array([0.6, 0.6, 0.6, 0.6]), np.array([0.0, 0.0, 0.0, 0.2])
+        p0, budget = np.array([1.0, 1.0, 0.0, -0.5]), np.array([0.3, 10.0, 0.1, 0.1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, d_min = ode_quadrature(w11, w10, p0, budget, steps=50)
+        assert 0.0 < d_min[0] < 0.02
+        assert np.isneginf(d_min[1:]).all()
+
+    def test_zero_budget_stays_put(self):
+        p_end, d_min = ode_quadrature(0.7, 0.1, 0.8, 0.0, steps=10)
+        assert p_end[0] == pytest.approx(0.8, abs=1e-15)
+        assert d_min[0] == 0.1 + (0.7 - 0.1) * 0.8
+
+    @pytest.mark.parametrize("w11, w10, p0, budget", [
+        (0.5, 0.5, 1.0, 0.1),
+        (0.4, 0.5, 1.0, 0.1),
+        (0.6, 0.0, 1.0, -1e-9),
+        (math.nan, 0.0, 1.0, 0.1),
+        (0.6, -math.inf, 1.0, 0.1),
+        (0.6, 0.0, math.inf, 0.1),
+        (0.6, 0.0, 1.0, math.nan),
+    ])
+    def test_refuses_inputs_outside_its_domain(self, w11, w10, p0, budget):
+        with pytest.raises(ValueError, match="^ode_quadrature needs "):
+            ode_quadrature(w11, w10, p0, budget, steps=10)
 
 
 def _pbar_closed_form_reference(w11, w10, a0):
