@@ -23,6 +23,7 @@ from teamcontracts import (
     jpe_value,
     optimize_jpe,
     pbar_closed_form,
+    worst_case,
 )
 
 a0 = ActionSpec(0.25, 1.0)
@@ -55,7 +56,7 @@ opt = optimize_jpe(known)
 print(f"w11 = {opt.w11:.5f}, w10 = {opt.w10:.5f} ({opt.regime}), "
       f"{opt.per_agent:.5f} per agent")
 best = Contract(opt.w11, opt.w10, 0.0, 0.0)
-res = jpe_value(best, known, with_witness=True)
+res = worst_case(best, known)
 print(f"floor pbar = {res.pbar:.5f}; binding branch {res.binding}")
 print(f"witness chain of {len(res.witness.actions) - 1} undercuts at "
       f"eps = {res.witness.eps}")

@@ -83,6 +83,7 @@ _EXPORTS = {
         "jpe_value_w00",
         "pbar_closed_form",
         "rpe_value",
+        "worst_case",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -335,29 +335,9 @@ def cmd_evaluate(args) -> int:
     eps = args.eps if args.eps is not None else wc.DEFAULT_WITNESS_EPS
 
     reduced = md.reduce_failure_wages(contract)
-    was_reduced = reduced != contract
-    cls = md.classify(reduced)
-    w11, w10, w01, w00 = reduced.as_tuple()
-
-    if w01 == 0.0 and w00 == 0.0:
-        if w11 > w10:
-            res = wc.jpe_value(reduced, a0, with_witness=True, witness_eps=eps)
-        elif w11 < w10:
-            res = wc.rpe_value(reduced, a0, with_witness=True, witness_eps=eps)
-        else:
-            res = wc.ipe_value(w11, a0, with_witness=True, witness_eps=eps)
-    elif w10 == 0.0 and w01 == 0.0 and w11 > 0.0:
-        res = wc.jpe_value_w00(reduced, a0)
-    else:
-        raise CliError(
-            EXIT_VALIDATION,
-            "worst-case evaluation is not defined for this wage pattern "
-            f"even after reduction (class {cls.tag}); "
-            "supported: zero failure wages, or w11/w00 with w10=w01=0",
-        )
-
-    out = {**_fields(res), "classification": cls.tag, "contract_evaluated": reduced.to_json(),
-           "reduction_applied": was_reduced}
+    res = wc.worst_case(reduced, a0, eps)
+    out = {**_fields(res), "classification": md.classify(reduced).tag,
+           "contract_evaluated": reduced.to_json(), "reduction_applied": reduced != contract}
     if res.witness is not None:
         out["witness"] = {**_actions_doc(res.witness.actions), "eps": res.witness.eps}
     files = []

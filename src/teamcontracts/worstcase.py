@@ -21,6 +21,9 @@ one to zero.  ``pbar_closed_form`` and ``best_known_solution`` make one
 kernel call over their targets, ``pbar_grid`` one per known target, and
 ``jpe_value_w00`` one over its targets shifted to its singularity.
 
+``worst_case`` is the one place that picks the value for a wage pattern and
+builds the witness attaining it; the ``*_value`` functions compute values only.
+
 Only chain verification and ``AdversarySet.unique_equilibrium`` build a
 game, and they import ``game`` when they run, so a process that never
 verifies a chain does not load it.
@@ -35,7 +38,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ContractPatternError
-from .model import MAX_WITNESS_CHAIN, ActionSet, ActionSpec, Contract, check_known_assumptions
+from .model import (MAX_WITNESS_CHAIN, ActionSet, ActionSpec, Contract, check_known_assumptions,
+                    classify)
 
 FULL_SUCCESS = "FULL_SUCCESS"
 SHIRK_EQ = "SHIRK_EQ"
@@ -159,16 +163,11 @@ def shirk_branch(pbar, w11, w10):
     return pbar * (pbar * (1.0 - w11) + (1.0 - pbar) * (1.0 - w10))
 
 
-def _min_branch(pbar: float, full: float, shirk: float, a0_set: ActionSet,
-                with_witness: bool) -> WorstCaseResult:
-    """Result min{full, shirk} with the branch that binds, carrying the free
-    full-success witness when asked for and that branch binds."""
+def _min_branch(pbar: float, full: float, shirk: float) -> WorstCaseResult:
+    """Result min{full, shirk} with the branch that binds."""
     per_agent = min(full, shirk)
     binding = FULL_SUCCESS if full < shirk else SHIRK_EQ
-    witness = None
-    if with_witness and binding == FULL_SUCCESS:
-        witness = Witness(a0_set.extend([ActionSpec(0.0, 1.0)]), 0.0)
-    return WorstCaseResult(pbar, per_agent, 2.0 * per_agent, binding, witness)
+    return WorstCaseResult(pbar, per_agent, 2.0 * per_agent, binding)
 
 
 def _require_pattern(contract: Contract, jpe: bool) -> None:
@@ -181,12 +180,7 @@ def _require_pattern(contract: Contract, jpe: bool) -> None:
         raise ContractPatternError(f"relative evaluation requires w11 < w10, got ({w11}, {w10})")
 
 
-def jpe_value(
-    contract: Contract,
-    a0_set: ActionSet,
-    with_witness: bool = False,
-    witness_eps: float = DEFAULT_WITNESS_EPS,
-) -> WorstCaseResult:
+def jpe_value(contract: Contract, a0_set: ActionSet) -> WorstCaseResult:
     """Worst-case value of a joint evaluation with zero failure wages.
 
     Per agent the value is min{1 - w11, pbar*[pbar*(1-w11) + (1-pbar)*(1-w10)]}
@@ -194,16 +188,16 @@ def jpe_value(
     first branch binds when the adversary prefers a free full-success action
     (always so once w10 >= 1); the second is the compounding-shirking limit.
     """
+    return _jpe_value(contract, a0_set)[0]
+
+
+def _jpe_value(contract: Contract, a0_set: ActionSet) -> tuple[WorstCaseResult, OdeSolution]:
+    """``jpe_value`` and the endpoint of the target it rests on."""
     w11, w10 = contract.w11, contract.w10
     _require_pattern(contract, jpe=True)
     best = best_known_solution(w11, w10, a0_set)
     pbar = best.p_end
-    res = _min_branch(pbar, 1.0 - w11, shirk_branch(pbar, w11, w10), a0_set, with_witness)
-    if with_witness and res.binding == SHIRK_EQ and best.t_hat > 0.0:
-        n = int(min(max(2, math.ceil(best.t_hat / witness_eps)), MAX_WITNESS_CHAIN))
-        chain = euler_adversary(contract, best.a0, n, verify=False)
-        res = replace(res, witness=Witness(a0_set.extend(chain.actions[1:]), witness_eps))
-    return res
+    return _min_branch(pbar, 1.0 - w11, shirk_branch(pbar, w11, w10)), best
 
 
 def jpe_value_w00(contract: Contract, a0_set: ActionSet) -> WorstCaseResult:
@@ -222,8 +216,8 @@ def jpe_value_w00(contract: Contract, a0_set: ActionSet) -> WorstCaseResult:
     w11, w00 = contract.w11, contract.w00
     if contract.w10 != 0.0 or contract.w01 != 0.0:
         raise ContractPatternError("pattern requires w10 = w01 = 0")
-    if w11 <= 0.0 or w00 < 0.0:
-        raise ContractPatternError("pattern requires w11 > 0 and w00 >= 0")
+    if w11 <= 0.0:
+        raise ContractPatternError("pattern requires w11 > 0")
     known = a0_set.known
     if not known:
         raise ValueError("action set has no known prefix to target")
@@ -233,7 +227,7 @@ def jpe_value_w00(contract: Contract, a0_set: ActionSet) -> WorstCaseResult:
     pbar = p_sing + q_end if q_end > 0.0 else 0.0
 
     shirk = pbar * pbar * (1.0 - w11) + (1.0 - pbar) ** 2 * (-w00)
-    return _min_branch(pbar, 1.0 - w11, shirk, a0_set, False)
+    return _min_branch(pbar, 1.0 - w11, shirk)
 
 
 @dataclass(frozen=True)
@@ -262,30 +256,16 @@ def ipe_optimal(a0_set: ActionSet) -> IpeOptimum:
     return IpeOptimum(w, a, val, 2.0 * val)
 
 
-def ipe_value(
-    w: float,
-    a0_set: ActionSet,
-    with_witness: bool = False,
-    witness_eps: float = DEFAULT_WITNESS_EPS,
-) -> WorstCaseResult:
+def ipe_value(w: float, a0_set: ActionSet) -> WorstCaseResult:
     """Worst case of the independent evaluation paying w for own success."""
     if w < 0.0:
         raise ContractPatternError("wage must be non-negative")
     pbar = best_known_solution(w, w, a0_set).p_end
     # shirk_branch(pbar, w, w) in fewer roundings, which the output bits rest on
-    res = _min_branch(pbar, 1.0 - w, pbar * (1.0 - w), a0_set, with_witness)
-    if with_witness and res.binding == SHIRK_EQ and w > 0.0:
-        adv = ipe_adversary(w, a0_set, witness_eps)
-        res = replace(res, witness=Witness(adv.actions, witness_eps))
-    return res
+    return _min_branch(pbar, 1.0 - w, pbar * (1.0 - w))
 
 
-def rpe_value(
-    contract: Contract,
-    a0_set: ActionSet,
-    with_witness: bool = False,
-    witness_eps: float = DEFAULT_WITNESS_EPS,
-) -> WorstCaseResult:
+def rpe_value(contract: Contract, a0_set: ActionSet) -> WorstCaseResult:
     """Worst case of a relative evaluation (w11 < w10, failure wages zero).
 
     The limiting adversary action solves the fixed point
@@ -310,13 +290,7 @@ def rpe_value(
     p_star = min(1.0, float(roots.max(initial=0.0)))
 
     per_agent = shirk_branch(p_star, w11, w10)
-    witness = None
-    if with_witness:
-        adv = a0_set.extend(
-            [ActionSpec(0.0, min(1.0, p_star + witness_eps)), ActionSpec(0.0, 0.0)]
-        )
-        witness = Witness(adv, witness_eps)
-    return WorstCaseResult(p_star, per_agent, 2.0 * per_agent, SHIRK_EQ, witness)
+    return WorstCaseResult(p_star, per_agent, 2.0 * per_agent, SHIRK_EQ)
 
 
 @dataclass(frozen=True)
@@ -475,6 +449,45 @@ def ipe_adversary(w: float, a0_set: ActionSet, eps: float) -> AdversarySet:
     clamped = target < 0.0 or target > 1.0
     target = min(1.0, max(0.0, target))
     return AdversarySet(a0_set.extend([ActionSpec(0.0, target)]), eps, clamped, w)
+
+
+def worst_case(contract: Contract, a0_set: ActionSet,
+               eps: float = DEFAULT_WITNESS_EPS) -> WorstCaseResult:
+    """Worst case of an already-reduced contract and a witness attaining it
+    within O(eps): the free sure action (eps 0) where FULL_SUCCESS binds,
+    else, with zero failure wages, the eps-step undercut chain of a joint
+    evaluation (w11 > w10), the single undercut of an independent one (w11 =
+    w10) or the undercut just above p* plus the null action of a relative one
+    (w11 < w10).  w11/w00 (w10 = w01 = 0, w11 > 0), a spent budget and a zero
+    wage carry no witness; other patterns raise ContractPatternError."""
+    w11, w10, w01, w00 = contract.as_tuple()
+    if w01 != 0.0 or w00 != 0.0:
+        if w10 == 0.0 and w01 == 0.0 and w11 > 0.0:
+            return jpe_value_w00(contract, a0_set)
+        raise ContractPatternError(
+            "worst-case evaluation is not defined for this wage pattern even after "
+            f"reduction (class {classify(contract).tag}); "
+            "supported: zero failure wages, or w11/w00 with w10=w01=0")
+    if w11 < w10:
+        res = rpe_value(contract, a0_set)
+        free = [ActionSpec(0.0, min(1.0, res.pbar + eps)), ActionSpec(0.0, 0.0)]
+        return replace(res, witness=Witness(a0_set.extend(free), eps))
+    if w11 > w10:
+        res, best = _jpe_value(contract, a0_set)
+    else:
+        res, best = ipe_value(w11, a0_set), None
+    if res.binding == FULL_SUCCESS:
+        actions, eps = a0_set.extend([ActionSpec(0.0, 1.0)]), 0.0
+    elif best is None:
+        if w11 == 0.0:
+            return res
+        actions = ipe_adversary(w11, a0_set, eps).actions
+    elif best.t_hat > 0.0:
+        n = int(min(max(2, math.ceil(best.t_hat / eps)), MAX_WITNESS_CHAIN))
+        actions = a0_set.extend(euler_adversary(contract, best.a0, n, verify=False).actions[1:])
+    else:
+        return res
+    return replace(res, witness=Witness(actions, eps))
 
 
 # ---------------------------------------------------------------------------

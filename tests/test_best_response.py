@@ -17,8 +17,8 @@ from teamcontracts import (
     euler_adversary,
     extremal_br_path,
     induce_game,
-    jpe_value,
     paired_br_limit,
+    worst_case,
 )
 from teamcontracts.game import max_best_response, min_best_response
 
@@ -141,7 +141,7 @@ def test_undercut_chains_match_dense_paths(w11, w10, target, n):
 def test_witness_with_known_actions_matches_dense_path():
     contract = Contract(0.6, 0.0, 0.0, 0.0)
     known = ActionSet.from_pairs([(0.25, 1.0), (0.3, 0.7), (0.25, 1.0)])
-    witness = jpe_value(contract, known, with_witness=True, witness_eps=2.5e-4).witness
+    witness = worst_case(contract, known, eps=2.5e-4).witness
     game = induce_game(contract, witness.actions)
     assert extremal_br_path(game, "MAX") == dense_path(game, "MAX")
 

@@ -92,12 +92,17 @@ class TestEvaluate:
         # repr round-trips floats, so the parsed matrix is the computed one exactly
         assert np.array_equal(np.array(game["payoff"]), dense_payoff(want))
 
-    def test_unsupported_pattern_exits_2(self, tmp_path):
+    def test_unsupported_pattern_exits_2(self, tmp_path, capsys):
         inp = write(tmp_path, "in.json", {
             "contract": {"w11": 0.0, "w10": 0.5, "w01": 0.4, "w00": 0.0},
             "actions": A0_JSON,
         })
-        assert main(["evaluate", "--input", inp]) == 2
+        out = tmp_path / "out.json"
+        assert main(["evaluate", "--input", inp, "--output", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: worst-case evaluation is not defined for this wage pattern even after "
+            "reduction (class OTHER); supported: zero failure wages, or w11/w00 with w10=w01=0\n")
+        assert not out.exists()
 
     def test_no_known_prefix_exits_2(self, tmp_path):
         inp = write(tmp_path, "in.json", {
@@ -202,8 +207,7 @@ class TestGameDump:
         rng = np.random.default_rng(611)
         # the shirking branch binds, so the witness is an undercut chain of 1000 steps
         contract = Contract(float(rng.uniform(0.5, 0.65)), float(rng.uniform(0.0, 0.05)), 0.0, 0.0)
-        res = wc.jpe_value(contract, ActionSet.from_json(A0_JSON), with_witness=True,
-                           witness_eps=2.5e-4)
+        res = wc.worst_case(contract, ActionSet.from_json(A0_JSON), eps=2.5e-4)
         assert len(res.witness.actions) == 1001
         return induce_game(contract, res.witness.actions)
 
@@ -448,8 +452,7 @@ class TestAdversary:
     def test_evaluate_witness_is_the_former_dict_document(self, tmp_path, capsys, to_file):
         argv = ["evaluate", "--input", write(tmp_path, "in.json", JPE_JSON), "--eps", "5e-5"]
         contract = Contract.from_json(JPE_JSON["contract"])
-        res = wc.jpe_value(contract, ActionSet.from_json(A0_JSON), with_witness=True,
-                           witness_eps=5e-5)
+        res = wc.worst_case(contract, ActionSet.from_json(A0_JSON), eps=5e-5)
         assert len(res.witness.actions) == self.N + 1
         result = {"pbar": res.pbar, "per_agent": res.per_agent, "total": res.total,
                   "binding": res.binding,
@@ -490,7 +493,7 @@ class TestFormatChoices:
     when the arguments are parsed, before the input is read."""
 
     @pytest.mark.parametrize("verb, solver", [
-        ("evaluate", "worstcase.jpe_value"),
+        ("evaluate", "worstcase.worst_case"),
         ("optimize", "optimize.optimize_jpe"),
         ("discriminate", "optimize.discriminatory_ipe"),
         ("bayes", "extensions.bayesian_eval"),

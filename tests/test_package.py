@@ -14,7 +14,8 @@ import teamcontracts
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# Every public name of the package when its __init__ imported all submodules.
+# Every public name of the package when its __init__ imported all submodules,
+# and worst_case, added since.
 EAGER_NAMES = """
 ActionSet ActionSpec AdversarySet AssumptionError BayesianEnv BestResponseCycleError Contract
 ContractClass ContractPatternError ConvergenceError DiscriminatoryResult EquilibriumReport
@@ -26,7 +27,7 @@ enumerate_equilibria errors euler_adversary euler_error_bound extensions extrema
 induce_game ipe_adversary ipe_optimal ipe_value jpe_team_bonus jpe_value jpe_value_w00
 linear_contract model mu_threshold_ipe mu_threshold_jpe multi_agent_value optimize optimize_jpe
 paired_br_limit pbar_closed_form pessimistic_value principal_value reduce_failure_wages rpe_value
-select_and_value sweep_regimes verify_profile worstcase
+select_and_value sweep_regimes verify_profile worst_case worstcase
 """.split()
 SUBMODULES = {"errors", "extensions", "game", "model", "optimize", "worstcase"}
 

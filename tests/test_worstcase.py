@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from collections import Counter
 from dataclasses import astuple
 from decimal import Decimal, localcontext
 
@@ -26,9 +27,17 @@ from teamcontracts import (
     jpe_value,
     jpe_value_w00,
     pbar_closed_form,
+    reduce_failure_wages,
     rpe_value,
+    worst_case,
 )
-from teamcontracts.selftest import draw_jpe, draw_known_set, ode_quadrature
+from teamcontracts.selftest import (
+    draw_jpe,
+    draw_known_set,
+    draw_random_contract,
+    draw_rpe,
+    ode_quadrature,
+)
 from teamcontracts.worstcase import (
     IpeOptimum,
     _endpoint,
@@ -38,6 +47,7 @@ from teamcontracts.worstcase import (
 )
 
 from rk4_oracle import ode_quadrature_p
+from worst_case_oracle import worst_case_oracle
 
 A0 = ActionSet.from_pairs([(0.25, 1.0)])
 TARGET = ActionSpec(0.25, 1.0)
@@ -93,13 +103,12 @@ class TestJpeValue:
         assert res.binding == "FULL_SUCCESS"
 
     def test_full_success_witness(self):
-        res = jpe_value(Contract(1.2, 1.1, 0.0, 0.0), A0, with_witness=True)
+        res = worst_case(Contract(1.2, 1.1, 0.0, 0.0), A0)
         star = res.witness.actions[-1]
         assert (star.cost, star.prob) == (0.0, 1.0)
 
     def test_shirk_witness_carries_eps(self):
-        res = jpe_value(Contract(2.0 / 3.0, 0.0, 0.0, 0.0), A0,
-                        with_witness=True, witness_eps=1e-3)
+        res = worst_case(Contract(2.0 / 3.0, 0.0, 0.0, 0.0), A0, eps=1e-3)
         assert res.witness.eps == 1e-3
         assert len(res.witness.actions) > 100
         assert res.witness.actions.known == A0
@@ -120,25 +129,30 @@ class TestJpeValue:
         assert res.pbar == solo
 
 
+@pytest.fixture(scope="module")
+def w00_quadrature():
+    """The RK4 oracle at (w11, w00) = (2/3, 0.1) and (1/2, 1/2) from the
+    target (0.25, 1.0), in one batch: a run costs per step, not per instance."""
+    return ode_quadrature_w00([2.0 / 3.0, 0.5], [0.1, 0.5], 1.0, 0.25)
+
+
 class TestJpeValueW00:
     def test_vanishing_joint_failure_pay_recovers_pooled(self):
         res = jpe_value_w00(Contract(2.0 / 3.0, 0.0, 0.0, 1e-12), A0)
         assert res.pbar == pytest.approx(0.5, abs=1e-9)
 
-    def test_positive_joint_failure_pay_hurts(self):
+    def test_positive_joint_failure_pay_hurts(self, w00_quadrature):
         res = jpe_value_w00(Contract(2.0 / 3.0, 0.0, 0.0, 0.1), A0)
         assert res.per_agent < 1.0 / 3.0
         assert res.pbar == pytest.approx(0.45287819509111576, abs=1e-12)
-        oracle = ode_quadrature_w00(2.0 / 3.0, 0.1, 1.0, 0.25)[0]
-        assert res.pbar == pytest.approx(float(oracle), abs=1e-5)
+        assert res.pbar == pytest.approx(float(w00_quadrature[0]), abs=1e-5)
 
-    def test_singularity_collapse_goes_negative(self):
+    def test_singularity_collapse_goes_negative(self, w00_quadrature):
         res = jpe_value_w00(Contract(0.5, 0.0, 0.0, 0.5), A0)
         assert res.pbar == 0.0
         assert res.per_agent == pytest.approx(-0.5, abs=1e-15)
         assert res.per_agent < 0.0
-        oracle = ode_quadrature_w00(0.5, 0.5, 1.0, 0.25)[0]
-        assert float(oracle) == 0.0
+        assert float(w00_quadrature[1]) == 0.0
 
     def test_rejects_wrong_pattern(self):
         with pytest.raises(ContractPatternError):
@@ -542,13 +556,89 @@ class TestIpeValue:
         known = ActionSet.from_pairs(zip(rng.uniform(0.01, 0.5, 3000), rng.uniform(0.5, 1, 3000)))
         tracemalloc.start()
         try:
-            res = ipe_value(0.6, known, with_witness=True)
+            res = worst_case(Contract(0.6, 0.6, 0.0, 0.0), known)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert len(res.witness.actions) == 3001
         assert res.witness.actions[:3000] == known
         assert peak < 3001 ** 2 * 8 / 8, peak  # an eighth of one dense payoff matrix
+
+
+class TestWorstCase:
+    """``worst_case`` against the dispatch and witnesses it replaced
+    (``worst_case_oracle``), field for field and bit for bit."""
+
+    @staticmethod
+    def same(contract, a0_set, eps):
+        """worst_case's result, checked against the oracle's; None where both
+        refuse the pattern with the same message."""
+        try:
+            want = worst_case_oracle(contract, a0_set, eps)
+        except ContractPatternError as exc:
+            with pytest.raises(ContractPatternError) as got:
+                worst_case(contract, a0_set, eps)
+            assert str(got.value) == str(exc)
+            return None
+        got = worst_case(contract, a0_set, eps)
+        assert (got.pbar, got.per_agent, got.total, got.binding) == \
+            (want.pbar, want.per_agent, want.total, want.binding)
+        assert (got.witness is None) == (want.witness is None)
+        if want.witness is not None:
+            g, w = got.witness.actions, want.witness.actions
+            assert np.array_equal(g.costs, w.costs) and np.array_equal(g.probs, w.probs)
+            assert g.known_count == w.known_count and got.witness.eps == want.witness.eps
+        return got
+
+    def test_matches_the_oracle_on_every_pattern(self):
+        rng = np.random.default_rng(131)
+        seen = Counter()
+        for _ in range(200):
+            known = draw_known_set(rng, 3)
+            eps = float(rng.choice([1e-2, 2e-3]))
+            w10 = rng.uniform(1.0, 1.5)
+            w = rng.uniform(0.05, 1.0)
+            for name, contract in {
+                "JPE": draw_jpe(rng),
+                "JPE above 1": Contract(w10 + rng.uniform(0.01, 0.5), w10, 0.0, 0.0),
+                "RPE": draw_rpe(rng),
+                "IPE": Contract(w, w, 0.0, 0.0),
+                "IPE above 1": Contract(1.0 + w, 1.0 + w, 0.0, 0.0),
+                "W00": Contract(rng.uniform(0.05, 1.2), 0.0, 0.0, rng.uniform(0.01, 1.0)),
+                "any": reduce_failure_wages(draw_random_contract(rng)),
+            }.items():
+                res = self.same(contract, known, eps)
+                seen[name, None if res is None else (res.binding, res.witness is None)] += 1
+        full, shirk = ("FULL_SUCCESS", False), ("SHIRK_EQ", False)
+        assert seen["JPE", shirk] > 100 and seen["JPE above 1", full] == 200
+        assert seen["RPE", shirk] == seen["IPE", shirk] == seen["IPE above 1", full] == 200
+        assert seen["W00", ("SHIRK_EQ", True)] > 150
+        assert seen["any", None] > 50
+
+    @pytest.mark.parametrize("contract, a0_set", [
+        (Contract(0.6, 0.0, 0.0, 0.1), A0),  # w11/w00
+        # the free target ends highest, so no budget is left to undercut with
+        (Contract(0.6, 0.0, 0.0, 0.0), ActionSet.from_pairs([(0.25, 1.0), (0.0, 0.5)])),
+        (Contract(0.0, 0.0, 0.0, 0.0), A0),  # zero independent wage
+    ], ids=["w00", "spent budget", "zero wage"])
+    def test_no_witness(self, contract, a0_set):
+        res = self.same(contract, a0_set, 1e-3)
+        assert res.binding == "SHIRK_EQ" and res.witness is None
+
+    @pytest.mark.parametrize("contract, endpoints, chains", [
+        (Contract(0.6, 0.0, 0.0, 0.0), 2, 1),  # the value's, and the chain's own
+        (Contract(1.2, 1.1, 0.0, 0.0), 1, 0),  # FULL_SUCCESS binds: no chain is built
+    ])
+    def test_no_repeated_work(self, monkeypatch, contract, endpoints, chains):
+        calls = Counter()
+        for name, fn in (("_endpoint", _endpoint), ("euler_adversary", euler_adversary)):
+            def counted(*args, _fn=fn, _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(f"teamcontracts.worstcase.{name}", counted)
+        worst_case(contract, A0, eps=1e-2)
+        assert (calls["_endpoint"], calls["euler_adversary"]) == (endpoints, chains)
 
 
 class TestLowerBoundAndQuadrature:
