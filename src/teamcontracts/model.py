@@ -2,7 +2,9 @@
 
 An action is a (cost, success probability) pair.  An action set holds its
 actions once, as read-only float64 cost and probability arrays that every
-other layer computes on; this module alone knows how it is stored.  A
+other layer computes on; this module alone knows how it is stored.  Only
+the action set's methods that call numpy import it, so the scalar types,
+the contracts and the JSON checks load without it.  A
 contract is a quadruple of non-negative wages w[own outcome][other's
 outcome] paid to each of two identical agents.  Contracts are classified
 by how own pay responds to the other agent's outcome: independent (IPE),
@@ -13,8 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import AssumptionError
 
@@ -80,6 +80,8 @@ class ActionSet:
     known_count: int
 
     def __init__(self, costs, probs, known_count=None):
+        import numpy as np
+
         costs, probs = np.array(costs, dtype=float), np.array(probs, dtype=float)
         if costs.ndim != 1 or costs.shape != probs.shape:
             raise ValueError(f"need 1-D costs and probs alike, got {costs.shape}, {probs.shape}")
@@ -125,6 +127,8 @@ class ActionSet:
         return out
 
     def __eq__(self, other) -> bool:
+        import numpy as np
+
         return (isinstance(other, ActionSet) and self.known_count == other.known_count
                 and np.array_equal(self.costs, other.costs)
                 and np.array_equal(self.probs, other.probs))
@@ -132,11 +136,15 @@ class ActionSet:
     def ranking(self) -> tuple[int, ...]:
         """Indices sorted from the largest action down, under the
         productivity order with list-position tie-breaking."""
+        import numpy as np
+
         return tuple(np.lexsort((self.costs, -self.probs)).tolist())  # stable: index breaks ties
 
     def extend(self, extra) -> "ActionSet":
         """Append adversarial actions, an action set or ``ActionSpec``s; the
         known prefix is unchanged."""
+        import numpy as np
+
         if not isinstance(extra, ActionSet):
             pairs = [(a.cost, a.prob) for a in extra]
             extra = ActionSet.from_pairs(pairs) if pairs else self[:0]
@@ -182,7 +190,7 @@ def check_known_assumptions(a0: ActionSet) -> None:
         raise AssumptionError("known action set is empty")
     free = known.costs <= 0.0
     if free.any():
-        a = known[int(np.argmax(free))]
+        a = known[int(free.argmax())]
         raise AssumptionError(f"known actions must be costly; got cost {a.cost} at prob {a.prob}")
     if not (known.probs - known.costs > 0.0).any():
         raise AssumptionError(

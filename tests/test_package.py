@@ -1,6 +1,7 @@
 """The package namespace resolves its names lazily, a command-line
 process runs BLAS on one thread while a library import sets nothing, and
-each verb loads only the solver modules it calls."""
+each verb loads only the solver modules it calls, and numpy only where it
+computes on arrays."""
 
 import json
 import os
@@ -60,6 +61,11 @@ def test_entry_point_process_has_one_thread_after_numpy():
     assert run_python(code) == "1"
 
 
+def test_model_and_extensions_load_no_numpy():
+    assert run_python("import sys, teamcontracts.model, teamcontracts.extensions; "
+                      "print('numpy' in sys.modules)") == "False"
+
+
 def test_eager_names_resolve_to_their_submodule_objects():
     assert sorted(teamcontracts.__all__) == sorted(EAGER_NAMES)
     listed = dir(teamcontracts)
@@ -90,43 +96,90 @@ def test_unlisted_submodules_resolve_in_a_fresh_process():
 
 
 # Runs the entry point's main in a fresh process, then prints its exit code,
-# whether numpy is loaded, and the package's loaded submodules.
+# whether numpy is loaded, the package's loaded submodules and main's stderr.
 LOADED = """
-import json, sys
+import contextlib, io, json, sys
 from teamcontracts.__main__ import main
-try:
-    code = main({argv!r})
-except SystemExit as exc:
-    code = exc.code
+with contextlib.redirect_stderr(io.StringIO()) as err:
+    try:
+        code = main({argv!r})
+    except SystemExit as exc:
+        code = exc.code
 print(json.dumps([code, "numpy" in sys.modules,
-                  [m.split(".", 1)[1] for m in sys.modules if m.startswith("teamcontracts.")]]))
+                  [m.split(".", 1)[1] for m in sys.modules if m.startswith("teamcontracts.")],
+                  err.getvalue()]))
 """
 A0_JSON = {"actions": [{"cost": 0.25, "prob": 1.0}], "known": 1}
 JPE_JSON = {"contract": {"w11": 0.6, "w10": 0.0, "w01": 0.0, "w00": 0.0}, "actions": A0_JSON}
+ENV_JSON = {"mu": 0.9, "p0": 1.0, "c0": 0.25, "p_star": 0.5}
 SOLVERS = {"worstcase", "game", "optimize", "extensions", "selftest"}
 
 
-VERB_CASES = [
-    ("--version", None, [], SOLVERS),
-    ("optimize", A0_JSON, [], {"game", "extensions", "selftest"}),
-    ("sweep", {"p_grid": [1.0], "c_grid": [0.25]}, [], {"game", "extensions", "selftest"}),
-    ("discriminate", A0_JSON, [], {"game", "extensions", "selftest"}),
-    ("bayes", {"mu": 0.9, "p0": 1.0, "c0": 0.25, "p_star": 0.5}, [],
+def run_main(tmp_path, verb, text=None, flags=()):
+    """``main([verb, ...])`` on input ``text`` in a fresh process: its exit
+    code, whether numpy loaded, the loaded submodules and its stderr."""
+    argv = [verb]
+    if text is not None:
+        inp = tmp_path / "in.json"
+        inp.write_text(text)
+        argv += ["--input", str(inp), *flags, "--output", str(tmp_path / "out.json")]
+    out = run_python(LOADED.format(argv=argv), PYTHONDONTWRITEBYTECODE="1")
+    return json.loads(out.splitlines()[-1])
+
+
+VERB_CASES = [  # verb, input, flags, whether numpy loads, modules that do not
+    ("--version", None, [], False, SOLVERS),
+    ("optimize", A0_JSON, [], True, {"game", "extensions", "selftest"}),
+    ("sweep", {"p_grid": [1.0], "c_grid": [0.25]}, [], True, {"game", "extensions", "selftest"}),
+    ("discriminate", A0_JSON, [], True, {"game", "extensions", "selftest"}),
+    ("bayes", ENV_JSON, [], False, {"worstcase", "game", "optimize", "selftest"}),
+    ("asym", {"contract": JPE_JSON["contract"], "a0": {"cost": 0.25, "prob": 1.0}}, [], False,
      {"worstcase", "game", "optimize", "selftest"}),
-    ("evaluate", JPE_JSON, [], {"optimize", "extensions", "selftest"}),
-    ("adversary", JPE_JSON, ["--n", "100"], {"optimize", "extensions", "selftest"}),
+    ("multi", {"n": 3, "w0": 0.4, "b": 0.1, "actions": A0_JSON}, [], True,
+     {"game", "optimize", "selftest"}),
+    ("evaluate", JPE_JSON, [], True, {"optimize", "extensions", "selftest"}),
+    ("adversary", JPE_JSON, ["--n", "100"], True, {"optimize", "extensions", "selftest"}),
 ]
 
 
-@pytest.mark.parametrize("verb, payload, flags, not_loaded", VERB_CASES,
+@pytest.mark.parametrize("verb, payload, flags, numpy_wanted, not_loaded", VERB_CASES,
                          ids=[case[0].lstrip("-") for case in VERB_CASES])
-def test_verb_loads_only_its_modules(tmp_path, verb, payload, flags, not_loaded):
-    argv = [verb]
-    if payload is not None:
-        inp = tmp_path / "in.json"
-        inp.write_text(json.dumps(payload))
-        argv += ["--input", str(inp), *flags, "--output", str(tmp_path / "out.json")]
-    out = run_python(LOADED.format(argv=argv), PYTHONDONTWRITEBYTECODE="1")
-    code, numpy_loaded, loaded = json.loads(out.splitlines()[-1])
-    assert code == 0 and numpy_loaded
+def test_verb_loads_only_its_modules(tmp_path, verb, payload, flags, numpy_wanted, not_loaded):
+    text = None if payload is None else json.dumps(payload)
+    code, numpy_loaded, loaded, err = run_main(tmp_path, verb, text, flags)
+    assert (code, err) == (0, "")
+    assert numpy_loaded == numpy_wanted
     assert not_loaded.isdisjoint(loaded), sorted(not_loaded & set(loaded))
+
+
+REJECTIONS = [  # verb, input text, stderr: {input} is the input path, {json_error} json's error
+    ("evaluate", json.dumps({**JPE_JSON, "note": "draft"}), "error: unknown fields: ['note']\n"),
+    ("optimize", json.dumps(A0_JSON)[:-3], "error: malformed JSON in {input}: {json_error}\n"),
+    ("bayes", json.dumps({k: v for k, v in ENV_JSON.items() if k != "c0"}),
+     "error: missing fields: ['c0']\n"),
+]
+
+
+@pytest.mark.parametrize("verb, text, stderr", REJECTIONS,
+                         ids=["unknown_field", "bad_json", "missing_field"])
+def test_early_rejection_loads_no_numpy(tmp_path, verb, text, stderr):
+    json_error = None
+    try:
+        json.loads(text)
+    except json.JSONDecodeError as exc:
+        json_error = exc
+    code, numpy_loaded, loaded, err = run_main(tmp_path, verb, text)
+    assert (code, numpy_loaded) == (2, False)
+    assert err == stderr.format(input=tmp_path / "in.json", json_error=json_error)
+    assert SOLVERS.isdisjoint(loaded), sorted(SOLVERS & set(loaded))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/task")
+def test_cli_process_has_one_thread_after_a_numpy_verb(tmp_path):
+    inp = tmp_path / "a0.json"
+    inp.write_text(json.dumps(A0_JSON))
+    argv = ["optimize", "--input", str(inp), "--output", str(tmp_path / "out.json")]
+    code = ("import os, sys; from teamcontracts.__main__ import main; "
+            f"code = main({argv!r}); "
+            "print(code, 'numpy' in sys.modules, len(os.listdir('/proc/self/task')))")
+    assert run_python(code) == "0 True 1"
