@@ -16,8 +16,10 @@ from teamcontracts import (
     Contract,
     calibrate_jpe,
     calibration_witness,
+    enumerate_equilibria,
     euler_adversary,
     euler_error_bound,
+    induce_game,
     ipe_adversary,
     ipe_optimal,
     jpe_value,
@@ -33,8 +35,10 @@ print("=== independent benchmark ===")
 ipe = ipe_optimal(known)
 print(f"best independent wage w* = {ipe.w_star}: {ipe.per_agent} per agent")
 adv = ipe_adversary(ipe.w_star, known, eps=0.01)
+pure = enumerate_equilibria(induce_game(Contract(ipe.w_star, ipe.w_star, 0.0, 0.0), adv.actions))
+last = len(adv.actions) - 1
 print("worst adversary adds", adv.actions[-1],
-      "| unique equilibrium:", adv.unique_equilibrium)
+      "| unique equilibrium:", [e.indices for e in pure] == [(last, last)])
 
 print("\n=== pooling the same wage fails ===")
 pooled = Contract(0.5, 0.0, 0.0, 0.0)

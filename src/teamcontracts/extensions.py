@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ContractPatternError
-from .model import JPE, ActionSet, ActionSpec, Contract, check_known_assumptions, classify
+from .model import ActionSet, ActionSpec, Contract, check_known_assumptions
 
 
 @dataclass(frozen=True)
@@ -200,36 +200,17 @@ def pessimistic_value(contract: Contract, actions: ActionSet) -> float:
 
     For a joint evaluation with zero failure wages the induced game is
     supermodular with strictly positive spillovers, so the maximal
-    equilibrium is the unique Pareto-efficient equilibrium; pessimistic
-    selection must then return exactly its value, and that agreement is
-    asserted.  (The principal can still prefer a smaller equilibrium when
-    her payoff is non-monotone in the success probabilities, so agreement
-    with unrestricted principal-preferred selection is not asserted in
-    general; it does hold on the dominance-solvable worst-case witness
-    sets.)
+    equilibrium is the unique Pareto-efficient equilibrium and this is its
+    value; ``selftest.suite_pessimistic_selection`` and acceptance criterion
+    14 check that to 1e-12.  (The principal can still prefer a smaller
+    equilibrium when her payoff is non-monotone in the success
+    probabilities, so agreement with unrestricted principal-preferred
+    selection does not hold in general; it does hold on the
+    dominance-solvable worst-case witness sets.)
     """
-    from .game import (
-        MIXED_CAP,
-        PESSIMISTIC_PARETO,
-        Profile,
-        enumerate_equilibria,
-        extremal_br_path,
-        induce_game,
-        principal_value,
-        select_and_value,
-    )
+    from .game import (MIXED_CAP, PESSIMISTIC_PARETO, enumerate_equilibria, induce_game,
+                       select_and_value)
 
     game = induce_game(contract, actions)
     eqs = enumerate_equilibria(game, mixed=len(actions) <= MIXED_CAP)
-    report = select_and_value(game, eqs, PESSIMISTIC_PARETO)
-
-    cls = classify(contract)
-    if cls.tag == JPE and contract.w01 == 0.0 and contract.w00 == 0.0:
-        hi, _ = extremal_br_path(game, "MAX")
-        maximal = Profile.pure(hi, hi, len(actions))
-        if abs(principal_value(game, maximal) - report.principal_total) > 1e-12:
-            raise RuntimeError(
-                "pessimistic selection diverged from the maximal equilibrium "
-                "on a positive-spillover supermodular game"
-            )
-    return report.principal_total
+    return select_and_value(game, eqs, PESSIMISTIC_PARETO).principal_total

@@ -33,7 +33,7 @@ cross-partial, in O(n).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -221,16 +221,6 @@ def _best_response(game: InducedGame, j: int, largest: bool) -> int:
     return int(ties[np.argmin(pos) if largest else np.argmax(pos)])
 
 
-def max_best_response(game: InducedGame, j: int) -> int:
-    """Largest best response (productivity order) to opponent action j."""
-    return _best_response(game, j, largest=True)
-
-
-def min_best_response(game: InducedGame, j: int) -> int:
-    """Smallest best response (productivity order) to opponent action j."""
-    return _best_response(game, j, largest=False)
-
-
 def extremal_br_path(game: InducedGame, start: str = "MAX") -> tuple[int, list[int]]:
     """Iterate the extremal best-response map from the extremal action.
 
@@ -387,7 +377,7 @@ class EquilibriumReport:
     selected: Profile
     principal_per_agent: float
     principal_total: float
-    agent_payoffs: tuple[float, float] = field(default=(0.0, 0.0))
+    agent_payoffs: tuple[float, float]
 
 
 def select_and_value(

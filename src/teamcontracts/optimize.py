@@ -31,7 +31,9 @@ IC_TOL = 1e-6
 
 # Caps on the work one request may ask for, checked before any grid is built.
 # optimize: wage-triangle cells times known actions; step 1e-4 with one known
-# action (5.0e7) fits, and takes a few seconds.
+# action (5.0e7) fits, and takes a few seconds.  sweep: the same cells times
+# its (p0, c0) cells, one known action each.  discriminate: wage pairs times
+# known actions, whose payoffs each pair's inner LP reads.
 MAX_GRID_WORK = 10**8
 # discriminate: (N+1)(N+2)/2 wage pairs w2 <= w1, each one vertex pass of the
 # inner LP; grid 1e-3 (5.0e5 pairs, about 2 s) fits, grid 5e-4 (2.0e6) does not.
@@ -155,10 +157,10 @@ def optimize_jpe(
     for _ in range(refine_rounds):
         new_step = step / 10.0
         offs = np.arange(-10, 11) * new_step
-        c11, c10, cval = _triangle_best(np.clip(b11 + offs, 0.0, 1.0),
+        # offs[10] is 0: the window holds the incumbent, scored to the same
+        # bits, and _triangle_best keeps the smallest (w11, w10) of its ties
+        b11, b10, bval = _triangle_best(np.clip(b11 + offs, 0.0, 1.0),
                                         np.clip(b10 + offs, 0.0, 1.0), score)
-        if cval > bval or (cval == bval and (c11, c10) < (b11, b10)):
-            b11, b10, bval = c11, c10, cval
         step = new_step
 
     regime = POOLED if b10 <= step else MIXED
@@ -205,9 +207,13 @@ def sweep_regimes(
 
     Pooled cells (w10 = 0) arise where the surplus p0 - c0 is large, mixed
     cells (w10 > 0) where it is small and monitoring individual output pays.
-    Refinement below ``MIN_REFINED_STEP`` raises ValueError.
+    Refinement below ``MIN_REFINED_STEP``, or cells times triangle cells
+    above ``MAX_GRID_WORK``, raises ValueError before any cell is solved.
     """
     _check_refinement(coarse, refine_rounds)
+    cells = len(p_grid) * len(c_grid)
+    _grid_intervals(coarse, lambda n: cells * (n + 1) * (n + 2) / 2, MAX_GRID_WORK,
+                    f"value evaluations ({cells} sweep cells x triangle cells)")
     rows = []
     for p0 in p_grid:
         for c0 in c_grid:
@@ -298,15 +304,20 @@ def discriminatory_ipe(a0_set: ActionSet, grid: float = 1e-2) -> DiscriminatoryR
     tightens its incentive constraint without helping the objective.  For
     fixed wages this is a linear program, solved by ``_inner_lp``.
     The wages run over the axis of N = round(1/grid) intervals, every pair
-    w2 <= w1 in blocks (``_triangle_best``); ties go to the smallest
-    (w1, w2).  A step whose (N+1)(N+2)/2 wage pairs exceed
-    ``MAX_WAGE_PAIRS`` raises ValueError.
+    w2 <= w1 in blocks (``_triangle_best``) of about ``_BLOCK_CELLS``
+    vertices or known-action payoffs, one pair at least; ties go to the
+    smallest (w1, w2).  A step whose (N+1)(N+2)/2 wage pairs exceed
+    ``MAX_WAGE_PAIRS``, or whose pairs times known actions exceed
+    ``MAX_GRID_WORK``, raises ValueError.
     """
     check_known_assumptions(a0_set)
+    k = len(a0_set.known)
     n = _grid_intervals(grid, lambda n: (n + 1) * (n + 2) / 2, MAX_WAGE_PAIRS,
                         "wage pairs (w2 <= w1)")
+    _grid_intervals(grid, lambda n: (n + 1) * (n + 2) / 2 * k, MAX_GRID_WORK,
+                    "known-action payoffs (wage pairs x known actions)")
     axis = np.linspace(0.0, 1.0, n + 1)
     w1, w2, _ = _triangle_best(axis, axis, lambda w1, w2: _inner_lp(a0_set.known, w1, w2)[0],
-                               _BLOCK_CELLS // len(_LINE_PAIRS[0]))
+                               max(1, _BLOCK_CELLS // max(len(_LINE_PAIRS[0]), k)))
     val, witness = discriminatory_inner(a0_set, w1, w2)
     return DiscriminatoryResult(w1, w2, witness, val)

@@ -102,11 +102,11 @@ def draw_known_set(rng: np.random.Generator, max_known: int = 3) -> md.ActionSet
     return md.ActionSet.from_pairs(pairs)
 
 
-def draw_superset(rng: np.random.Generator, a0_set: md.ActionSet,
-                  max_extra: int = 3) -> md.ActionSet:
+def draw_superset(rng: np.random.Generator, a0_set: md.ActionSet) -> md.ActionSet:
+    """``a0_set`` plus 0..3 unknown actions."""
     extra = [
         md.ActionSpec(rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0))
-        for _ in range(int(rng.integers(0, max_extra + 1)))
+        for _ in range(int(rng.integers(0, 4)))
     ]
     return a0_set.extend(extra)
 
@@ -129,8 +129,9 @@ def draw_random_contract(rng: np.random.Generator) -> md.Contract:
     return md.Contract(*rng.uniform(0.0, 1.0, size=4))
 
 
-def draw_action_set(rng: np.random.Generator, max_actions: int = 5) -> md.ActionSet:
-    k = int(rng.integers(2, max_actions + 1))
+def draw_action_set(rng: np.random.Generator) -> md.ActionSet:
+    """2..5 actions, all known."""
+    k = int(rng.integers(2, 6))
     pairs = [(rng.uniform(0.0, 0.8), rng.uniform(0.0, 1.0)) for _ in range(k)]
     return md.ActionSet.from_pairs(pairs)
 
@@ -192,7 +193,7 @@ def suite_reduction_equilibria(rng, trials=100) -> SuiteResult:
     failures = []
     for t in range(trials):
         w = draw_random_contract(rng)
-        acts = draw_action_set(rng, 5)
+        acts = draw_action_set(rng)
         g1 = gm.induce_game(w, acts)
         g2 = gm.induce_game(md.reduce_failure_wages(w), acts)
         e1 = {p.indices for p in gm.enumerate_equilibria(g1)}
@@ -206,7 +207,7 @@ def suite_supermodular_dynamics(rng, trials=200) -> SuiteResult:
     failures = []
     for t in range(trials):
         w = draw_jpe(rng)
-        acts = draw_superset(rng, draw_known_set(rng), 3)
+        acts = draw_superset(rng, draw_known_set(rng))
         g = gm.induce_game(w, acts)
         if gm.check_modularity(g) not in (gm.SUPERMODULAR, gm.BOTH):
             failures.append(f"trial {t}: joint evaluation not supermodular")
@@ -232,7 +233,7 @@ def suite_submodular_paired_map(rng, trials=200) -> SuiteResult:
     failures = []
     for t in range(trials):
         w = draw_rpe(rng)
-        acts = draw_superset(rng, draw_known_set(rng), 3)
+        acts = draw_superset(rng, draw_known_set(rng))
         g = gm.induce_game(w, acts)
         if gm.check_modularity(g) not in (gm.SUBMODULAR, gm.BOTH):
             failures.append(f"trial {t}: relative evaluation not submodular")
@@ -265,7 +266,7 @@ def suite_lower_bound_tightness(rng, trials=200, chain_n=2000) -> SuiteResult:
         best = wc.best_known_solution(w.w11, w.w10, a0)
         pbar = best.p_end
 
-        acts = draw_superset(rng, a0, 3)
+        acts = draw_superset(rng, a0)
         g = gm.induce_game(w, acts)
         hi, _ = gm.extremal_br_path(g, "MAX")
         if acts.probs[hi] < pbar - 1e-6:
@@ -370,7 +371,7 @@ def suite_w00_monotonicity(rng, trials=60) -> SuiteResult:
     failures = []
     for t in range(trials):
         w11 = rng.uniform(0.2, 1.0)
-        acts = draw_superset(rng, draw_known_set(rng), 3)
+        acts = draw_superset(rng, draw_known_set(rng))
         last_rank = None
         ranking = None
         for w00 in (0.0, 0.05, 0.15, 0.3):
@@ -390,17 +391,13 @@ def suite_pessimistic_selection(rng, trials=200) -> SuiteResult:
     failures = []
     for t in range(trials):
         w = draw_jpe(rng)
-        acts = draw_superset(rng, draw_known_set(rng), 3)
+        acts = draw_superset(rng, draw_known_set(rng))
         g = gm.induce_game(w, acts)
         eqs = gm.enumerate_equilibria(g, mixed=True)
         best = gm.select_and_value(g, eqs, gm.PRINCIPAL_BEST).principal_total
         hi, _ = gm.extremal_br_path(g, "MAX")
         maximal = gm.principal_value(g, gm.Profile.pure(hi, hi, len(acts)))
-        try:
-            pess = pessimistic_value(w, acts)
-        except RuntimeError as exc:
-            failures.append(f"trial {t}: {exc}")
-            continue
+        pess = pessimistic_value(w, acts)
         if abs(pess - maximal) > 1e-12:
             failures.append(f"trial {t}: pessimistic {pess} != maximal eq {maximal}")
         if pess > best + 1e-12:

@@ -24,16 +24,14 @@ kernel call over their targets, ``pbar_grid`` one per known target, and
 ``worst_case`` is the one place that picks the value for a wage pattern and
 builds the witness attaining it; the ``*_value`` functions compute values only.
 
-Only chain verification and ``AdversarySet.unique_equilibrium`` build a
-game, and they import ``game`` when they run, so a process that never
-verifies a chain does not load it.
+Only chain verification builds a game, and it imports ``game`` when it
+runs, so a process that never verifies a chain does not load it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -115,7 +113,9 @@ def _endpoint(w11, w10, p0, c0):
     paid = w10 > 0.0
     with np.errstate(all="ignore"):
         # Nothing is kept that the root does not need (not even w11 - w10):
-        # on a 1001 x 1001 wage grid each kept array is 8 MB of peak memory.
+        # the grid scans call this on blocks of optimize._BLOCK_CELLS cells,
+        # sized to keep every temporary under glibc's trim and mmap
+        # thresholds, and each kept array is one more temporary alive.
         t_zero = np.where(joint, w10 * p0 + (w11 - w10) * p0 * p0 / 2.0,
                           np.where(paid, w10 * p0, 0.0))
         spent = c0 >= t_zero
@@ -411,32 +411,19 @@ def euler_error_bound(contract: Contract, a0: ActionSpec, n: int) -> float:
 
 @dataclass(frozen=True)
 class AdversarySet:
-    """Single-undercut adversary for an independent evaluation paying
-    ``wage`` for own success."""
+    """Single-undercut adversary for an independent evaluation."""
 
     actions: ActionSet
     eps: float
     clamped: bool
-    wage: float
-
-    @cached_property
-    def unique_equilibrium(self) -> bool:
-        """Whether mutual play of the new action is the unique pure
-        equilibrium; enumerated at first read."""
-        from .game import enumerate_equilibria, induce_game
-
-        game = induce_game(Contract(self.wage, self.wage, 0.0, 0.0), self.actions)
-        pure = enumerate_equilibria(game, mixed=False)
-        idx = len(self.actions) - 1
-        return len(pure) == 1 and pure[0].indices == (idx, idx)
 
 
 def ipe_adversary(w: float, a0_set: ActionSet, eps: float) -> AdversarySet:
     """Append the free action succeeding just above max(p(a0) - c(a0)/w).
 
     For small eps mutual play of the new action is the unique pure
-    equilibrium; the result can check whether that holds, and records
-    whether the target probability had to be clamped into [0, 1].
+    equilibrium.  The result records whether the target probability had to
+    be clamped into [0, 1].
     """
     if w <= 0.0:
         raise ValueError("wage must be positive")
@@ -448,7 +435,7 @@ def ipe_adversary(w: float, a0_set: ActionSet, eps: float) -> AdversarySet:
     target = float((known.probs - known.costs / w).max()) + eps
     clamped = target < 0.0 or target > 1.0
     target = min(1.0, max(0.0, target))
-    return AdversarySet(a0_set.extend([ActionSpec(0.0, target)]), eps, clamped, w)
+    return AdversarySet(a0_set.extend([ActionSpec(0.0, target)]), eps, clamped)
 
 
 def worst_case(contract: Contract, a0_set: ActionSet,

@@ -40,7 +40,7 @@ def jpe_instances():
     for _ in range(500):
         w = draw_jpe(rng)
         a0 = draw_known_set(rng)
-        acts = draw_superset(rng, a0, 3)
+        acts = draw_superset(rng, a0)
         out.append((w, a0, acts))
     return out
 

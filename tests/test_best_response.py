@@ -20,7 +20,7 @@ from teamcontracts import (
     paired_br_limit,
     worst_case,
 )
-from teamcontracts.game import max_best_response, min_best_response
+from teamcontracts.game import _best_response
 
 
 def dense_best_response(game, j, largest, rank=None):
@@ -73,10 +73,16 @@ def outcome(fn, *args):
         return ("cycle", exc.args)
 
 
+def assert_best_responses_match_dense(game, columns):
+    """The largest and smallest best response to each opponent action in
+    ``columns`` are the dense rule's."""
+    for j in columns:
+        for largest in (True, False):
+            assert _best_response(game, j, largest) == dense_best_response(game, j, largest)
+
+
 def assert_same_dynamics(game):
-    for j in range(len(game)):
-        assert max_best_response(game, j) == dense_best_response(game, j, True)
-        assert min_best_response(game, j) == dense_best_response(game, j, False)
+    assert_best_responses_match_dense(game, range(len(game)))
     for start in ("MAX", "MIN"):
         assert outcome(extremal_br_path, game, start) == outcome(dense_path, game, start)
     assert outcome(paired_br_limit, game) == outcome(dense_paired, game)
@@ -159,5 +165,4 @@ def test_rounding_level_near_ties_match_dense_oracle():
         if c2 < 0.0:
             continue
         game = induce_game(w, ActionSet.from_pairs([(0.3, q), (c1, p1), (c2, p2)]))
-        assert max_best_response(game, 0) == dense_best_response(game, 0, True)
-        assert min_best_response(game, 0) == dense_best_response(game, 0, False)
+        assert_best_responses_match_dense(game, [0])

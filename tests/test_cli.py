@@ -784,6 +784,38 @@ class TestGridCaps:
             "error: grid step 0.0005 asks for about 2e+06 wage pairs (w2 <= w1), above the"
             " cap of 1e+06; use a coarser step\n")
 
+    def test_sweep_over_the_total_cap_is_refused_before_any_cell(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # 10^6 feasible cells of 5 151 triangle cells each; each cell alone fits
+        def solve(*args, **kwargs):
+            raise AssertionError("a cell of a refused sweep was solved")
+
+        monkeypatch.setattr(opt, "optimize_jpe", solve)
+        grid = {"p_grid": [0.5 + k / 2000 for k in range(1000)],
+                "c_grid": [0.01 + k / 4000 for k in range(1000)]}
+        inp = write(tmp_path, "grid.json", grid)
+        for fmt in ("json", "csv"):
+            assert main(["sweep", "--input", inp, "--format", fmt]) == 2
+            assert capsys.readouterr() == ("", (
+                "error: grid step 0.01 asks for about 5.15e+09 value evaluations (1000000 sweep"
+                " cells x triangle cells), above the cap of 1e+08; use a coarser step\n"))
+
+    def test_discriminate_over_the_known_action_cap_is_refused_before_the_lp(
+            self, tmp_path, capsys, monkeypatch):
+        # 5 151 wage pairs times 20 000 known actions; a coarser step runs
+        # (TestDiscriminatory::test_max_min_memory_with_many_known_actions)
+        def inner(*args, **kwargs):
+            raise AssertionError("a wage pair of a refused grid was scanned")
+
+        monkeypatch.setattr(opt, "_inner_lp", inner)
+        k = 20000
+        acts = [{"cost": 0.25 + 0.5 * i / k, "prob": 1.0 - 0.5 * i / k} for i in range(k)]
+        inp = write(tmp_path, "a0.json", {"actions": acts, "known": k})
+        assert main(["discriminate", "--input", inp]) == 2
+        assert capsys.readouterr() == ("", (
+            "error: grid step 0.01 asks for about 1.03e+08 known-action payoffs (wage pairs x"
+            " known actions), above the cap of 1e+08; use a coarser step\n"))
+
     @pytest.mark.parametrize("verb, payload, refine, step", [
         ("optimize", A0_JSON, "15", "1e-17"),
         ("sweep", {"p_grid": [1.0], "c_grid": [0.25]}, "400", "0"),

@@ -34,6 +34,15 @@ from test_best_response import games
 WORK_SHIRK = ActionSet.from_pairs([(0.25, 1.0), (0.0, 0.45)])
 
 
+def unique_pure_equilibrium(contract, actions):
+    """Whether mutual play of the last action is the unique pure equilibrium
+    of the game ``contract`` induces on ``actions``: the claim of
+    ``ipe_adversary``'s single undercut."""
+    pure = enumerate_equilibria(induce_game(contract, actions), mixed=False)
+    idx = len(actions) - 1
+    return len(pure) == 1 and pure[0].indices == (idx, idx)
+
+
 class TestInduceGame:
     def test_independent_payoffs(self):
         g = induce_game(Contract(0.5, 0.5, 0.0, 0.0), WORK_SHIRK)
@@ -279,7 +288,7 @@ class TestEnumerate:
         try:
             eqs = enumerate_equilibria(game)
             verified = verify_profile(game, Profile.pure(n - 1, n - 1, n))
-            unique = adv.unique_equilibrium
+            unique = unique_pure_equilibrium(Contract(0.5, 0.5, 0.0, 0.0), adv.actions)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -496,6 +496,21 @@ class TestDiscriminatory:
             tracemalloc.stop()
         assert peak < 4e6
 
+    def test_max_min_memory_with_many_known_actions(self):
+        # blocks of 4 096 known-action payoffs, here one wage pair each;
+        # blocks of 113 pairs whatever the known set peaked at about 21 MB
+        k = 20000
+        t = np.arange(k) / k
+        a0 = ActionSet(0.25 + 0.5 * t, 1.0 - 0.5 * t)
+        tracemalloc.start()
+        try:
+            res = discriminatory_ipe(a0, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+        assert (res.w1, res.w2) == (0.5, pytest.approx(0.3))
+
     def test_symmetric_slice_matches_independent_worst_case(self):
         val, witness = discriminatory_inner(A0, 0.5, 0.5)
         assert val == pytest.approx(0.5, abs=2e-2)

@@ -47,6 +47,7 @@ from teamcontracts.worstcase import (
 )
 
 from rk4_oracle import ode_quadrature_p
+from test_game import unique_pure_equilibrium
 from worst_case_oracle import worst_case_oracle
 
 A0 = ActionSet.from_pairs([(0.25, 1.0)])
@@ -521,7 +522,7 @@ class TestIpeAdversary:
         adv = ipe_adversary(0.5, A0, 0.01)
         star = adv.actions[-1]
         assert star == ActionSpec(0.0, 0.51)
-        assert adv.unique_equilibrium
+        assert unique_pure_equilibrium(Contract(0.5, 0.5, 0.0, 0.0), adv.actions)
         assert not adv.clamped
 
     def test_value_approaches_optimum(self):
@@ -651,7 +652,7 @@ class TestLowerBoundAndQuadrature:
             w = draw_jpe(rng)
             a0 = draw_known_set(rng)
             pbar = max(pbar_closed_form(w.w11, w.w10, a).p_end for a in a0.known)
-            acts = draw_superset(rng, a0, 3)
+            acts = draw_superset(rng, a0)
             g = induce_game(w, acts)
             hi, _ = extremal_br_path(g, "MAX")
             assert acts.actions[hi].prob >= pbar - 1e-6
