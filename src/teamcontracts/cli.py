@@ -1,10 +1,11 @@
 """Command-line surface: parse configs, dispatch to the solvers, and emit
 machine-readable JSON/CSV results.
 
-Exit codes: 0 success, 2 validation error (malformed input, non-finite or
-overflowing numbers, infeasible model, unknown fields), 3 numerical
-non-convergence.  Outputs are written atomically (temp file + rename),
-embed a metadata block echoing the exact configuration, and are
+Exit codes: 0 success, 2 validation error (unreadable or malformed input,
+non-finite or overflowing numbers, infeasible model, a JSON object with an
+unknown or a missing field: ``model.json_object`` is the one rule), 3
+numerical non-convergence.  Outputs are written atomically (temp file +
+rename), embed a metadata block echoing the exact configuration, and are
 byte-identical across runs given the same config.
 
 Each verb reads and checks its input, then imports the solver modules it
@@ -54,22 +55,15 @@ def _load_json(path: str) -> dict:
             obj = json.load(fh)
     except FileNotFoundError:
         raise CliError(EXIT_VALIDATION, f"input file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise CliError(EXIT_VALIDATION, f"cannot read {path}: {exc.strerror or exc}")
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CliError(EXIT_VALIDATION, f"malformed JSON in {path}: {exc}")
+    except RecursionError:
+        raise CliError(EXIT_VALIDATION, f"JSON in {path} is nested too deeply to read")
     if not isinstance(obj, dict):
         raise CliError(EXIT_VALIDATION, f"top-level JSON object expected in {path}")
     return obj
-
-
-def _require_keys(obj: dict, required: set[str], optional: set[str] = frozenset()):
-    if not isinstance(obj, dict):
-        raise CliError(EXIT_VALIDATION, f"JSON object with fields {sorted(required)} expected")
-    unknown = set(obj) - required - optional
-    if unknown:
-        raise CliError(EXIT_VALIDATION, f"unknown fields: {sorted(unknown)}")
-    missing = required - set(obj)
-    if missing:
-        raise CliError(EXIT_VALIDATION, f"missing fields: {sorted(missing)}")
 
 
 def _mode_for(path: str) -> int:
@@ -244,7 +238,7 @@ def _spliced(parts, rows):
 
 
 def _actions_doc(actions: md.ActionSet) -> dict:
-    """``actions.to_json()``, with the action list streamed."""
+    """The JSON document of an action set, with the action list streamed."""
     return {"actions": _Rows.of(actions.costs, actions.probs, keys=("cost", "prob")),
             "known": actions.known_count}
 
@@ -331,8 +325,7 @@ def cmd_evaluate(args) -> int:
     if args.output and args.dump_game and _same_file(args.output, args.dump_game):
         raise CliError(EXIT_VALIDATION,
                        f"--output and --dump-game name the same file: {args.dump_game}")
-    payload = _load_json(args.input)
-    _require_keys(payload, {"contract", "actions"})
+    payload = md.json_object(_load_json(args.input), {"contract", "actions"})
     contract = _parse_contract(payload["contract"])
     a0 = _parse_actions(payload["actions"])
     from . import worstcase as wc
@@ -369,8 +362,7 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_adversary(args) -> int:
-    payload = _load_json(args.input)
-    _require_keys(payload, {"contract", "actions"})
+    payload = md.json_object(_load_json(args.input), {"contract", "actions"})
     contract = _parse_contract(payload["contract"])
     a0 = _parse_actions(payload["actions"])
     from . import worstcase as wc
@@ -401,8 +393,7 @@ def cmd_adversary(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    payload = _load_json(args.input)
-    _require_keys(payload, {"p_grid", "c_grid"})
+    payload = md.json_object(_load_json(args.input), {"p_grid", "c_grid"})
 
     def entries(key):
         values = [md.number(x, f"{key} entry") for x in payload[key]]
@@ -438,8 +429,7 @@ def cmd_discriminate(args) -> int:
 
 
 def cmd_bayes(args) -> int:
-    payload = _load_json(args.input)
-    _require_keys(payload, {"p0", "c0", "p_star"}, optional={"mu", "w0"})
+    payload = md.json_object(_load_json(args.input), {"p0", "c0", "p_star"}, {"mu", "w0"})
     if args.mu is None and "mu" not in payload:
         raise CliError(EXIT_VALIDATION, "mu required (field or --mu)")
     mu = args.mu if args.mu is not None else _field(payload, "mu")
@@ -465,8 +455,7 @@ def cmd_bayes(args) -> int:
 
 
 def cmd_multi(args) -> int:
-    payload = _load_json(args.input)
-    _require_keys(payload, {"n", "w0", "b", "actions"})
+    payload = md.json_object(_load_json(args.input), {"n", "w0", "b", "actions"})
     a0 = _parse_actions(payload["actions"])
     from . import extensions as ext
 
@@ -478,12 +467,9 @@ def cmd_multi(args) -> int:
 
 
 def cmd_asym(args) -> int:
-    payload = _load_json(args.input)
-    _require_keys(payload, {"contract", "a0"})
+    payload = md.json_object(_load_json(args.input), {"contract", "a0"})
     contract = _parse_contract(payload["contract"])
-    a0_obj = payload["a0"]
-    _require_keys(a0_obj, {"cost", "prob"})
-    a0 = md.ActionSpec(_field(a0_obj, "cost"), _field(a0_obj, "prob"))
+    a0 = md.ActionSpec(*_field(payload, "a0", md.json_action))
     from . import extensions as ext
 
     p1, p2, total = ext.asym_unknown_value(contract, a0)

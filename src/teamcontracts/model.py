@@ -61,6 +61,30 @@ def integral(x, what: str = "value") -> int:
     return int(x)
 
 
+def json_object(obj, required: set, optional: set = frozenset(), what: str = ""):
+    """``obj``, if it is a JSON object holding every ``required`` field and
+    no field outside ``required`` and ``optional``; else ValueError naming
+    the object by ``what``, empty or ending in a space: ``what="contract "``
+    gives ``unknown contract fields: ['w2']``."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected {what}fields in a JSON object, got {type(obj).__name__}")
+    unknown = obj.keys() - required - optional
+    if unknown:
+        raise ValueError(f"unknown {what}fields: {sorted(unknown)}")
+    missing = required - obj.keys()
+    if missing:
+        raise ValueError(f"missing {what}fields: {sorted(missing)}")
+    return obj
+
+
+def json_action(obj, what: str = "") -> tuple[float, float]:
+    """The (cost, prob) numbers of a JSON action object; ``what`` names it
+    in errors, e.g. ``action 0 cost is not a number: '0.25'``.  Their
+    ranges are checked where an action is built."""
+    json_object(obj, {"cost", "prob"}, what=what)
+    return number(obj["cost"], what + "cost"), number(obj["prob"], what + "prob")
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class ActionSet:
     """A finite ordered list of actions whose leading prefix is known.
@@ -151,31 +175,13 @@ class ActionSet:
         return ActionSet(np.concatenate((self.costs, extra.costs)),
                          np.concatenate((self.probs, extra.probs)), self.known_count)
 
-    def to_json(self) -> dict:
-        pairs = zip(self.costs.tolist(), self.probs.tolist())
-        return {"actions": [{"cost": c, "prob": p} for c, p in pairs], "known": self.known_count}
-
     @classmethod
-    def from_json(cls, obj: dict) -> "ActionSet":
-        if not isinstance(obj, dict):
-            raise ValueError(f"action set must be an object, got {type(obj).__name__}")
-        extra = set(obj) - {"actions", "known"}
-        if extra:
-            raise ValueError(f"unknown action-set fields: {sorted(extra)}")
-        if not isinstance(obj.get("actions"), list):
-            raise ValueError("action-set JSON requires an 'actions' list")
-        pairs = []
-        for i, entry in enumerate(obj["actions"]):
-            if not isinstance(entry, dict):
-                raise ValueError(f"action {i} must be an object with 'cost' and 'prob', "
-                                 f"got {type(entry).__name__}")
-            bad = set(entry) - {"cost", "prob"}
-            if bad:
-                raise ValueError(f"unknown action fields: {sorted(bad)}")
-            missing = {"cost", "prob"} - set(entry)
-            if missing:
-                raise ValueError(f"action {i} is missing field {sorted(missing)[0]!r}")
-            pairs.append(tuple(number(entry[k], f"action {i} {k}") for k in ("cost", "prob")))
+    def from_json(cls, obj) -> "ActionSet":
+        json_object(obj, {"actions"}, {"known"}, "action-set ")
+        entries = obj["actions"]
+        if not isinstance(entries, list):
+            raise ValueError(f"actions must be a list, got {type(entries).__name__}")
+        pairs = [json_action(entry, f"action {i} ") for i, entry in enumerate(entries)]
         return cls.from_pairs(pairs, integral(obj.get("known", len(pairs)), "known"))
 
 
@@ -222,16 +228,8 @@ class Contract:
         return {"w11": self.w11, "w10": self.w10, "w01": self.w01, "w00": self.w00}
 
     @classmethod
-    def from_json(cls, obj: dict) -> "Contract":
-        if not isinstance(obj, dict):
-            raise ValueError(f"contract must be an object, got {type(obj).__name__}")
-        keys = {"w11", "w10", "w01", "w00"}
-        extra = set(obj) - keys
-        if extra:
-            raise ValueError(f"unknown contract fields: {sorted(extra)}")
-        missing = keys - set(obj)
-        if missing:
-            raise ValueError(f"contract JSON missing fields: {sorted(missing)}")
+    def from_json(cls, obj) -> "Contract":
+        json_object(obj, {"w11", "w10", "w01", "w00"}, what="contract ")
         return cls(*(number(obj[k], k) for k in ("w11", "w10", "w01", "w00")))
 
 

@@ -24,6 +24,7 @@ from teamcontracts.game import induce_game
 from teamcontracts.model import ActionSet, Contract
 
 from dense_game import dense_payoff
+from test_model import tuple_to_json
 
 A0_JSON = {"actions": [{"cost": 0.25, "prob": 1.0}], "known": 1}
 JPE_JSON = {"contract": {"w11": 0.6, "w10": 0.0, "w01": 0.0, "w00": 0.0},
@@ -162,9 +163,14 @@ class TestEvaluate:
         assert main(["evaluate", "--input", inp]) == 2
 
 
+def actions_json(actions):
+    """An action set's JSON document, as the tuple encoder writes it."""
+    return tuple_to_json(zip(actions.costs, actions.probs), actions.known_count)
+
+
 def dump_oracle(actions, payoff):
     """The game dump as first written: the whole dict through ``json.dumps``."""
-    return json.dumps({**actions.to_json(), "payoff": payoff.tolist()},
+    return json.dumps({**actions_json(actions), "payoff": payoff.tolist()},
                       indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
@@ -432,7 +438,7 @@ class TestAdversary:
         argv = ["adversary", "--input", write(tmp_path, "in.json", JPE_JSON), "--n", str(self.N)]
         adv = self.chain()
         want = self.former_json(argv, {
-            "chain": adv.actions.to_json()["actions"], "eps": adv.step, "rho": adv.rho,
+            "chain": actions_json(adv.actions)["actions"], "eps": adv.step, "rho": adv.rho,
             "t_hat": adv.t_hat, "clamped": adv.clamped, "max_eq_prob": adv.max_eq_prob})
         assert self.run(tmp_path, capsys, argv, to_file) == want
 
@@ -456,7 +462,7 @@ class TestAdversary:
         assert len(res.witness.actions) == self.N + 1
         result = {"pbar": res.pbar, "per_agent": res.per_agent, "total": res.total,
                   "binding": res.binding,
-                  "witness": {**res.witness.actions.to_json(), "eps": res.witness.eps},
+                  "witness": {**actions_json(res.witness.actions), "eps": res.witness.eps},
                   "classification": "JPE", "contract_evaluated": contract.to_json(),
                   "reduction_applied": False}
         assert self.run(tmp_path, capsys, argv, to_file) == self.former_json(argv, result)
@@ -676,7 +682,7 @@ class TestBadInputNoTraceback:
         ("multi", {"n": None, "w0": 0.4, "b": 0.1, "actions": A0_JSON}, "n"),
         ("bayes", {"mu": 0.9, "p0": None, "c0": 0.25, "p_star": 0.5}, "p0"),
         ("asym", {"contract": {"w11": 0.5, "w10": 0.0, "w01": 0.0, "w00": 0.0},
-                  "a0": {"cost": None, "prob": 1.0}}, "cost"),
+                  "a0": {"cost": None, "prob": 1.0}}, "a0"),
     ])
     def test_null_field_exits_2_naming_it(self, tmp_path, capsys, verb, payload, field):
         inp = write(tmp_path, "in.json", payload)
@@ -684,13 +690,13 @@ class TestBadInputNoTraceback:
         assert capsys.readouterr().err.startswith(f"error: bad field '{field}'")
 
     @pytest.mark.parametrize("actions, message", [
-        ({"actions": [{"prob": 1.0}], "known": 1}, "action 0 is missing field 'cost'"),
+        ({"actions": [{"prob": 1.0}], "known": 1}, "missing action 0 fields: ['cost']"),
         ({"actions": [{"cost": 0.25, "prob": 1.0}, {"cost": 0.1}]},
-         "action 1 is missing field 'prob'"),
-        ({"actions": {"cost": 0.25}}, "action-set JSON requires an 'actions' list"),
+         "missing action 1 fields: ['prob']"),
+        ({"actions": {"cost": 0.25}}, "actions must be a list, got dict"),
         ({"actions": [{"cost": 0.25, "prob": 1.0}, 0.5]},
-         "action 1 must be an object with 'cost' and 'prob', got float"),
-        ([{"cost": 0.25, "prob": 1.0}], "action set must be an object, got list"),
+         "expected action 1 fields in a JSON object, got float"),
+        ([{"cost": 0.25, "prob": 1.0}], "expected action-set fields in a JSON object, got list"),
     ])
     def test_malformed_action_set_exits_2_naming_it(self, tmp_path, capsys, actions, message):
         inp = write(tmp_path, "in.json", {
@@ -730,6 +736,142 @@ class TestBadInputNoTraceback:
         assert main(["optimize", "--input", inp, "--grid-step", "1e-7"]) == 2
         assert capsys.readouterr().err.startswith(
             "error: grid step 1e-07 asks for about 5e+13 value evaluations")
+
+
+CONTRACT = JPE_JSON["contract"]
+ENV = {"mu": 0.9, "p0": 1.0, "c0": 0.25, "p_star": 0.5}
+TEAM = {"n": 3, "w0": 0.4, "b": 0.1, "actions": A0_JSON}
+PAIR = {"contract": CONTRACT, "a0": {"cost": 0.25, "prob": 1.0}}
+
+
+def without(obj, key):
+    return {k: v for k, v in obj.items() if k != key}
+
+
+def with_action(entry):
+    """The running example's action set with ``entry`` as its one action."""
+    return {"actions": [entry], "known": 1}
+
+
+NESTED_DEFECTS = [  # verb, input, the stderr line after "error: "
+    # top level: every verb's payload
+    ("evaluate", {**JPE_JSON, "note": 1}, "unknown fields: ['note']"),
+    ("adversary", without(JPE_JSON, "contract"), "missing fields: ['contract']"),
+    ("sweep", {"p_grid": [1.0]}, "missing fields: ['c_grid']"),
+    ("bayes", {**ENV, "w1": 0.1}, "unknown fields: ['w1']"),
+    ("bayes", without(ENV, "c0"), "missing fields: ['c0']"),
+    ("bayes", {**ENV, "w0": "0.1"}, "bad field 'w0': value is not a number: '0.1'"),
+    ("multi", {**TEAM, "m": 2}, "unknown fields: ['m']"),
+    ("multi", without(TEAM, "b"), "missing fields: ['b']"),
+    ("multi", {**TEAM, "b": None}, "bad field 'b': value is not a number: None"),
+    ("asym", without(PAIR, "a0"), "missing fields: ['a0']"),
+    ("optimize", [A0_JSON], "top-level JSON object expected in {input}"),
+    # the contract of evaluate, adversary and asym
+    ("evaluate", {**JPE_JSON, "contract": [0.6, 0, 0, 0]},
+     "bad contract: expected contract fields in a JSON object, got list"),
+    ("adversary", {**JPE_JSON, "contract": {**CONTRACT, "w2": 0}},
+     "bad contract: unknown contract fields: ['w2']"),
+    ("asym", {**PAIR, "contract": without(CONTRACT, "w00")},
+     "bad contract: missing contract fields: ['w00']"),
+    ("asym", {**PAIR, "contract": {**CONTRACT, "w01": "0"}},
+     "bad contract: w01 is not a number: '0'"),
+    # the action set of optimize, discriminate, evaluate, adversary and multi
+    ("discriminate", None, "top-level JSON object expected in {input}"),
+    ("evaluate", {**JPE_JSON, "actions": None},
+     "bad action set: expected action-set fields in a JSON object, got NoneType"),
+    ("optimize", {**A0_JSON, "note": 1}, "bad action set: unknown action-set fields: ['note']"),
+    ("discriminate", {"known": 1}, "bad action set: missing action-set fields: ['actions']"),
+    ("adversary", {**JPE_JSON, "actions": {"actions": {}}},
+     "bad action set: actions must be a list, got dict"),
+    ("multi", {**TEAM, "actions": {**A0_JSON, "known": "1"}},
+     "bad action set: known is not a number: '1'"),
+    # each action of a set
+    ("optimize", {"actions": [{"cost": 0.25, "prob": 1.0}, [0.1, 0.5]]},
+     "bad action set: expected action 1 fields in a JSON object, got list"),
+    ("discriminate", with_action({"cost": 0.25, "prob": 1.0, "p": 1.0}),
+     "bad action set: unknown action 0 fields: ['p']"),
+    ("multi", {**TEAM, "actions": with_action({"cost": 0.25})},
+     "bad action set: missing action 0 fields: ['prob']"),
+    ("evaluate", {**JPE_JSON, "actions": with_action({"cost": 0.25, "prob": "1"})},
+     "bad action set: action 0 prob is not a number: '1'"),
+    ("optimize", with_action({"cost": math.inf, "prob": 1.0}),
+     "bad action set: action cost must be finite and >= 0, got inf"),
+    # asym's a0, read as an action
+    ("asym", {**PAIR, "a0": [0.25, 1.0]},
+     "bad field 'a0': expected fields in a JSON object, got list"),
+    ("asym", {**PAIR, "a0": {"cost": 0.25, "prob": 1.0, "known": 1}},
+     "bad field 'a0': unknown fields: ['known']"),
+    ("asym", {**PAIR, "a0": {"prob": 1.0}}, "bad field 'a0': missing fields: ['cost']"),
+    ("asym", {**PAIR, "a0": {"cost": 0.25, "prob": False}},
+     "bad field 'a0': prob is not a number: False"),
+    ("asym", {**PAIR, "a0": {"cost": 0.25, "prob": 1.5}},
+     "success probability must be in [0, 1], got 1.5"),
+]
+
+
+class TestNestedObjects:
+    """One field rule for every JSON object of every verb: a value that is
+    not an object, an unknown or a missing field, or a field that is not a
+    number exits 2 with one line naming the object."""
+
+    @pytest.mark.parametrize("verb, payload, message", NESTED_DEFECTS)
+    def test_defect_exits_2_naming_the_object(self, tmp_path, capsys, verb, payload, message):
+        inp = write(tmp_path, "in.json", payload)
+        out = tmp_path / "out.json"
+        flags = ["--n", "10"] if verb == "adversary" else []
+        assert main([verb, "--input", inp, "--output", str(out), *flags]) == 2
+        assert capsys.readouterr() == ("", "error: " + message.format(input=inp) + "\n")
+        assert not out.exists()
+
+
+class TestUnreadableInput:
+    """Input that cannot be read exits 2 with one line naming the file."""
+
+    def test_directory(self, tmp_path, capsys):
+        assert main(["optimize", "--input", str(tmp_path)]) == 2
+        assert capsys.readouterr() == ("", f"error: cannot read {tmp_path}: Is a directory\n")
+
+    def test_permission_denied_on_open(self, tmp_path, capsys, monkeypatch):
+        # run as root, a mode-0 file would still open, so open is made to refuse
+        def refused(path, *args, **kwargs):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+        monkeypatch.setattr(cli, "open", refused, raising=False)
+        inp = write(tmp_path, "in.json", A0_JSON)
+        assert main(["optimize", "--input", inp]) == 2
+        assert capsys.readouterr() == ("", f"error: cannot read {inp}: Permission denied\n")
+
+    def test_error_on_read(self, tmp_path, capsys, monkeypatch):
+        class Failing:
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def read(self, *args):
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+        monkeypatch.setattr(cli, "open", lambda *args, **kwargs: Failing(), raising=False)
+        inp = write(tmp_path, "in.json", A0_JSON)
+        assert main(["discriminate", "--input", inp]) == 2
+        assert capsys.readouterr() == ("", f"error: cannot read {inp}: Input/output error\n")
+
+    def test_invalid_utf8(self, tmp_path, capsys):
+        inp = tmp_path / "in.json"
+        inp.write_bytes(b'{"p_grid": [1.0], "c_grid": [\xff]}')
+        assert main(["sweep", "--input", str(inp)]) == 2
+        assert capsys.readouterr() == ("", (
+            f"error: malformed JSON in {inp}: 'utf-8' codec can't decode byte 0xff in "
+            "position 29: invalid start byte\n"))
+
+    @pytest.mark.parametrize("text", ["[" * 100_000, '{"a": ' * 100_000])
+    def test_nesting_past_the_parser_limit(self, tmp_path, capsys, text):
+        inp = tmp_path / "in.json"
+        inp.write_text(text)
+        assert main(["bayes", "--input", str(inp)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: JSON in {inp} is nested too deeply to read\n")
 
 
 class TestGridCaps:

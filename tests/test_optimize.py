@@ -218,7 +218,7 @@ class TestOptimizeJpe:
 
     def test_default_refinement_is_unchanged(self, tmp_path, capsys):
         inp = tmp_path / "a0.json"
-        inp.write_text(json.dumps(A0.to_json()))
+        inp.write_text(json.dumps({"actions": [{"cost": 0.25, "prob": 1.0}], "known": 1}))
         assert main(["optimize", "--input", str(inp)]) == 0
         assert repr(json.loads(capsys.readouterr().out)["result"]) == repr({
             "grid_step": 1e-05, "per_agent": 0.3333324998687473, "refined": True,

@@ -157,11 +157,16 @@ REJECTIONS = [  # verb, input text, stderr: {input} is the input path, {json_err
     ("optimize", json.dumps(A0_JSON)[:-3], "error: malformed JSON in {input}: {json_error}\n"),
     ("bayes", json.dumps({k: v for k, v in ENV_JSON.items() if k != "c0"}),
      "error: missing fields: ['c0']\n"),
+    ("evaluate", json.dumps({**JPE_JSON, "contract": {**JPE_JSON["contract"], "w2": 0.1}}),
+     "error: bad contract: unknown contract fields: ['w2']\n"),
+    ("optimize", json.dumps({"actions": [{"cost": 0.25}], "known": 1}),
+     "error: bad action set: missing action 0 fields: ['prob']\n"),
 ]
 
 
 @pytest.mark.parametrize("verb, text, stderr", REJECTIONS,
-                         ids=["unknown_field", "bad_json", "missing_field"])
+                         ids=["unknown_field", "bad_json", "missing_field",
+                              "unknown_contract_field", "action_missing_prob"])
 def test_early_rejection_loads_no_numpy(tmp_path, verb, text, stderr):
     json_error = None
     try:
