@@ -1,15 +1,15 @@
 """Command-line surface: parse configs, dispatch to the solvers, and emit
 machine-readable JSON/CSV results.
 
-Exit codes: 0 success, 2 validation error (unreadable or malformed input,
-non-finite or overflowing numbers, infeasible model, a JSON object with an
-unknown or a missing field: ``model.json_object`` is the one rule), 3
-numerical non-convergence.  Outputs are written atomically (temp file +
-rename), embed a metadata block echoing the exact configuration, and are
+Exit codes: 0 success, 2 validation error (unreadable input, a field
+refused by its reader, infeasible model, overflow), 3 numerical
+non-convergence.  Outputs are written atomically (temp file + rename),
+embed a metadata block echoing the exact configuration, and are
 byte-identical across runs given the same config.
 
-Each verb reads and checks its input, then imports the solver modules it
-calls inside its ``cmd_`` function, so a process loads only those: where
+Each verb names its input's fields once, in a table of readers for
+``model.json_object``, through ``_read``, which labels a refusal.  Then it
+imports the solver modules it calls, so a process loads only those: where
 no bytecode is cached, every module a process imports is compiled from
 source.  numpy loads with the first action set or solver module, so
 ``--version``, ``bayes``, ``asym`` and input refused before either run
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import itertools
 import json
 import math
@@ -52,7 +53,8 @@ class CliError(Exception):
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            # every number a double, so no integer meets int()'s digit limit or float()'s range
+            obj = json.load(fh, parse_int=float)
     except FileNotFoundError:
         raise CliError(EXIT_VALIDATION, f"input file not found: {path}")
     except OSError as exc:
@@ -295,26 +297,35 @@ def _fields(result) -> dict:
     return {f.name: getattr(result, f.name) for f in fields(result)}
 
 
-def _field(obj: dict, key: str, convert=md.number):
-    """``convert(obj[key])``, or a validation error naming the field."""
+def _grid(value) -> list:
+    """The numbers of a JSON list, each finite."""
+    grid = [md.number(x, "entry") for x in md.json_list(value)]
+    for x in grid:
+        if not math.isfinite(x):
+            raise ValueError(f"entry is not finite: {x!r}")
+    return grid
+
+
+_LABELS = {md.Contract.from_json: "bad contract: ", md.ActionSet.from_json: "bad action set: ",
+           _grid: "bad grid: {name} "}
+
+
+def _read(read, value, name=None):
+    """``read(value)`` of the input's field ``name``, or of the whole input.
+    A refusal exits 2 with one line labelled by ``_LABELS``, else ``bad field
+    'name':``; the label names the field, so ``read`` is not told it."""
     try:
-        return convert(obj[key])
+        return read(value)
     except (TypeError, ValueError) as exc:
-        raise CliError(EXIT_VALIDATION, f"bad field {key!r}: {exc}")
+        label = _LABELS.get(read, "bad field {name!r}: ").format(name=name)
+        raise CliError(EXIT_VALIDATION, label + str(exc))
 
 
-def _parse_contract(obj) -> md.Contract:
-    try:
-        return md.Contract.from_json(obj)
-    except (ValueError, TypeError) as exc:
-        raise CliError(EXIT_VALIDATION, f"bad contract: {exc}")
-
-
-def _parse_actions(obj) -> md.ActionSet:
-    try:
-        return md.ActionSet.from_json(obj)
-    except (ValueError, TypeError) as exc:
-        raise CliError(EXIT_VALIDATION, f"bad action set: {exc}")
+def _payload(args, *tables) -> list:
+    """The input's fields, read by ``model.json_object`` with these tables."""
+    return md.json_object(_load_json(args.input), *({name: functools.partial(_read, read)
+                                                     for name, read in table.items()}
+                                                    for table in tables))
 
 
 # ---------------------------------------------------------------------------
@@ -325,9 +336,8 @@ def cmd_evaluate(args) -> int:
     if args.output and args.dump_game and _same_file(args.output, args.dump_game):
         raise CliError(EXIT_VALIDATION,
                        f"--output and --dump-game name the same file: {args.dump_game}")
-    payload = md.json_object(_load_json(args.input), {"contract", "actions"})
-    contract = _parse_contract(payload["contract"])
-    a0 = _parse_actions(payload["actions"])
+    contract, a0 = _payload(args, {"contract": md.Contract.from_json,
+                                   "actions": md.ActionSet.from_json})
     from . import worstcase as wc
 
     eps = args.eps if args.eps is not None else wc.DEFAULT_WITNESS_EPS
@@ -353,7 +363,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    a0 = _parse_actions(_load_json(args.input))
+    a0 = _read(md.ActionSet.from_json, _load_json(args.input))
     from . import optimize as opt
 
     res = opt.optimize_jpe(a0, coarse=args.grid_step, refine_rounds=args.refine)
@@ -362,9 +372,8 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_adversary(args) -> int:
-    payload = md.json_object(_load_json(args.input), {"contract", "actions"})
-    contract = _parse_contract(payload["contract"])
-    a0 = _parse_actions(payload["actions"])
+    contract, a0 = _payload(args, {"contract": md.Contract.from_json,
+                                   "actions": md.ActionSet.from_json})
     from . import worstcase as wc
 
     best = wc.best_known_solution(contract.w11, contract.w10, a0)
@@ -393,19 +402,7 @@ def cmd_adversary(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    payload = md.json_object(_load_json(args.input), {"p_grid", "c_grid"})
-
-    def entries(key):
-        values = [md.number(x, f"{key} entry") for x in payload[key]]
-        for x in values:
-            if not math.isfinite(x):
-                raise ValueError(f"{key} entry is not finite: {x!r}")
-        return values
-
-    try:
-        p_grid, c_grid = entries("p_grid"), entries("c_grid")
-    except (TypeError, ValueError) as exc:
-        raise CliError(EXIT_VALIDATION, f"bad grid: {exc}")
+    p_grid, c_grid = _payload(args, {"p_grid": _grid, "c_grid": _grid})
     from . import optimize as opt
 
     cells = [_fields(c) for c in opt.sweep_regimes(p_grid, c_grid, coarse=args.grid_step,
@@ -418,7 +415,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_discriminate(args) -> int:
-    a0 = _parse_actions(_load_json(args.input))
+    a0 = _read(md.ActionSet.from_json, _load_json(args.input))
     from . import optimize as opt
 
     res = opt.discriminatory_ipe(a0, grid=args.grid_step)
@@ -429,14 +426,14 @@ def cmd_discriminate(args) -> int:
 
 
 def cmd_bayes(args) -> int:
-    payload = md.json_object(_load_json(args.input), {"p0", "c0", "p_star"}, {"mu", "w0"})
-    if args.mu is None and "mu" not in payload:
+    p0, c0, p_star, mu, w0 = _payload(args, dict.fromkeys(("p0", "c0", "p_star"), md.number),
+                                      dict.fromkeys(("mu", "w0"), md.number))
+    if args.mu is None and mu is None:
         raise CliError(EXIT_VALIDATION, "mu required (field or --mu)")
-    mu = args.mu if args.mu is not None else _field(payload, "mu")
     from . import extensions as ext
 
-    env = ext.BayesianEnv(mu, *(_field(payload, k) for k in ("p0", "c0", "p_star")))
-    w0 = _field(payload, "w0") if "w0" in payload else env.c0 / env.p0 / 2.0
+    env = ext.BayesianEnv(mu if args.mu is None else args.mu, p0, c0, p_star)
+    w0 = env.c0 / env.p0 / 2.0 if w0 is None else w0
     jpe_val = ext.bayesian_eval(env, ext.JPE_SCHEME, w0)
     result = {
         "zero": ext.bayesian_eval(env, ext.ZERO),
@@ -455,24 +452,20 @@ def cmd_bayes(args) -> int:
 
 
 def cmd_multi(args) -> int:
-    payload = md.json_object(_load_json(args.input), {"n", "w0", "b", "actions"})
-    a0 = _parse_actions(payload["actions"])
+    a0, n, w0, b = _payload(args, {"actions": md.ActionSet.from_json, "n": md.integral,
+                                   "w0": md.number, "b": md.number})
     from . import extensions as ext
 
-    mac = ext.MultiAgentContract(_field(payload, "n", md.integral), _field(payload, "w0"),
-                                 _field(payload, "b"))
-    per_agent, total = ext.multi_agent_value(mac, a0)
-    _emit(args, {"n": mac.n, "per_agent": per_agent, "total": total})
+    per_agent, total = ext.multi_agent_value(ext.MultiAgentContract(n, w0, b), a0)
+    _emit(args, {"n": n, "per_agent": per_agent, "total": total})
     return EXIT_OK
 
 
 def cmd_asym(args) -> int:
-    payload = md.json_object(_load_json(args.input), {"contract", "a0"})
-    contract = _parse_contract(payload["contract"])
-    a0 = md.ActionSpec(*_field(payload, "a0", md.json_action))
+    contract, a0 = _payload(args, {"contract": md.Contract.from_json, "a0": md.json_action})
     from . import extensions as ext
 
-    p1, p2, total = ext.asym_unknown_value(contract, a0)
+    p1, p2, total = ext.asym_unknown_value(contract, md.ActionSpec(*a0))
     _emit(args, {"p1": p1, "p2": p2, "total": total})
     return EXIT_OK
 

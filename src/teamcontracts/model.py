@@ -61,28 +61,36 @@ def integral(x, what: str = "value") -> int:
     return int(x)
 
 
-def json_object(obj, required: set, optional: set = frozenset(), what: str = ""):
-    """``obj``, if it is a JSON object holding every ``required`` field and
-    no field outside ``required`` and ``optional``; else ValueError naming
-    the object by ``what``, empty or ending in a space: ``what="contract "``
-    gives ``unknown contract fields: ['w2']``."""
+def json_list(x, what: str = "") -> list:
+    """``x``, if it is a JSON list, else TypeError naming it by ``what``."""
+    if not isinstance(x, list):
+        raise TypeError(f"{what}must be a list, got {type(x).__name__}")
+    return x
+
+
+def json_object(obj, required: dict, optional: dict = {}, what: str = "") -> list:
+    """The ``required`` then ``optional`` fields of the JSON object ``obj``, each
+    read as ``read(value, name)`` by its table's reader, an absent one as None.
+    Else ValueError naming ``obj`` by ``what``, empty or ending in a space:
+    ``what="contract "`` gives ``unknown contract fields: ['w2']``."""
     if not isinstance(obj, dict):
         raise ValueError(f"expected {what}fields in a JSON object, got {type(obj).__name__}")
-    unknown = obj.keys() - required - optional
+    unknown = obj.keys() - required.keys() - optional.keys()
     if unknown:
         raise ValueError(f"unknown {what}fields: {sorted(unknown)}")
-    missing = required - obj.keys()
+    missing = required.keys() - obj.keys()
     if missing:
         raise ValueError(f"missing {what}fields: {sorted(missing)}")
-    return obj
+    return [read(obj[name], name) if name in obj else None
+            for name, read in (*required.items(), *optional.items())]
 
 
 def json_action(obj, what: str = "") -> tuple[float, float]:
-    """The (cost, prob) numbers of a JSON action object; ``what`` names it
-    in errors, e.g. ``action 0 cost is not a number: '0.25'``.  Their
-    ranges are checked where an action is built."""
-    json_object(obj, {"cost", "prob"}, what=what)
-    return number(obj["cost"], what + "cost"), number(obj["prob"], what + "prob")
+    """The (cost, prob) numbers of a JSON action object, named by ``what`` in
+    errors (``action 0 cost is not a number: '0.25'``); an action checks them."""
+    def read(x, name):
+        return number(x, what + name)
+    return tuple(json_object(obj, {"cost": read, "prob": read}, what=what))
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -177,12 +185,10 @@ class ActionSet:
 
     @classmethod
     def from_json(cls, obj) -> "ActionSet":
-        json_object(obj, {"actions"}, {"known"}, "action-set ")
-        entries = obj["actions"]
-        if not isinstance(entries, list):
-            raise ValueError(f"actions must be a list, got {type(entries).__name__}")
-        pairs = [json_action(entry, f"action {i} ") for i, entry in enumerate(entries)]
-        return cls.from_pairs(pairs, integral(obj.get("known", len(pairs)), "known"))
+        def actions(x, name):  # the (cost, prob) numbers of each action
+            return [json_action(a, f"action {i} ") for i, a in enumerate(json_list(x, name + " "))]
+        return cls.from_pairs(*json_object(obj, {"actions": actions}, {"known": integral},
+                                           "action-set "))
 
 
 def check_known_assumptions(a0: ActionSet) -> None:
@@ -229,8 +235,8 @@ class Contract:
 
     @classmethod
     def from_json(cls, obj) -> "Contract":
-        json_object(obj, {"w11", "w10", "w01", "w00"}, what="contract ")
-        return cls(*(number(obj[k], k) for k in ("w11", "w10", "w01", "w00")))
+        return cls(*json_object(obj, dict.fromkeys(("w11", "w10", "w01", "w00"), number),
+                                what="contract "))
 
 
 @dataclass(frozen=True)

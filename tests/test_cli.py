@@ -559,7 +559,9 @@ class TestSweepDeterminism:
     @pytest.mark.parametrize("text, message", [
         ('{"p_grid": [NaN, 0.9], "c_grid": [0.25]}', "p_grid entry is not finite: nan"),
         ('{"p_grid": [0.9], "c_grid": [-Infinity]}', "c_grid entry is not finite: -inf"),
-    ], ids=["nan", "-inf"])
+        # longer than int() reads from text, but read as a float
+        ('{"p_grid": [' + "9" * 5000 + '], "c_grid": [0.25]}', "p_grid entry is not finite: inf"),
+    ], ids=["nan", "-inf", "5000-digit"])
     def test_non_finite_entry_exits_2(self, tmp_path, capsys, fmt, text, message):
         inp, out = tmp_path / "grid.json", tmp_path / "out"
         inp.write_text(text)
@@ -633,6 +635,11 @@ class TestBayesMultiAsym:
         assert main(["bayes", "--input", inp, "--mu", "0.9",
                      "--output", str(out)]) == 0
         assert read_result(out)["zero"] == pytest.approx(0.05, abs=1e-12)
+
+    def test_bayes_mu_flag_does_not_excuse_a_malformed_field(self, tmp_path, capsys):
+        inp = write(tmp_path, "env.json", {"mu": "0.9", "p0": 1.0, "c0": 0.25, "p_star": 0.5})
+        assert main(["bayes", "--input", inp, "--mu", "0.9"]) == 2
+        assert capsys.readouterr() == ("", "error: bad field 'mu': value is not a number: '0.9'\n")
 
     def test_multi(self, tmp_path):
         inp = write(tmp_path, "m.json",
@@ -806,6 +813,15 @@ NESTED_DEFECTS = [  # verb, input, the stderr line after "error: "
      "bad field 'a0': prob is not a number: False"),
     ("asym", {**PAIR, "a0": {"cost": 0.25, "prob": 1.5}},
      "success probability must be in [0, 1], got 1.5"),
+    # sweep's grids, which must be lists
+    ("sweep", {"p_grid": {}, "c_grid": [0.25]}, "bad grid: p_grid must be a list, got dict"),
+    ("sweep", {"p_grid": [1.0], "c_grid": "0.25"}, "bad grid: c_grid must be a list, got str"),
+    ("sweep", {"p_grid": 1, "c_grid": [0.25]}, "bad grid: p_grid must be a list, got float"),
+    # a JSON integer past the float range reads as infinity, refused by its field
+    ("multi", {**TEAM, "n": 10**400}, "bad field 'n': not an integer: inf"),
+    ("optimize", {**A0_JSON, "known": 10**400}, "bad action set: not an integer: inf"),
+    ("evaluate", {**JPE_JSON, "contract": {**CONTRACT, "w11": 10**400}},
+     "bad contract: w11 must be finite and >= 0 (limited liability), got inf"),
 ]
 
 
