@@ -297,17 +297,21 @@ def _fields(result) -> dict:
     return {f.name: getattr(result, f.name) for f in fields(result)}
 
 
-def _grid(value) -> list:
-    """The numbers of a JSON list, each finite."""
+def _grid(value, low=-math.inf, high=math.inf) -> list:
+    """The numbers of a JSON list, each finite, then each in [low, high]."""
     grid = [md.number(x, "entry") for x in md.json_list(value)]
     for x in grid:
         if not math.isfinite(x):
             raise ValueError(f"entry is not finite: {x!r}")
+    for x in grid:
+        if not low <= x <= high:
+            raise ValueError(f"entry is not in [{low:g}, {high:g}]: {x!r}")
     return grid
 
 
+_probabilities = functools.partial(_grid, low=0.0, high=1.0)
 _LABELS = {md.Contract.from_json: "bad contract: ", md.ActionSet.from_json: "bad action set: ",
-           _grid: "bad grid: {name} "}
+           _grid: "bad grid: {name} ", _probabilities: "bad grid: {name} "}
 
 
 def _read(read, value, name=None):
@@ -376,7 +380,8 @@ def cmd_adversary(args) -> int:
                                    "actions": md.ActionSet.from_json})
     from . import worstcase as wc
 
-    best = wc.best_known_solution(contract.w11, contract.w10, a0)
+    s0, s1 = wc.marginal_wage(contract, wc.JOINT)
+    best = wc.best_known_solution(s1, s0, a0)
     adv = wc.euler_adversary(contract, best.a0, args.n, rho=args.rho)
     if adv.verified is False:
         raise CliError(
@@ -402,7 +407,7 @@ def cmd_adversary(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    p_grid, c_grid = _payload(args, {"p_grid": _grid, "c_grid": _grid})
+    p_grid, c_grid = _payload(args, {"p_grid": _probabilities, "c_grid": _grid})
     from . import optimize as opt
 
     cells = [_fields(c) for c in opt.sweep_regimes(p_grid, c_grid, coarse=args.grid_step,

@@ -33,19 +33,18 @@ class MultiAgentContract:
         if not self.w0 + self.b < math.inf:
             raise ValueError(f"w0 + b must be finite, got {self.w0 + self.b}")
 
-    def two_agent_equivalent(self) -> Contract:
-        return Contract(self.w0 + self.b, self.w0, 0.0, 0.0)
-
 
 def multi_agent_value(mac: MultiAgentContract, a0_set: ActionSet) -> tuple[float, float]:
-    """Worst-case value of the n-agent scheme: per-agent it reduces to the
-    two-agent case with w11 = w0 + b and w10 = w0, and the total is n times
-    that, since each agent's incentives depend on the others only through
-    their common equilibrium success probability."""
-    from .worstcase import jpe_value
+    """Worst-case value of the n-agent scheme.  When each other agent
+    succeeds w.p. p, own success pays w0 + b*p more than failure: the
+    marginal wage with coefficients (s0, s1) = (w0, w0 + b), which is valued
+    per agent as a two-agent joint evaluation.  The total is n times that,
+    since each agent's incentives depend on the others only through their
+    common equilibrium success probability."""
+    from .worstcase import _joint_value
 
     check_known_assumptions(a0_set)
-    per_agent = jpe_value(mac.two_agent_equivalent(), a0_set).per_agent
+    per_agent = _joint_value(mac.w0, mac.w0 + mac.b, a0_set)[0].per_agent
     return per_agent, mac.n * per_agent
 
 

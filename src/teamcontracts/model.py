@@ -46,18 +46,24 @@ class ActionSpec:
             raise ValueError(f"success probability must be in [0, 1], got {self.prob}")
 
 
+def clip(x, limit: int = 60) -> str:
+    """``repr(x)`` for a refusal line, cut to ``limit`` characters and ``...``."""
+    text = repr(x)
+    return text if len(text) <= limit else text[:limit] + "..."
+
+
 def number(x, what: str = "value") -> float:
     """``float(x)`` for an int or float, else TypeError naming ``what``: a
     number field of JSON input takes a JSON number, not a bool or a string."""
     if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise TypeError(f"{what} is not a number: {x!r}")
+        raise TypeError(f"{what} is not a number: {clip(x)}")
     return float(x)
 
 
 def integral(x, what: str = "value") -> int:
     """``int(x)`` for a number with no fractional part, else ValueError."""
     if not number(x, what).is_integer():
-        raise ValueError(f"not an integer: {x!r}")
+        raise ValueError(f"not an integer: {clip(x)}")
     return int(x)
 
 
@@ -77,7 +83,7 @@ def json_object(obj, required: dict, optional: dict = {}, what: str = "") -> lis
         raise ValueError(f"expected {what}fields in a JSON object, got {type(obj).__name__}")
     unknown = obj.keys() - required.keys() - optional.keys()
     if unknown:
-        raise ValueError(f"unknown {what}fields: {sorted(unknown)}")
+        raise ValueError(f"unknown {what}fields: {clip(sorted(unknown))}")
     missing = required.keys() - obj.keys()
     if missing:
         raise ValueError(f"missing {what}fields: {sorted(missing)}")

@@ -1,33 +1,33 @@
 """Analytic worst-case payoffs and constructive adversary action sets.
 
-For a joint-evaluation contract (w11 > w10, failure wages zero) the
-worst-case success probability solves the undercutting dynamics
+An agent's incentive depends on a contract only through its marginal wage
+s(p) = (1 - p)*s0 + p*s1, what one more unit of own success probability pays
+when the other agent succeeds w.p. p, with Bernstein coefficients (s0, s1) =
+(w10 - w00, w11 - w01) (Farouki, CAGD 2012).  ``marginal_wage`` reads them off
+a reduced contract; their signs pick the closed form, and every other
+contract is refused:
 
-    dp/dt = -1 / (p*w11 + (1 - p)*w10),    p(0) = p(a0),
+    s1 > s0 >= 0   joint evaluation           jpe_value, undercut chain
+    s1 = s0 >= 0   independent evaluation     ipe_value, single undercut
+    s0 > s1 >= 0   relative evaluation        rpe_value, fixed point
+    s0 < 0 < s1    w11/w00 (w10 = w01 = 0)    jpe_value_w00, no witness
 
-where t is cost reduction relative to the targeted known action a0.  The
-implicit integral w10*p + (w11 - w10)*p^2/2 is monotone in p, so the
-solution is a quadratic root and is never integrated numerically here;
-quadrature appears only as a test oracle.  Adversaries realizing the bound
-are finite chains of progressively cheaper, less productive actions, each a
-best response to its predecessor.
+The worst-case success probability solves the undercut dynamics
+dp/dt = -1/s(p), p(0) = p(a0), where t is cost reduction relative to the
+targeted known action a0.  For s0 >= 0 the implicit integral
+s0*p + (s1 - s0)*p^2/2 is monotone in p, so the endpoint is a quadratic root,
+never integrated numerically here (quadrature is a test oracle).  Adversaries
+realizing the bound are finite chains of progressively cheaper, less
+productive actions, each a best response to its predecessor.
 
-The endpoint is written once, as the array kernel ``_endpoint``, which
-broadcasts over wages and targets.  Its joint branch (w11 > w10) is a
-quadratic root, and so is the relative-evaluation fixed point; both come
-from ``_stable_root``.  Every other cell takes the constant-slope branch at
-wage w10, where a zero wage leaves a free target at p(a0) and sends a costly
-one to zero.  ``pbar_closed_form`` and ``best_known_solution`` make one
-kernel call over their targets, ``pbar_grid`` one per known target, and
-``jpe_value_w00`` one over its targets shifted to its singularity.
-
+The endpoint is written once, as the array kernel ``_endpoint``; its joint
+branch and the relative-evaluation fixed point are ``_stable_root``'s roots.
+``_best_solution`` makes one kernel call over its targets, and it alone moves
+a negative s0 to the root of s; ``pbar_grid`` makes one per known target.
 ``worst_case`` is the one place that picks the value for a wage pattern and
 builds the witness attaining it; the ``*_value`` functions compute values only.
-
-Only chain verification builds a game, and it imports ``game`` when it
-runs, so a process that never verifies a chain does not load it.
+Only chain verification builds a game, and it imports ``game`` when it runs.
 """
-
 from __future__ import annotations
 
 import math
@@ -44,19 +44,45 @@ SHIRK_EQ = "SHIRK_EQ"
 
 DEFAULT_WITNESS_EPS = 1e-4
 
+JOINT, RELATIVE, W00 = "joint", "relative", "w11/w00"  # what a caller may need
+
+
+def marginal_wage(contract: Contract, need: str | None = None) -> tuple[float, float]:
+    """(s0, s1) = (w10 - w00, w11 - w01) of a contract in the table above,
+    or in its row ``need`` (JOINT and RELATIVE with zero failure wages, W00
+    with w00 = 0 too); any other contract raises ContractPatternError."""
+    w11, w10, w01, w00 = contract.as_tuple()
+    s0, s1 = w10 - w00, w11 - w01
+    if need == W00:
+        if w10 != 0.0 or w01 != 0.0:
+            raise ContractPatternError("pattern requires w10 = w01 = 0")
+        if w11 <= 0.0:
+            raise ContractPatternError("pattern requires w11 > 0")
+    elif need:
+        if w01 != 0.0 or w00 != 0.0:
+            raise ContractPatternError("failure wages must be zero (w01 = w00 = 0)")
+        if not (s1 > s0 if need == JOINT else s1 < s0):
+            raise ContractPatternError(f"{need} evaluation requires w11 "
+                                       f"{'>' if need == JOINT else '<'} w10, got ({w11}, {w10})")
+    elif w01 != 0.0 or w00 != 0.0 and not (w10 == 0.0 and w11 > 0.0):
+        raise ContractPatternError(
+            "worst-case evaluation is not defined for this wage pattern even after "
+            f"reduction (class {classify(contract).tag}); "
+            "supported: zero failure wages, or w11/w00 with w10=w01=0")
+    return s0, s1
+
 
 @dataclass(frozen=True)
 class OdeSolution:
-    """Endpoint of the undercut dynamics for one targeted known action.
-
-    ``t_zero`` is the cost budget at which the success probability would
-    reach zero; ``t_hat`` = min(cost(a0), t_zero) is the budget actually
-    usable, and ``p_end`` the probability reached there.
-    """
+    """Endpoint of the undercut dynamics under the marginal wage (s0, s1)
+    for one targeted known action.  ``t_zero`` is the cost budget at which
+    the success probability would reach zero; ``t_hat`` = min(cost(a0),
+    t_zero) is the budget actually usable, and ``p_end`` the probability
+    reached there."""
 
     a0: ActionSpec
-    w11: float
-    w10: float
+    s0: float
+    s1: float
     t_hat: float
     p_end: float
     t_zero: float
@@ -91,36 +117,37 @@ def _stable_root(a, b, r):
     return root
 
 
-def _endpoint(w11, w10, p0, c0):
+def _endpoint(s0, s1, p0, c0):
     """Endpoint ``(t_hat, p_end, t_zero)`` of the undercut dynamics started
-    at (cost c0, probability p0), elementwise over the broadcast inputs.
+    at (cost c0, probability p0), elementwise over the broadcast inputs,
+    for marginal wages with coefficients s1 >= s0 >= 0.
 
-    Joint cells (w11 > w10) reach zero at t_zero = w10*p0 + (w11-w10)*p0^2/2
+    Joint cells (s1 > s0) reach zero at t_zero = s0*p0 + (s1-s0)*p0^2/2
     and before that end at the root p_end of
 
-        (w11-w10)/2 * p^2 + w10 * p = t_zero - c0.
+        (s1-s0)/2 * p^2 + s0 * p = t_zero - c0.
 
-    Every other cell has constant slope at wage w10: t_zero = w10*p0 and
-    p_end = max(0, p0 - c0/w10), or, at zero wage, p0 for a free target and
+    Every other cell has constant slope s0: t_zero = s0*p0 and
+    p_end = max(0, p0 - c0/s0), or, at s0 = 0, p0 for a free target and
     0 for a costly one.  t_hat = min(c0, t_zero) is the budget used.
     p_end is kept in [0, p0], which rounding can leave only where the
     squares underflow (wages below about 1e-154).
 
     Raises OverflowError when an output, or a discriminant it rests on, is not finite.
     """
-    w11, w10, p0, c0 = (np.asarray(x, dtype=float) for x in (w11, w10, p0, c0))
-    joint = w11 > w10
-    paid = w10 > 0.0
+    s0, s1, p0, c0 = (np.asarray(x, dtype=float) for x in (s0, s1, p0, c0))
+    joint = s1 > s0
+    paid = s0 > 0.0
     with np.errstate(all="ignore"):
-        # Nothing is kept that the root does not need (not even w11 - w10):
+        # Nothing is kept that the root does not need (not even s1 - s0):
         # the grid scans call this on blocks of optimize._BLOCK_CELLS cells,
         # sized to keep every temporary under glibc's trim and mmap
         # thresholds, and each kept array is one more temporary alive.
-        t_zero = np.where(joint, w10 * p0 + (w11 - w10) * p0 * p0 / 2.0,
-                          np.where(paid, w10 * p0, 0.0))
+        t_zero = np.where(joint, s0 * p0 + (s1 - s0) * p0 * p0 / 2.0,
+                          np.where(paid, s0 * p0, 0.0))
         spent = c0 >= t_zero
-        root = np.where(joint, _stable_root((w11 - w10) / 2.0, w10, t_zero - c0),
-                        p0 - c0 / w10)
+        root = np.where(joint, _stable_root((s1 - s0) / 2.0, s0, t_zero - c0),
+                        p0 - c0 / s0)
     # Python's max(0.0, root), but keeping NaN for the check below
     p_end = np.where((root <= 0.0) | (joint & spent), 0.0, root)
     p_end = np.where(joint | paid, p_end, np.where(c0 == 0.0, p0, 0.0))
@@ -132,30 +159,40 @@ def _endpoint(w11, w10, p0, c0):
     return t_hat, p_end, t_zero
 
 
-def _best_solution(w11: float, w10: float, probs, costs, targets) -> OdeSolution:
+def _best_solution(s0: float, s1: float, probs, costs, targets) -> OdeSolution:
     """Endpoint of the target ``targets[k]`` at (probs[k], costs[k]) ending
-    highest (the first on ties), from one kernel call; needs w11 >= w10."""
-    if w11 < w10:
-        raise ContractPatternError(f"need w11 >= w10, got w11={w11} < w10={w10}")
-    t_hat, p_end, t_zero = _endpoint(w11, w10, probs, costs)
+    highest (the first on ties), from one kernel call; needs s1 >= s0.
+
+    A negative s0 (w11/w00) gives s(p) = (s1 - s0)*(p - p_sing), the marginal
+    wage (0, s1 - s0) in q = p - p_sing, where the kernel runs from q0 =
+    p(a0) - p_sing.  Below p_sing lower success is strictly preferred, so
+    undercutting costs nothing: q_end <= 0 (a target at or below p_sing, or a
+    budget that reaches it) ends the success probability at zero.
+    """
+    if s1 < s0:
+        raise ContractPatternError(f"need w11 >= w10, got w11={s1} < w10={s0}")
+    if s0 < 0.0:
+        p_sing = -s0 / (s1 - s0)
+        sol = _best_solution(0.0, s1 - s0, np.asarray(probs) - p_sing, costs, targets)
+        return replace(sol, s0=s0, s1=s1, p_end=p_sing + sol.p_end if sol.p_end > 0.0 else 0.0)
+    t_hat, p_end, t_zero = _endpoint(s0, s1, probs, costs)
     k = int(np.argmax(p_end))
-    return OdeSolution(targets[k], w11, w10, float(t_hat[k]), float(p_end[k]),
-                       float(t_zero[k]))
+    return OdeSolution(targets[k], s0, s1, float(t_hat[k]), float(p_end[k]), float(t_zero[k]))
 
 
-def pbar_closed_form(w11: float, w10: float, a0: ActionSpec) -> OdeSolution:
+def pbar_closed_form(s1: float, s0: float, a0: ActionSpec) -> OdeSolution:
     """Closed-form endpoint of the undercut dynamics started at a0 (see
-    ``_endpoint``); needs w11 >= w10."""
-    return _best_solution(w11, w10, [a0.prob], [a0.cost], (a0,))
+    ``_best_solution``); s1 and s0 are w11 and w10 for zero failure wages."""
+    return _best_solution(s0, s1, [a0.prob], [a0.cost], (a0,))
 
 
-def best_known_solution(w11: float, w10: float, a0_set: ActionSet) -> OdeSolution:
+def best_known_solution(s1: float, s0: float, a0_set: ActionSet) -> OdeSolution:
     """Endpoint of the known target whose dynamics end highest (the first
-    such target on ties)."""
+    such target on ties); s1 and s0 as in ``pbar_closed_form``."""
     known = a0_set.known
     if not known:
         raise ValueError("action set has no known prefix to target")
-    return _best_solution(w11, w10, known.probs, known.costs, known)
+    return _best_solution(s0, s1, known.probs, known.costs, known)
 
 
 def shirk_branch(pbar, w11, w10):
@@ -170,16 +207,6 @@ def _min_branch(pbar: float, full: float, shirk: float) -> WorstCaseResult:
     return WorstCaseResult(pbar, per_agent, 2.0 * per_agent, binding)
 
 
-def _require_pattern(contract: Contract, jpe: bool) -> None:
-    w11, w10, w01, w00 = contract.as_tuple()
-    if w01 != 0.0 or w00 != 0.0:
-        raise ContractPatternError("failure wages must be zero (w01 = w00 = 0)")
-    if jpe and not w11 > w10:
-        raise ContractPatternError(f"joint evaluation requires w11 > w10, got ({w11}, {w10})")
-    if not jpe and not w11 < w10:
-        raise ContractPatternError(f"relative evaluation requires w11 < w10, got ({w11}, {w10})")
-
-
 def jpe_value(contract: Contract, a0_set: ActionSet) -> WorstCaseResult:
     """Worst-case value of a joint evaluation with zero failure wages.
 
@@ -188,44 +215,25 @@ def jpe_value(contract: Contract, a0_set: ActionSet) -> WorstCaseResult:
     first branch binds when the adversary prefers a free full-success action
     (always so once w10 >= 1); the second is the compounding-shirking limit.
     """
-    return _jpe_value(contract, a0_set)[0]
+    return _joint_value(*marginal_wage(contract, JOINT), a0_set)[0]
 
 
-def _jpe_value(contract: Contract, a0_set: ActionSet) -> tuple[WorstCaseResult, OdeSolution]:
-    """``jpe_value`` and the endpoint of the target it rests on."""
-    w11, w10 = contract.w11, contract.w10
-    _require_pattern(contract, jpe=True)
-    best = best_known_solution(w11, w10, a0_set)
+def _joint_value(s0: float, s1: float, a0_set: ActionSet) -> tuple[WorstCaseResult, OdeSolution]:
+    """``jpe_value`` of the marginal wage (s0, s1) and the endpoint it rests on."""
+    best = best_known_solution(s1, s0, a0_set)
     pbar = best.p_end
-    return _min_branch(pbar, 1.0 - w11, shirk_branch(pbar, w11, w10)), best
+    return _min_branch(pbar, 1.0 - s1, shirk_branch(pbar, s1, s0)), best
 
 
 def jpe_value_w00(contract: Contract, a0_set: ActionSet) -> WorstCaseResult:
     """Worst case for the variant paying w11 on joint success, w00 on joint
-    failure (w10 = w01 = 0).
-
-    The law of motion becomes dp/dt = -1/(p*w11 - (1-p)*w00), which is only
-    defined above the singularity p_sing = w00/(w11 + w00).  If the budget
-    reaches the singularity the undercutting continues at no cost (below
-    p_sing lower success probability is strictly preferred), so the
-    worst-case probability collapses to zero and joint failures are paid.
-    The slope (w11 + w00)*(p - p_sing) is the pooled one at wage w11 + w00
-    in q = p - p_sing, so ``_endpoint`` runs there from q0 = p(a0) - p_sing;
-    it keeps q_end <= q0, and q_end <= 0 (at or past p_sing) means pbar = 0.
-    """
+    failure (w10 = w01 = 0).  Its marginal wage s(p) = p*w11 - (1-p)*w00 has
+    a root p_sing = w00/(w11 + w00): a budget that reaches it collapses the
+    worst-case probability to zero (``_best_solution``), and joint failures
+    are paid."""
+    s0, s1 = marginal_wage(contract, W00)
+    pbar = best_known_solution(s1, s0, a0_set).p_end
     w11, w00 = contract.w11, contract.w00
-    if contract.w10 != 0.0 or contract.w01 != 0.0:
-        raise ContractPatternError("pattern requires w10 = w01 = 0")
-    if w11 <= 0.0:
-        raise ContractPatternError("pattern requires w11 > 0")
-    known = a0_set.known
-    if not known:
-        raise ValueError("action set has no known prefix to target")
-
-    p_sing = w00 / (w11 + w00)
-    q_end = _best_solution(w11 + w00, 0.0, known.probs - p_sing, known.costs, known).p_end
-    pbar = p_sing + q_end if q_end > 0.0 else 0.0
-
     shirk = pbar * pbar * (1.0 - w11) + (1.0 - pbar) ** 2 * (-w00)
     return _min_branch(pbar, 1.0 - w11, shirk)
 
@@ -266,30 +274,26 @@ def ipe_value(w: float, a0_set: ActionSet) -> WorstCaseResult:
 
 
 def rpe_value(contract: Contract, a0_set: ActionSet) -> WorstCaseResult:
-    """Worst case of a relative evaluation (w11 < w10, failure wages zero).
+    """Worst case of a relative evaluation (s0 > s1 >= 0, failure wages zero).
 
-    The limiting adversary action solves the fixed point
-
-        p* = min{1, max over a0 (and the free null action) of
-                    p(a0) - c(a0) / (p* * w11 + (1 - p*) * w10)}.
-
-    Each action's map falls in p*, so p* is the largest per-action fixed
-    point.  Divided by w10 > 0, that of a0 is the root of a*p^2 + b*p = r
-    with a = w11/w10 - 1, b = 1 - a*p(a0) and r = p(a0) - c(a0)/w10, which
-    is positive exactly when r is; other actions lose to the null action.
+    The limiting adversary action solves the fixed point p* = min{1, max over
+    a0 (and the free null action) of p(a0) - c(a0)/s(p*)}.  Each action's
+    map falls in p*, so p* is the largest per-action fixed point.  Divided by
+    s0 > 0, that of a0 is the root of a*p^2 + b*p = r with a = s1/s0 - 1,
+    b = 1 - a*p(a0) and r = p(a0) - c(a0)/s0, which is positive exactly when
+    r is; other actions lose to the null action.
     """
-    w11, w10 = contract.w11, contract.w10
-    _require_pattern(contract, jpe=False)
+    s0, s1 = marginal_wage(contract, RELATIVE)
     known = a0_set.known
     if not known:
         raise ValueError("action set has no known prefix")
-    surplus = known.probs - known.costs / w10
+    surplus = known.probs - known.costs / s0
     keep = surplus > 0.0
-    a = w11 / w10 - 1.0
+    a = s1 / s0 - 1.0
     roots = _stable_root(a, 1.0 - a * known.probs[keep], surplus[keep])
     p_star = min(1.0, float(roots.max(initial=0.0)))
 
-    per_agent = shirk_branch(p_star, w11, w10)
+    per_agent = shirk_branch(p_star, s1, s0)
     return WorstCaseResult(p_star, per_agent, 2.0 * per_agent, SHIRK_EQ)
 
 
@@ -307,21 +311,16 @@ class EulerAdversary:
     max_eq_prob: float | None
 
 
-def euler_adversary(
-    contract: Contract,
-    a0: ActionSpec,
-    n: int,
-    rho: float | None = None,
-    verify: bool = True,
-) -> EulerAdversary:
+def euler_adversary(contract: Contract, a0: ActionSpec, n: int, rho: float | None = None,
+                    verify: bool = True) -> EulerAdversary:
     """Chain of n undercutting actions targeting a0.
 
     Costs sit on the grid (n-k)*t_hat/n and probabilities follow the forward
-    step of the undercut dynamics,
+    step of the undercut dynamics under the marginal wage (s0, s1),
 
-        p_k = p_{k-1} - eps/(p_{k-1}*w11 + (1-p_{k-1})*w10) + rho,
+        p_k = p_{k-1} - eps/(p_{k-1}*s1 + (1-p_{k-1})*s0) + rho,
 
-    with eps = t_hat/n and rounding margin rho = t_hat/(n^2*(w11+1)) by
+    with eps = t_hat/n and rounding margin rho = t_hat/(n^2*(s1+1)) by
     default (pass ``rho`` to override, e.g. a tiny value to sit at the
     binding best-response limits).  Probabilities are clamped to [0, 1] with
     the ``clamped`` flag raised, since clamped steps leave the recursion.
@@ -331,17 +330,15 @@ def euler_adversary(
     """
     if n < 1:
         raise ValueError("chain length n must be >= 1")
-    w11, w10 = contract.w11, contract.w10
-    _require_pattern(contract, jpe=True)
-
-    sol = pbar_closed_form(w11, w10, a0)
+    s0, s1 = marginal_wage(contract, JOINT)
+    sol = pbar_closed_form(s1, s0, a0)
     t_hat = sol.t_hat
     if t_hat <= 0.0:
         chain = ActionSet([a0.cost], [a0.prob])
         return EulerAdversary(chain, 0.0, 0.0, 0.0, False, True, None, a0.prob)
 
     eps = t_hat / n
-    rho_n = t_hat / (n * n * (w11 + 1.0)) if rho is None else float(rho)
+    rho_n = t_hat / (n * n * (s1 + 1.0)) if rho is None else float(rho)
 
     probs = [a0.prob]
     clamped = False
@@ -350,7 +347,7 @@ def euler_adversary(
         if q <= 0.0:
             nxt = 0.0
         else:
-            denom = q * w11 + (1.0 - q) * w10
+            denom = q * s1 + (1.0 - q) * s0
             nxt = q - eps / denom + rho_n
         if nxt < 0.0 or nxt > 1.0:
             clamped = True
@@ -363,9 +360,7 @@ def euler_adversary(
     costs[0] = a0.cost
     chain = ActionSet(costs, probs, 1)
 
-    verified = None
-    failure_step = None
-    max_eq_prob = None
+    verified = failure_step = max_eq_prob = None
     if verify:
         from .game import extremal_br_path, induce_game
 
@@ -383,20 +378,19 @@ def euler_error_bound(contract: Contract, a0: ActionSpec, n: int) -> float:
 
     Returns [(e^(t_hat*k1) - 1)/k1] * [eps*k2/2 + rho/eps] where k1 and k2
     bound the slope and curvature of the analytic solution via the minimum
-    wage denominator along it.  When that denominator reaches zero within
-    budget (w10 = 0 with the probability driven to zero) no finite bound
+    marginal wage along it.  When that wage reaches zero within
+    budget (s0 = 0 with the probability driven to zero) no finite bound
     exists and math.inf is returned; convergence must then be checked
     empirically.
     """
     if n < 1:
         raise ValueError("chain length n must be >= 1")
-    w11, w10 = contract.w11, contract.w10
-    _require_pattern(contract, jpe=True)
-    sol = pbar_closed_form(w11, w10, a0)
+    s0, s1 = marginal_wage(contract, JOINT)
+    sol = pbar_closed_form(s1, s0, a0)
     if sol.t_hat <= 0.0:
         return 0.0
-    gap = w11 - w10
-    d_min = w10 + sol.p_end * gap
+    gap = s1 - s0
+    d_min = s0 + sol.p_end * gap
     if d_min <= 1e-12:
         return math.inf
     k1 = gap / d_min**2
@@ -404,7 +398,7 @@ def euler_error_bound(contract: Contract, a0: ActionSpec, n: int) -> float:
     if sol.t_hat * k1 > 700.0:  # exp would overflow; the bound is vacuous
         return math.inf
     eps = sol.t_hat / n
-    rho_over_eps = 1.0 / (n * (w11 + 1.0))
+    rho_over_eps = 1.0 / (n * (s1 + 1.0))
     lead = math.expm1(sol.t_hat * k1) / k1 if k1 > 0.0 else sol.t_hat
     return lead * (eps * k2 / 2.0 + rho_over_eps)
 
@@ -441,34 +435,30 @@ def ipe_adversary(w: float, a0_set: ActionSet, eps: float) -> AdversarySet:
 def worst_case(contract: Contract, a0_set: ActionSet,
                eps: float = DEFAULT_WITNESS_EPS) -> WorstCaseResult:
     """Worst case of an already-reduced contract and a witness attaining it
-    within O(eps): the free sure action (eps 0) where FULL_SUCCESS binds,
-    else, with zero failure wages, the eps-step undercut chain of a joint
-    evaluation (w11 > w10), the single undercut of an independent one (w11 =
-    w10) or the undercut just above p* plus the null action of a relative one
-    (w11 < w10).  w11/w00 (w10 = w01 = 0, w11 > 0), a spent budget and a zero
-    wage carry no witness; other patterns raise ContractPatternError."""
-    w11, w10, w01, w00 = contract.as_tuple()
-    if w01 != 0.0 or w00 != 0.0:
-        if w10 == 0.0 and w01 == 0.0 and w11 > 0.0:
-            return jpe_value_w00(contract, a0_set)
-        raise ContractPatternError(
-            "worst-case evaluation is not defined for this wage pattern even after "
-            f"reduction (class {classify(contract).tag}); "
-            "supported: zero failure wages, or w11/w00 with w10=w01=0")
-    if w11 < w10:
+    within O(eps), dispatched on the sign pattern of its marginal wage (s0,
+    s1): the free sure action (eps 0) where FULL_SUCCESS binds, else the
+    eps-step undercut chain of a joint evaluation (s1 > s0 >= 0), the single
+    undercut of an independent one (s1 = s0) or the undercut just above p*
+    plus the null action of a relative one (s1 < s0).  w11/w00 (s0 < 0), a
+    spent budget and a zero wage carry no witness; patterns without a closed
+    form raise ContractPatternError."""
+    s0, s1 = marginal_wage(contract)
+    if s0 < 0.0:
+        return jpe_value_w00(contract, a0_set)
+    if s1 < s0:
         res = rpe_value(contract, a0_set)
         free = [ActionSpec(0.0, min(1.0, res.pbar + eps)), ActionSpec(0.0, 0.0)]
         return replace(res, witness=Witness(a0_set.extend(free), eps))
-    if w11 > w10:
-        res, best = _jpe_value(contract, a0_set)
+    if s1 > s0:
+        res, best = _joint_value(s0, s1, a0_set)
     else:
-        res, best = ipe_value(w11, a0_set), None
+        res, best = ipe_value(s1, a0_set), None
     if res.binding == FULL_SUCCESS:
         actions, eps = a0_set.extend([ActionSpec(0.0, 1.0)]), 0.0
     elif best is None:
-        if w11 == 0.0:
+        if s1 == 0.0:
             return res
-        actions = ipe_adversary(w11, a0_set, eps).actions
+        actions = ipe_adversary(s1, a0_set, eps).actions
     elif best.t_hat > 0.0:
         n = int(min(max(2, math.ceil(best.t_hat / eps)), MAX_WITNESS_CHAIN))
         actions = a0_set.extend(euler_adversary(contract, best.a0, n, verify=False).actions[1:])
@@ -488,7 +478,7 @@ def pbar_grid(w11: np.ndarray, w10: np.ndarray, a0_set: ActionSet) -> np.ndarray
     known = a0_set.known
     out = np.zeros(np.broadcast(w11, w10).shape)
     for p0, c0 in zip(known.probs.tolist(), known.costs.tolist()):
-        out = np.maximum(out, _endpoint(w11, w10, p0, c0)[1])
+        out = np.maximum(out, _endpoint(w10, w11, p0, c0)[1])
     return out
 
 

@@ -433,6 +433,16 @@ class TestAdversary:
         printed = capsys.readouterr().out
         return out.read_text() if to_file else printed
 
+    @pytest.mark.parametrize("wages", [(0.2, 0.6), (0.5, 0.5)], ids=["relative", "independent"])
+    def test_refuses_other_than_joint_before_any_endpoint(self, tmp_path, capsys, monkeypatch,
+                                                           wages):
+        monkeypatch.setattr(wc, "_endpoint", None)  # a kernel call would raise TypeError
+        contract = dict(zip(("w11", "w10", "w01", "w00"), (*wages, 0.0, 0.0)))
+        inp = write(tmp_path, "in.json", {"contract": contract, "actions": A0_JSON})
+        assert main(["adversary", "--input", inp, "--n", "10"]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: joint evaluation requires w11 > w10, got {wages}\n")
+
     @pytest.mark.parametrize("to_file", [True, False])
     def test_chain_json_is_the_former_dict_document(self, tmp_path, capsys, to_file):
         argv = ["adversary", "--input", write(tmp_path, "in.json", JPE_JSON), "--n", str(self.N)]
@@ -822,6 +832,11 @@ NESTED_DEFECTS = [  # verb, input, the stderr line after "error: "
     ("optimize", {**A0_JSON, "known": 10**400}, "bad action set: not an integer: inf"),
     ("evaluate", {**JPE_JSON, "contract": {**CONTRACT, "w11": 10**400}},
      "bad contract: w11 must be finite and >= 0 (limited liability), got inf"),
+    # success probabilities, refused before a cell is solved
+    ("sweep", {"p_grid": [0.5, 1.5], "c_grid": [0.25]},
+     "bad grid: p_grid entry is not in [0, 1]: 1.5"),
+    ("sweep", {"p_grid": [-0.5, 0.5], "c_grid": [0.25]},
+     "bad grid: p_grid entry is not in [0, 1]: -0.5"),
 ]
 
 
@@ -838,6 +853,22 @@ class TestNestedObjects:
         assert main([verb, "--input", inp, "--output", str(out), *flags]) == 2
         assert capsys.readouterr() == ("", "error: " + message.format(input=inp) + "\n")
         assert not out.exists()
+
+
+class TestLongEchoes:
+    """A refusal echoes at most 60 characters of the value it names, then ``...``."""
+
+    @pytest.mark.parametrize("verb, payload, message", [
+        ("sweep", {"p_grid": [0.5], "c_grid": ["x" * 10**6]},
+         "bad grid: c_grid entry is not a number: '" + "x" * 59 + "..."),
+        ("evaluate", {**JPE_JSON, "k" * 10**5: 1}, "unknown fields: ['" + "k" * 58 + "..."),
+        ("multi", {**TEAM, "n": [[[[0.5]]]] * 30}, "bad field 'n': value is not a number: "
+         + repr([[[[0.5]]]] * 30)[:60] + "..."),
+    ], ids=["string", "key", "nested"])
+    def test_value_is_cut_short(self, tmp_path, capsys, verb, payload, message):
+        inp = write(tmp_path, "in.json", payload)
+        assert main([verb, "--input", inp]) == 2
+        assert capsys.readouterr() == ("", "error: " + message + "\n")
 
 
 class TestUnreadableInput:

@@ -32,6 +32,9 @@ from teamcontracts import (
     select_and_value,
 )
 from teamcontracts import extensions
+from teamcontracts.selftest import draw_known_set
+
+from worst_case_oracle import two_agent_equivalent
 
 A0 = ActionSet.from_pairs([(0.25, 1.0)])
 ENV = BayesianEnv(mu=0.9, p0=1.0, c0=0.25, p_star=0.5)
@@ -50,6 +53,17 @@ class TestMultiAgent:
         assert 1.0 * (mac.w0 + mac.b * 1.0) == pytest.approx(0.5)
         per_agent, total = multi_agent_value(mac, A0)
         assert total == pytest.approx(3 * per_agent)
+
+    def test_coefficients_value_as_the_two_agent_equivalent(self):
+        # the marginal wage (w0, w0 + b) is valued as the contract
+        # (w0 + b, w0, 0, 0) was, bit for bit, pooled (w0 = 0) or not
+        rng = np.random.default_rng(163)
+        for _ in range(300):
+            w0 = 0.0 if rng.random() < 0.3 else rng.uniform(0.0, 0.6)
+            mac = MultiAgentContract(int(rng.integers(2, 7)), w0, rng.uniform(0.01, 0.8))
+            known = draw_known_set(rng, 3)
+            per_agent = jpe_value(two_agent_equivalent(mac), known).per_agent
+            assert repr(multi_agent_value(mac, known)) == repr((per_agent, mac.n * per_agent))
 
     def test_per_agent_invariant_in_n(self):
         values = {

@@ -161,12 +161,14 @@ REJECTIONS = [  # verb, input text, stderr: {input} is the input path, {json_err
      "error: bad contract: unknown contract fields: ['w2']\n"),
     ("optimize", json.dumps({"actions": [{"cost": 0.25}], "known": 1}),
      "error: bad action set: missing action 0 fields: ['prob']\n"),
+    ("sweep", json.dumps({"p_grid": [0.5, 1.5], "c_grid": [0.25]}),
+     "error: bad grid: p_grid entry is not in [0, 1]: 1.5\n"),
 ]
 
 
 @pytest.mark.parametrize("verb, text, stderr", REJECTIONS,
                          ids=["unknown_field", "bad_json", "missing_field",
-                              "unknown_contract_field", "action_missing_prob"])
+                              "unknown_contract_field", "action_missing_prob", "p_grid_above_1"])
 def test_early_rejection_loads_no_numpy(tmp_path, verb, text, stderr):
     json_error = None
     try:

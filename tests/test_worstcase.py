@@ -2,7 +2,7 @@ import math
 import tracemalloc
 import warnings
 from collections import Counter
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -43,9 +43,11 @@ from teamcontracts.worstcase import (
     _endpoint,
     _stable_root,
     best_known_solution,
+    marginal_wage,
     pbar_grid,
 )
 
+import worst_case_oracle as former
 from rk4_oracle import ode_quadrature_p
 from test_game import unique_pure_equilibrium
 from worst_case_oracle import worst_case_oracle
@@ -228,6 +230,118 @@ class TestJpeValueW00:
         for pairs in ([(0.2, 0.9)], [(0.1, 0.0)]):
             with pytest.raises(OverflowError):
                 jpe_value_w00(Contract(1e308, 0.0, 0.0, 1e308), ActionSet.from_pairs(pairs))
+
+
+class TestMarginalWage:
+    """``marginal_wage`` and the sign-pattern dispatch against the readers of
+    raw wages they replaced (``worst_case_oracle``), bit for bit."""
+
+    @staticmethod
+    def outcome(fn, *args):
+        """``fn(*args)`` as text, a result (with no witness) by its repr, so
+        every float is compared bit for bit, or the refusal's message."""
+        try:
+            res = fn(*args)
+        except ContractPatternError as exc:
+            return f"refused: {exc}"
+        return repr(replace(res, witness=None))
+
+    @staticmethod
+    def former_jpe_value(contract, a0_set):
+        former.require_pattern(contract, jpe=True)
+        return worst_case_oracle(contract, a0_set, 1.0)
+
+    @staticmethod
+    def draws(rng):
+        """A contract of every sign pattern and endpoint kind, each with a
+        target (p0, c0) whose cost spends part of the budget that reaches
+        zero (or p_sing), or more than all of it."""
+        w10, gap, p0 = rng.uniform(0.05, 0.6), rng.uniform(0.01, 0.8), rng.uniform(0.3, 1.0)
+        w11, w00, pooled = rng.uniform(0.05, 1.2), rng.uniform(0.01, 1.0), rng.uniform(0.3, 1.2)
+        p_sing = w00 / (w11 + w00)
+        q0 = rng.uniform(p_sing, 1.0)
+        t_sing = (w11 + w00) / 2.0 * (q0 - p_sing) ** 2
+        inside, spent = rng.uniform(0.05, 0.9), rng.uniform(1.0, 2.0)
+        joint, t_joint = Contract(w10 + gap, w10, 0.0, 0.0), w10 * p0 + gap * p0 * p0 / 2.0
+        w00_pattern = Contract(w11, 0.0, 0.0, w00)
+        return {
+            "pooled": (Contract(pooled, 0.0, 0.0, 0.0), p0, pooled * p0 * p0 / 2.0 * inside),
+            "interior": (joint, p0, t_joint * inside),
+            "collapse": (joint, p0, t_joint * spent),
+            "independent": (Contract(w10, w10, 0.0, 0.0), p0, w10 * p0 * inside),
+            "relative": (Contract(w10, w10 + gap, 0.0, 0.0), p0, (w10 + gap) * p0 * inside),
+            "w11/w00 above p_sing": (w00_pattern, q0, t_sing * inside),
+            "w11/w00 reaching p_sing": (w00_pattern, q0, t_sing * spent),
+            "w11/w00 below p_sing": (w00_pattern, rng.uniform(0.0, p_sing), inside),
+        }
+
+    def test_entry_points_match_the_former_readers(self):
+        rng = np.random.default_rng(151)
+        ends = Counter()
+        for _ in range(150):
+            extra = draw_known_set(rng, 3)
+            for name, (contract, p0, c0) in self.draws(rng).items():
+                w11, w10, w01, w00 = contract.as_tuple()
+                assert marginal_wage(contract) == (w10 - w00, w11 - w01)
+                alone = ActionSet([c0], [p0])
+                for known in (alone, ActionSet([c0, *extra.costs], [p0, *extra.probs])):
+                    for new, old in ((jpe_value, self.former_jpe_value),
+                                     (jpe_value_w00, former.jpe_value_w00)):
+                        assert self.outcome(new, contract, known) == \
+                            self.outcome(old, contract, known), (name, new.__name__)
+                    try:
+                        former.require_pattern(contract, jpe=False)
+                    except ContractPatternError as exc:
+                        assert self.outcome(rpe_value, contract, known) == f"refused: {exc}"
+                    TestWorstCase.same(contract, known, 1.0)
+                ends[name, worst_case(contract, alone).pbar > 0.0] += 1
+        assert ends.keys() == {*((k, True) for k in ("pooled", "interior", "independent",
+                                                       "relative", "w11/w00 above p_sing")),
+                               *((k, False) for k in ("collapse", "w11/w00 reaching p_sing",
+                                                      "w11/w00 below p_sing"))}
+
+    CONTRACTS = [
+        # reduced, with no closed form
+        Contract(0.0, 0.4, 0.3, 0.0), Contract(0.0, 0.0, 0.3, 0.2), Contract(0.0, 0.0, 0.0, 0.2),
+        Contract(0.0, 0.0, 0.3, 0.0),
+        # unreduced: joint, independent, relative, w11/w00 and pooled once reduced
+        Contract(0.6, 0.2, 0.1, 0.1), Contract(0.5, 0.5, 0.1, 0.1),
+        Contract(0.15, 0.55, 0.05, 0.05), Contract(0.6, 0.1, 0.0, 0.3),
+        Contract(0.6, 0.0, 0.2, 0.0),
+        # supported, refused by the readers of other patterns: joint, pooled,
+        # independent, relative, w11/w00 and the zero contract
+        Contract(0.6, 0.2, 0.0, 0.0), Contract(0.6, 0.0, 0.0, 0.0), Contract(0.5, 0.5, 0.0, 0.0),
+        Contract(0.2, 0.6, 0.0, 0.0), Contract(0.6, 0.0, 0.0, 0.1), Contract(0.0, 0.0, 0.0, 0.0),
+    ]
+    UNSUPPORTED = 9  # the first nine contracts: every reader refuses them
+
+    def test_every_reader_refuses_as_before(self):
+        readers = {  # the entry point, and its former check of the same contract
+            "worst_case": (lambda c: worst_case(c, A0), lambda c: worst_case_oracle(c, A0, 1.0)),
+            "jpe_value": (lambda c: jpe_value(c, A0), lambda c: former.require_pattern(c, True)),
+            "rpe_value": (lambda c: rpe_value(c, A0), lambda c: former.require_pattern(c, False)),
+            "euler_adversary": (lambda c: euler_adversary(c, TARGET, 2, verify=False),
+                                lambda c: former.require_pattern(c, True)),
+            "euler_error_bound": (lambda c: euler_error_bound(c, TARGET, 2),
+                                  lambda c: former.require_pattern(c, True)),
+            "jpe_value_w00": (lambda c: jpe_value_w00(c, A0),
+                              lambda c: former.jpe_value_w00(c, A0)),
+        }
+        refusals = Counter()
+        for k, contract in enumerate(self.CONTRACTS):
+            for name, (new, old) in readers.items():
+                try:
+                    old(contract)
+                except ContractPatternError as exc:
+                    with pytest.raises(ContractPatternError) as got:
+                        new(contract)
+                    assert str(got.value) == str(exc), (name, contract)
+                    refusals[k] += 1
+                    continue
+                new(contract)
+        assert all(refusals[k] == len(readers) for k in range(self.UNSUPPORTED))
+        # and 21 refusals of a supported pattern by a reader of another one
+        assert sum(refusals.values()) == self.UNSUPPORTED * len(readers) + 21
 
 
 # Bound on the relative error of the W00 endpoint.  On the seeded draws of
@@ -914,15 +1028,15 @@ def _pbar_closed_form_reference(w11, w10, a0):
         else:
             t_zero = w * p0
             p_end = max(0.0, p0 - c0 / w)
-        return OdeSolution(a0, w11, w10, min(c0, t_zero), p_end, t_zero)
+        return OdeSolution(a0, w10, w11, min(c0, t_zero), p_end, t_zero)
 
     gap = w11 - w10
     t_zero = w10 * p0 + gap * p0 * p0 / 2.0
     if c0 >= t_zero:
-        return OdeSolution(a0, w11, w10, t_zero, 0.0, t_zero)
+        return OdeSolution(a0, w10, w11, t_zero, 0.0, t_zero)
     disc = (p0 * w11 + (1.0 - p0) * w10) ** 2 - 2.0 * c0 * gap
     p_end = (math.sqrt(max(disc, 0.0)) - w10) / gap
-    return OdeSolution(a0, w11, w10, c0, max(0.0, p_end), t_zero)
+    return OdeSolution(a0, w10, w11, c0, max(0.0, p_end), t_zero)
 
 
 def _pbar_grid_reference(w11, w10, a0_set):
@@ -1064,7 +1178,7 @@ class TestEndpointBits:
         scalar = np.array([
             astuple(pbar_closed_form(w11[k], w10[k], ActionSpec(c0[k], p0[k])))[3:]
             for k in range(n)])
-        t_hat, p_end, t_zero = _endpoint(w11, w10, p0, c0)
+        t_hat, p_end, t_zero = _endpoint(w10, w11, p0, c0)
         assert np.array_equal(_bits(scalar), _bits(np.stack([t_hat, p_end, t_zero], axis=1)))
 
     def test_grid_seeded(self):

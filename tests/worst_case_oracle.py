@@ -3,6 +3,11 @@
 ``with_witness`` paths of ``jpe_value``, ``ipe_value`` and ``rpe_value``,
 kept as the oracle ``worst_case`` is checked against.  Import it from a
 test module in this directory.
+
+Beside it are the readers of raw wages that ``worstcase.marginal_wage``
+replaced: ``require_pattern``, ``jpe_value_w00`` with its own checks and its
+own shift of the kernel to the singularity, and the n-agent scheme's
+``two_agent_equivalent`` contract.
 """
 
 import math
@@ -17,11 +22,48 @@ from teamcontracts import (
     classify,
     euler_adversary,
     ipe_adversary,
-    jpe_value_w00,
     rpe_value,
 )
-from teamcontracts.model import MAX_WITNESS_CHAIN
-from teamcontracts.worstcase import FULL_SUCCESS, SHIRK_EQ, shirk_branch
+from teamcontracts.model import MAX_WITNESS_CHAIN, Contract
+from teamcontracts.worstcase import FULL_SUCCESS, SHIRK_EQ, _endpoint, shirk_branch
+
+
+def require_pattern(contract, jpe):
+    """The check of zero failure wages and of joint (``jpe``) or relative
+    evaluation that ``jpe_value``, ``rpe_value``, ``euler_adversary`` and
+    ``euler_error_bound`` made on the raw wages."""
+    w11, w10, w01, w00 = contract.as_tuple()
+    if w01 != 0.0 or w00 != 0.0:
+        raise ContractPatternError("failure wages must be zero (w01 = w00 = 0)")
+    if jpe and not w11 > w10:
+        raise ContractPatternError(f"joint evaluation requires w11 > w10, got ({w11}, {w10})")
+    if not jpe and not w11 < w10:
+        raise ContractPatternError(f"relative evaluation requires w11 < w10, got ({w11}, {w10})")
+
+
+def jpe_value_w00(contract, a0_set):
+    """``jpe_value_w00`` with its own pattern checks and its own shift: the
+    pooled kernel at wage w11 + w00 from q0 = p(a0) - p_sing, where p_sing =
+    w00/(w11 + w00), and p_sing + q_end where q_end > 0, else 0."""
+    w11, w00 = contract.w11, contract.w00
+    if contract.w10 != 0.0 or contract.w01 != 0.0:
+        raise ContractPatternError("pattern requires w10 = w01 = 0")
+    if w11 <= 0.0:
+        raise ContractPatternError("pattern requires w11 > 0")
+    known = a0_set.known
+    if not known:
+        raise ValueError("action set has no known prefix to target")
+    p_sing = w00 / (w11 + w00)
+    q_end = float(_endpoint(0.0, w11 + w00, known.probs - p_sing, known.costs)[1].max())
+    pbar = p_sing + q_end if q_end > 0.0 else 0.0
+    shirk = pbar * pbar * (1.0 - w11) + (1.0 - pbar) ** 2 * (-w00)
+    return _min_branch(pbar, 1.0 - w11, shirk, a0_set, False)
+
+
+def two_agent_equivalent(mac):
+    """The two-agent contract ``multi_agent_value`` valued an n-agent team
+    scheme (w0, b) by."""
+    return Contract(mac.w0 + mac.b, mac.w0, 0.0, 0.0)
 
 
 def _min_branch(pbar, full, shirk, a0_set, with_witness):
