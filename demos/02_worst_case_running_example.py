@@ -14,6 +14,7 @@ from teamcontracts import (
     ActionSet,
     ActionSpec,
     Contract,
+    best_known_solution,
     calibrate_jpe,
     calibration_witness,
     enumerate_equilibria,
@@ -24,7 +25,6 @@ from teamcontracts import (
     ipe_optimal,
     jpe_value,
     optimize_jpe,
-    pbar_closed_form,
     worst_case,
 )
 
@@ -44,16 +44,19 @@ print("\n=== pooling the same wage fails ===")
 pooled = Contract(0.5, 0.0, 0.0, 0.0)
 print("value of (0.5, 0, 0, 0):", jpe_value(pooled, known).per_agent)
 
-# The undercut chain that destroys the pooled scheme, shortest version:
-chain = euler_adversary(pooled, a0, 2, rho=1e-9)
+# The undercut chain that destroys the pooled scheme, shortest version.  A
+# chain extends the closed-form endpoint of the marginal wage (s0, s1) =
+# (w10, w11) that it approximates:
+floor = best_known_solution(0.0, 0.5, known)
+chain = euler_adversary(floor, 2, rho=1e-9)
 print("two-step undercut probabilities:", np.round(chain.actions.probs, 6))
 print("costs:", chain.actions.costs.tolist(), "| best responses verified:", chain.verified)
 
 # Longer chains approach the analytic floor.
 for n in (10, 100, 1000):
-    c = euler_adversary(pooled, a0, n)
+    c = euler_adversary(floor, n)
     print(f"n={n:5d}: maximal-equilibrium probability {c.max_eq_prob:.4f}")
-print("analytic floor:", pbar_closed_form(0.5, 0.0, a0).p_end)
+print("analytic floor:", floor.p_end)
 
 print("\n=== the worst-case optimal team scheme ===")
 opt = optimize_jpe(known)
@@ -65,7 +68,7 @@ print(f"floor pbar = {res.pbar:.5f}; binding branch {res.binding}")
 print(f"witness chain of {len(res.witness.actions) - 1} undercuts at "
       f"eps = {res.witness.eps}")
 print("chain error bound at n=1000:",
-      euler_error_bound(Contract(2 / 3, 0.0, 0.0, 0.0), a0, 1000))
+      euler_error_bound(best_known_solution(0.0, 2 / 3, known), 1000))
 
 print("\n=== calibration: a small bonus twist already beats independent pay ===")
 eps, contract, value = calibration_witness(known)

@@ -11,6 +11,7 @@ from teamcontracts import (
     bayesian_eval,
     best_ipe_value,
     best_jpe_value,
+    best_known_solution,
     calibrate_jpe,
     calibration_witness,
     euler_adversary,
@@ -55,7 +56,7 @@ print("(independent benchmark total: 0.5)")
 
 print("\n=== pessimistic equilibrium selection ===")
 w = Contract(2 / 3, 0.0, 0.0, 0.0)
-chain = euler_adversary(w, a0, 50)
+chain = euler_adversary(best_known_solution(0.0, 2 / 3, known), 50)
 print("team scheme on its witness chain:",
       pessimistic_value(w, chain.actions))
 for alpha in (0.3, 0.5, 0.7):

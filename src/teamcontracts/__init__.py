@@ -81,7 +81,6 @@ _EXPORTS = {
         "ipe_value",
         "jpe_value",
         "jpe_value_w00",
-        "pbar_closed_form",
         "rpe_value",
         "worst_case",
     ),

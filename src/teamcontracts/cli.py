@@ -310,19 +310,19 @@ def _grid(value, low=-math.inf, high=math.inf) -> list:
 
 
 _probabilities = functools.partial(_grid, low=0.0, high=1.0)
-_LABELS = {md.Contract.from_json: "bad contract: ", md.ActionSet.from_json: "bad action set: ",
-           _grid: "bad grid: {name} ", _probabilities: "bad grid: {name} "}
+_LABELS = {"Contract.from_json": "bad contract: ", "ActionSet.from_json": "bad action set: ",
+           "_grid": "bad grid: {name} "}
 
 
 def _read(read, value, name=None):
-    """``read(value)`` of the input's field ``name``, or of the whole input.
-    A refusal exits 2 with one line labelled by ``_LABELS``, else ``bad field
-    'name':``; the label names the field, so ``read`` is not told it."""
+    """``read(value)`` of the input's field ``name``, or of the whole input.  A
+    refusal exits 2 labelled by ``_LABELS`` under the qualified name of ``read``
+    or of the function it partially applies (wrappers keep it), else ``bad field 'name':``."""
     try:
         return read(value)
     except (TypeError, ValueError) as exc:
-        label = _LABELS.get(read, "bad field {name!r}: ").format(name=name)
-        raise CliError(EXIT_VALIDATION, label + str(exc))
+        label = _LABELS.get(getattr(read, "func", read).__qualname__, "bad field {name!r}: ")
+        raise CliError(EXIT_VALIDATION, label.format(name=name) + str(exc))
 
 
 def _payload(args, *tables) -> list:
@@ -381,8 +381,7 @@ def cmd_adversary(args) -> int:
     from . import worstcase as wc
 
     s0, s1 = wc.marginal_wage(contract, wc.JOINT)
-    best = wc.best_known_solution(s1, s0, a0)
-    adv = wc.euler_adversary(contract, best.a0, args.n, rho=args.rho)
+    adv = wc.euler_adversary(wc.best_known_solution(s0, s1, a0), args.n, rho=args.rho)
     if adv.verified is False:
         raise CliError(
             EXIT_NONCONVERGENCE,

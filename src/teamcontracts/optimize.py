@@ -168,7 +168,7 @@ def optimize_jpe(
 
 
 def calibration_witness(a0_set: ActionSet) -> tuple[float, Contract, float]:
-    """Smallest tried calibration offset whose joint evaluation strictly
+    """Largest tried calibration offset whose joint evaluation strictly
     beats the best independent evaluation.
 
     Walks ``EPS_LADDER`` downward, calibrating w10 = w* - eps to the optimal

@@ -263,7 +263,7 @@ def suite_lower_bound_tightness(rng, trials=200, chain_n=2000) -> SuiteResult:
     for t in range(trials):
         w = draw_jpe(rng)
         a0 = draw_known_set(rng)
-        best = wc.best_known_solution(w.w11, w.w10, a0)
+        best = wc.best_known_solution(w.w10, w.w11, a0)
         pbar = best.p_end
 
         acts = draw_superset(rng, a0)
@@ -276,9 +276,9 @@ def suite_lower_bound_tightness(rng, trials=200, chain_n=2000) -> SuiteResult:
             )
             continue
 
-        adv = wc.euler_adversary(w, best.a0, chain_n)
+        adv = wc.euler_adversary(best, chain_n)
         err = abs(adv.max_eq_prob - pbar)
-        bound = wc.euler_error_bound(w, best.a0, chain_n)
+        bound = wc.euler_error_bound(best, chain_n)
         if np.isfinite(bound):
             if err > max(bound, 5e-3):
                 failures.append(
@@ -288,7 +288,7 @@ def suite_lower_bound_tightness(rng, trials=200, chain_n=2000) -> SuiteResult:
         else:
             # No finite bound at the collapse point; check convergence
             # empirically against a four-times-coarser chain.
-            coarse = wc.euler_adversary(w, best.a0, max(2, chain_n // 4))
+            coarse = wc.euler_adversary(best, max(2, chain_n // 4))
             err_coarse = abs(coarse.max_eq_prob - pbar)
             if not (err <= 5e-3 or err < err_coarse):
                 failures.append(
@@ -309,7 +309,7 @@ def suite_quadrature(rng, trials=100, steps=1_000_000) -> SuiteResult:
     keep = np.flatnonzero(d_min >= 0.02)[:trials]
     failures = []
     for t in keep:
-        closed = wc.pbar_closed_form(w11[t], w10[t], md.ActionSpec(c0[t], p0[t])).p_end
+        closed = wc.best_known_solution(w10[t], w11[t], md.ActionSet([c0[t]], [p0[t]])).p_end
         if abs(closed - p_num[t]) > 1e-6:
             failures.append(
                 f"instance {t}: closed {closed} vs quadrature {p_num[t]}"
@@ -324,11 +324,12 @@ def suite_calibration_limits(rng, trials=50) -> SuiteResult:
         p0 = rng.uniform(0.3, 1.0)
         c0 = p0 * rng.uniform(0.05, 0.8)
         a0 = md.ActionSpec(c0, p0)
+        a0_set = md.ActionSet([c0], [p0])
         w_star = float(np.sqrt(c0 / p0))
 
         def pbar_eps(eps):
             cal = md.calibrate_jpe(w_star, a0, eps)
-            return wc.pbar_closed_form(cal.w11, cal.w10, a0).p_end
+            return wc.best_known_solution(cal.w10, cal.w11, a0_set).p_end
 
         limit = p0 * (1.0 - w_star)
         if abs(pbar_eps(1e-4) - limit) > 1e-3:
@@ -336,7 +337,6 @@ def suite_calibration_limits(rng, trials=50) -> SuiteResult:
         slope = (pbar_eps(1e-3) - pbar_eps(1e-4)) / (1e-3 - 1e-4)
         if abs(slope - (-0.5 * p0 * w_star)) > 5e-3:
             failures.append(f"trial {t}: slope limit off ({slope})")
-        a0_set = md.ActionSet.from_pairs([(c0, p0)])
         base = wc.ipe_optimal(a0_set).per_agent
 
         def profit(eps):

@@ -169,8 +169,8 @@ def _best_solution(s0: float, s1: float, probs, costs, targets) -> OdeSolution:
     undercutting costs nothing: q_end <= 0 (a target at or below p_sing, or a
     budget that reaches it) ends the success probability at zero.
     """
-    if s1 < s0:
-        raise ContractPatternError(f"need w11 >= w10, got w11={s1} < w10={s0}")
+    if not s1 >= s0:
+        raise ContractPatternError(f"need s1 >= s0, got (s0, s1) = ({s0}, {s1})")
     if s0 < 0.0:
         p_sing = -s0 / (s1 - s0)
         sol = _best_solution(0.0, s1 - s0, np.asarray(probs) - p_sing, costs, targets)
@@ -180,15 +180,10 @@ def _best_solution(s0: float, s1: float, probs, costs, targets) -> OdeSolution:
     return OdeSolution(targets[k], s0, s1, float(t_hat[k]), float(p_end[k]), float(t_zero[k]))
 
 
-def pbar_closed_form(s1: float, s0: float, a0: ActionSpec) -> OdeSolution:
-    """Closed-form endpoint of the undercut dynamics started at a0 (see
-    ``_best_solution``); s1 and s0 are w11 and w10 for zero failure wages."""
-    return _best_solution(s0, s1, [a0.prob], [a0.cost], (a0,))
-
-
-def best_known_solution(s1: float, s0: float, a0_set: ActionSet) -> OdeSolution:
-    """Endpoint of the known target whose dynamics end highest (the first
-    such target on ties); s1 and s0 as in ``pbar_closed_form``."""
+def best_known_solution(s0: float, s1: float, a0_set: ActionSet) -> OdeSolution:
+    """Closed-form endpoint of the undercut dynamics under the marginal wage
+    (s0, s1) for the known target ending highest (the first such target on
+    ties); see ``_best_solution``.  A single target is a one-action set."""
     known = a0_set.known
     if not known:
         raise ValueError("action set has no known prefix to target")
@@ -220,7 +215,7 @@ def jpe_value(contract: Contract, a0_set: ActionSet) -> WorstCaseResult:
 
 def _joint_value(s0: float, s1: float, a0_set: ActionSet) -> tuple[WorstCaseResult, OdeSolution]:
     """``jpe_value`` of the marginal wage (s0, s1) and the endpoint it rests on."""
-    best = best_known_solution(s1, s0, a0_set)
+    best = best_known_solution(s0, s1, a0_set)
     pbar = best.p_end
     return _min_branch(pbar, 1.0 - s1, shirk_branch(pbar, s1, s0)), best
 
@@ -232,7 +227,7 @@ def jpe_value_w00(contract: Contract, a0_set: ActionSet) -> WorstCaseResult:
     worst-case probability to zero (``_best_solution``), and joint failures
     are paid."""
     s0, s1 = marginal_wage(contract, W00)
-    pbar = best_known_solution(s1, s0, a0_set).p_end
+    pbar = best_known_solution(s0, s1, a0_set).p_end
     w11, w00 = contract.w11, contract.w00
     shirk = pbar * pbar * (1.0 - w11) + (1.0 - pbar) ** 2 * (-w00)
     return _min_branch(pbar, 1.0 - w11, shirk)
@@ -266,7 +261,7 @@ def ipe_optimal(a0_set: ActionSet) -> IpeOptimum:
 
 def ipe_value(w: float, a0_set: ActionSet) -> WorstCaseResult:
     """Worst case of the independent evaluation paying w for own success."""
-    if w < 0.0:
+    if not w >= 0.0:
         raise ContractPatternError("wage must be non-negative")
     pbar = best_known_solution(w, w, a0_set).p_end
     # shirk_branch(pbar, w, w) in fewer roundings, which the output bits rest on
@@ -311,9 +306,20 @@ class EulerAdversary:
     max_eq_prob: float | None
 
 
-def euler_adversary(contract: Contract, a0: ActionSpec, n: int, rho: float | None = None,
+def _joint_chain(best: OdeSolution, n: int) -> tuple[float, float]:
+    """(s0, s1) of the joint-evaluation endpoint an n >= 1 step chain extends."""
+    if n < 1:
+        raise ValueError("chain length n must be >= 1")
+    if not best.s1 > best.s0 >= 0.0:
+        raise ContractPatternError(
+            f"joint evaluation requires w11 > w10, got ({best.s1}, {best.s0})")
+    return best.s0, best.s1
+
+
+def euler_adversary(best: OdeSolution, n: int, rho: float | None = None,
                     verify: bool = True) -> EulerAdversary:
-    """Chain of n undercutting actions targeting a0.
+    """Chain of n undercutting actions from the target ``best.a0`` of the
+    joint-evaluation endpoint ``best``, spending its budget ``best.t_hat``.
 
     Costs sit on the grid (n-k)*t_hat/n and probabilities follow the forward
     step of the undercut dynamics under the marginal wage (s0, s1),
@@ -324,15 +330,12 @@ def euler_adversary(contract: Contract, a0: ActionSpec, n: int, rho: float | Non
     default (pass ``rho`` to override, e.g. a tiny value to sit at the
     binding best-response limits).  Probabilities are clamped to [0, 1] with
     the ``clamped`` flag raised, since clamped steps leave the recursion.
-    With ``verify=True`` the maximal best-response path of the induced game
-    is computed; ``verified`` records whether it descends to the final chain
-    action and ``failure_step`` the first deviation otherwise.
+    With ``verify=True`` the maximal best-response path of the game induced
+    by (s1, s0, 0, 0) is computed; ``verified`` records whether it reaches
+    the final chain action and ``failure_step`` the first deviation otherwise.
     """
-    if n < 1:
-        raise ValueError("chain length n must be >= 1")
-    s0, s1 = marginal_wage(contract, JOINT)
-    sol = pbar_closed_form(s1, s0, a0)
-    t_hat = sol.t_hat
+    s0, s1 = _joint_chain(best, n)
+    a0, t_hat = best.a0, best.t_hat
     if t_hat <= 0.0:
         chain = ActionSet([a0.cost], [a0.prob])
         return EulerAdversary(chain, 0.0, 0.0, 0.0, False, True, None, a0.prob)
@@ -364,7 +367,7 @@ def euler_adversary(contract: Contract, a0: ActionSpec, n: int, rho: float | Non
     if verify:
         from .game import extremal_br_path, induce_game
 
-        game = induce_game(contract, chain)
+        game = induce_game(Contract(s1, s0, 0.0, 0.0), chain)
         limit, path = extremal_br_path(game, "MAX")
         max_eq_prob = float(chain.probs[limit])
         verified = limit == n
@@ -373,8 +376,8 @@ def euler_adversary(contract: Contract, a0: ActionSpec, n: int, rho: float | Non
     return EulerAdversary(chain, eps, rho_n, t_hat, clamped, verified, failure_step, max_eq_prob)
 
 
-def euler_error_bound(contract: Contract, a0: ActionSpec, n: int) -> float:
-    """Global error bound for the n-step undercut chain endpoint.
+def euler_error_bound(best: OdeSolution, n: int) -> float:
+    """Global error bound for the end of the n-step chain extending ``best``.
 
     Returns [(e^(t_hat*k1) - 1)/k1] * [eps*k2/2 + rho/eps] where k1 and k2
     bound the slope and curvature of the analytic solution via the minimum
@@ -383,23 +386,20 @@ def euler_error_bound(contract: Contract, a0: ActionSpec, n: int) -> float:
     exists and math.inf is returned; convergence must then be checked
     empirically.
     """
-    if n < 1:
-        raise ValueError("chain length n must be >= 1")
-    s0, s1 = marginal_wage(contract, JOINT)
-    sol = pbar_closed_form(s1, s0, a0)
-    if sol.t_hat <= 0.0:
+    s0, s1 = _joint_chain(best, n)
+    if best.t_hat <= 0.0:
         return 0.0
     gap = s1 - s0
-    d_min = s0 + sol.p_end * gap
+    d_min = s0 + best.p_end * gap
     if d_min <= 1e-12:
         return math.inf
     k1 = gap / d_min**2
     k2 = gap / d_min**3
-    if sol.t_hat * k1 > 700.0:  # exp would overflow; the bound is vacuous
+    if best.t_hat * k1 > 700.0:  # exp would overflow; the bound is vacuous
         return math.inf
-    eps = sol.t_hat / n
+    eps = best.t_hat / n
     rho_over_eps = 1.0 / (n * (s1 + 1.0))
-    lead = math.expm1(sol.t_hat * k1) / k1 if k1 > 0.0 else sol.t_hat
+    lead = math.expm1(best.t_hat * k1) / k1 if k1 > 0.0 else best.t_hat
     return lead * (eps * k2 / 2.0 + rho_over_eps)
 
 
@@ -419,9 +419,9 @@ def ipe_adversary(w: float, a0_set: ActionSet, eps: float) -> AdversarySet:
     equilibrium.  The result records whether the target probability had to
     be clamped into [0, 1].
     """
-    if w <= 0.0:
+    if not w > 0.0:
         raise ValueError("wage must be positive")
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise ValueError("eps must be positive")
     if not a0_set.known:
         raise ValueError("action set has no known prefix")
@@ -441,7 +441,9 @@ def worst_case(contract: Contract, a0_set: ActionSet,
     undercut of an independent one (s1 = s0) or the undercut just above p*
     plus the null action of a relative one (s1 < s0).  w11/w00 (s0 < 0), a
     spent budget and a zero wage carry no witness; patterns without a closed
-    form raise ContractPatternError."""
+    form raise ContractPatternError, and eps outside (0, inf) ValueError."""
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be finite and positive, got {eps}")
     s0, s1 = marginal_wage(contract)
     if s0 < 0.0:
         return jpe_value_w00(contract, a0_set)
@@ -460,8 +462,8 @@ def worst_case(contract: Contract, a0_set: ActionSet,
             return res
         actions = ipe_adversary(s1, a0_set, eps).actions
     elif best.t_hat > 0.0:
-        n = int(min(max(2, math.ceil(best.t_hat / eps)), MAX_WITNESS_CHAIN))
-        actions = a0_set.extend(euler_adversary(contract, best.a0, n, verify=False).actions[1:])
+        n = max(2, math.ceil(min(best.t_hat / eps, MAX_WITNESS_CHAIN)))
+        actions = a0_set.extend(euler_adversary(best, n, verify=False).actions[1:])
     else:
         return res
     return replace(res, witness=Witness(actions, eps))

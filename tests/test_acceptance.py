@@ -69,7 +69,7 @@ def test_c03_naive_pooling_collapses():
 
 def test_c04_two_step_undercut_chain():
     contract = tc.Contract(0.5, 0.0, 0.0, 0.0)
-    adv = tc.euler_adversary(contract, TARGET, 2, rho=1e-9)
+    adv = tc.euler_adversary(tc.best_known_solution(0.0, 0.5, A0), 2, rho=1e-9)
     probs = adv.actions.probs
     assert abs(probs[0] - 1.0) <= 1e-6
     assert abs(probs[1] - 0.75) <= 1e-6
@@ -84,7 +84,7 @@ def test_c04_two_step_undercut_chain():
 def test_c05_calibration_limit_identities():
     def pbar_eps(eps):
         cal = tc.calibrate_jpe(0.5, TARGET, eps)
-        return tc.pbar_closed_form(cal.w11, cal.w10, TARGET).p_end
+        return tc.best_known_solution(cal.w10, cal.w11, A0).p_end
 
     assert abs(pbar_eps(1e-4) - 0.5) <= 1e-3
     slope = (pbar_eps(1.5e-4) - pbar_eps(0.5e-4)) / 1e-4
@@ -114,23 +114,25 @@ def test_c07_floor_is_tight_lower_bound(jpe_instances):
     checked_bound = 0
     checked_empirical = 0
     for w, a0, acts in jpe_instances:
-        pbar = max(tc.pbar_closed_form(w.w11, w.w10, a).p_end for a in a0.known)
-        best_a0 = max(a0.known,
-                      key=lambda a: tc.pbar_closed_form(w.w11, w.w10, a).p_end)
+        def endpoint(a, w=w):
+            return tc.best_known_solution(w.w10, w.w11, tc.ActionSet([a.cost], [a.prob]))
+
+        pbar = max(endpoint(a).p_end for a in a0.known)
+        best = endpoint(max(a0.known, key=lambda a: endpoint(a).p_end))
 
         game = induce_game(w, acts)
         hi, _ = extremal_br_path(game, "MAX")
         assert acts.actions[hi].prob >= pbar - 1e-6
 
-        adv = tc.euler_adversary(w, best_a0, 2000)
+        adv = tc.euler_adversary(best, 2000)
         err = abs(adv.max_eq_prob - pbar)
-        bound = tc.euler_error_bound(w, best_a0, 2000)
+        bound = tc.euler_error_bound(best, 2000)
         if math.isfinite(bound):
             assert err <= max(bound, 5e-3)
             checked_bound += 1
         else:
             # no finite bound at the collapse boundary: verify empirically
-            coarse = tc.euler_adversary(w, best_a0, 500)
+            coarse = tc.euler_adversary(best, 500)
             assert err <= 5e-3 or err < abs(coarse.max_eq_prob - pbar)
             checked_empirical += 1
     report(7, f"500/500 floors hold; tightness via bound on {checked_bound}, "
@@ -268,8 +270,7 @@ def test_c15_closed_form_vs_quadrature():
     assert len(keep) == 200
     worst = 0.0
     for k in keep:
-        closed = tc.pbar_closed_form(w11[k], w10[k],
-                                     tc.ActionSpec(c0[k], p0[k])).p_end
+        closed = tc.best_known_solution(w10[k], w11[k], tc.ActionSet([c0[k]], [p0[k]])).p_end
         worst = max(worst, abs(closed - p_num[k]))
         assert abs(closed - p_num[k]) <= 1e-6
     report(15, f"200/200 endpoints match the 1e6-step integrator "

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from teamcontracts import (
     ActionSet,
-    ActionSpec,
     BestResponseCycleError,
     Contract,
+    best_known_solution,
     euler_adversary,
     extremal_br_path,
     induce_game,
@@ -137,7 +137,8 @@ def test_seeded_games_match_dense_oracle():
 ])
 def test_undercut_chains_match_dense_paths(w11, w10, target, n):
     contract = Contract(w11, w10, 0.0, 0.0)
-    chain = euler_adversary(contract, ActionSpec(*target), n, verify=False).actions
+    best = best_known_solution(w10, w11, ActionSet.from_pairs([target]))
+    chain = euler_adversary(best, n, verify=False).actions
     game = induce_game(contract, chain)
     for start in ("MAX", "MIN"):
         assert extremal_br_path(game, start) == dense_path(game, start)

@@ -1,4 +1,5 @@
 import errno
+import functools
 import json
 import math
 import os
@@ -21,7 +22,7 @@ from teamcontracts import optimize as opt
 from teamcontracts import worstcase as wc
 from teamcontracts.cli import main
 from teamcontracts.game import induce_game
-from teamcontracts.model import ActionSet, Contract
+from teamcontracts.model import MAX_WITNESS_CHAIN, ActionSet, Contract
 
 from dense_game import dense_payoff
 from test_model import tuple_to_json
@@ -352,7 +353,7 @@ class TestWriter:
 
     def test_chain_at_the_cap_streams_in_little_memory(self):
         contract, a0 = Contract(0.6, 0.0, 0.0, 0.0), ActionSet.from_json(A0_JSON)
-        adv = wc.euler_adversary(contract, a0[0], 10**5)
+        adv = wc.euler_adversary(wc.best_known_solution(contract.w10, contract.w11, a0), 10**5)
         tracemalloc.start()
         try:
             chain = cli._Rows.of(adv.actions.costs, adv.actions.probs, keys=("cost", "prob"))
@@ -424,8 +425,8 @@ class TestAdversary:
 
     def chain(self):
         contract, a0 = Contract.from_json(JPE_JSON["contract"]), ActionSet.from_json(A0_JSON)
-        best = wc.best_known_solution(contract.w11, contract.w10, a0)
-        return wc.euler_adversary(contract, best.a0, self.N)
+        best = wc.best_known_solution(contract.w10, contract.w11, a0)
+        return wc.euler_adversary(best, self.N)
 
     def run(self, tmp_path, capsys, argv, to_file):
         out = tmp_path / "out"
@@ -720,6 +721,17 @@ class TestBadInputNoTraceback:
             "contract": {"w11": 0.6, "w10": 0.0, "w01": 0.0, "w00": 0.0}, "actions": actions})
         assert main(["evaluate", "--input", inp]) == 2
         assert capsys.readouterr().err == f"error: bad action set: {message}\n"
+
+    @pytest.mark.parametrize("verb", ["evaluate", "optimize"])
+    def test_a_wrapped_reader_keeps_its_label(self, tmp_path, capsys, monkeypatch, verb):
+        read = ActionSet.from_json.__func__
+        monkeypatch.setattr(ActionSet, "from_json",
+                            classmethod(functools.wraps(read)(lambda cls, doc: read(cls, doc))))
+        actions = {"actions": {"cost": 0.25}}
+        payload = actions if verb == "optimize" else {**JPE_JSON, "actions": actions}
+        assert main([verb, "--input", write(tmp_path, "in.json", payload)]) == 2
+        want = "error: bad action set: actions must be a list, got dict\n"
+        assert capsys.readouterr().err == want
 
     @pytest.mark.parametrize("verb, payload, message", [
         ("evaluate", {"contract": {"w11": True, "w10": False, "w01": 0.0, "w00": 0.0},
@@ -1103,6 +1115,16 @@ class TestNumericFlags:
         err = capsys.readouterr().err
         assert "error: argument " + flags[0].split("=")[0] in err
         assert not out.exists()
+
+    def test_eps_whose_step_count_overflows_gives_the_capped_witness(self, tmp_path):
+        # t_hat/eps = 0.25/1e-310 is inf: the chain is capped as at 1e-300
+        inp = write(tmp_path, "in.json", JPE_JSON)
+        chains = []
+        for eps in ("1e-300", "1e-310"):
+            out = tmp_path / f"{eps}.json"
+            assert main(["evaluate", "--input", inp, "--eps", eps, "--output", str(out)]) == 0
+            chains.append(read_result(out)["witness"]["actions"])
+        assert len(chains[1]) == MAX_WITNESS_CHAIN + 1 and chains[1] == chains[0]
 
     def test_chain_length_refused_before_building(self, tmp_path, capsys, monkeypatch):
         def build(*args, **kwargs):

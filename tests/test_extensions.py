@@ -16,6 +16,7 @@ from teamcontracts import (
     bayesian_eval,
     best_ipe_value,
     best_jpe_value,
+    best_known_solution,
     calibrate_jpe,
     calibration_witness,
     enumerate_equilibria,
@@ -381,7 +382,7 @@ class TestAsymUnknown:
 class TestPessimistic:
     def test_agrees_on_witness_chain(self):
         w = Contract(2.0 / 3.0, 0.0, 0.0, 0.0)
-        adv = euler_adversary(w, ActionSpec(0.25, 1.0), 10)
+        adv = euler_adversary(best_known_solution(w.w10, w.w11, A0), 10)
         pess = pessimistic_value(w, adv.actions)
         g = induce_game(w, adv.actions)
         eqs = enumerate_equilibria(g, mixed=False)

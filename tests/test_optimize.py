@@ -10,6 +10,7 @@ from teamcontracts import (
     ActionSet,
     AssumptionError,
     Contract,
+    calibrate_jpe,
     calibration_witness,
     classify,
     discriminatory_inner,
@@ -21,6 +22,7 @@ from teamcontracts import (
 )
 from teamcontracts.cli import main
 from teamcontracts.optimize import (
+    EPS_LADDER,
     IC_TOL,
     _BLOCK_CELLS,
     _triangle_best,
@@ -245,6 +247,23 @@ class TestCalibrationWitness:
             a0 = ActionSet.from_pairs([(c0, p0)])
             eps, _, val = calibration_witness(a0)
             assert val >= ipe_optimal(a0).per_agent + 1e-6
+
+    def test_takes_the_largest_improving_offset(self):
+        rng = np.random.default_rng(47)
+        sets = [A0, ActionSet.from_pairs([(0.2, 0.8)])]
+        for _ in range(10):
+            p0 = rng.uniform(0.3, 1.0)
+            sets.append(ActionSet.from_pairs([(p0 * rng.uniform(0.05, 0.9), p0)]))
+        skipped = 0
+        for a0 in sets:
+            eps, _, _ = calibration_witness(a0)
+            ipe = ipe_optimal(a0)
+            for larger in EPS_LADDER:
+                if eps < larger < ipe.w_star:
+                    cal = calibrate_jpe(ipe.w_star, ipe.a0_star, larger)
+                    assert jpe_value(cal, a0).per_agent < ipe.per_agent + 1e-6
+                    skipped += 1
+        assert skipped > 0  # one instance passes over 0.1 to 0.05
 
 
 class TestSweep:

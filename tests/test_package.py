@@ -16,7 +16,8 @@ import teamcontracts
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Every public name of the package when its __init__ imported all submodules,
-# and worst_case, added since.
+# with worst_case, added since, and without the one-target endpoint function,
+# folded into best_known_solution since.
 EAGER_NAMES = """
 ActionSet ActionSpec AdversarySet AssumptionError BayesianEnv BestResponseCycleError Contract
 ContractClass ContractPatternError ConvergenceError DiscriminatoryResult EquilibriumReport
@@ -27,7 +28,7 @@ check_known_assumptions check_modularity classify discriminatory_inner discrimin
 enumerate_equilibria errors euler_adversary euler_error_bound extensions extremal_br_path game
 induce_game ipe_adversary ipe_optimal ipe_value jpe_team_bonus jpe_value jpe_value_w00
 linear_contract model mu_threshold_ipe mu_threshold_jpe multi_agent_value optimize optimize_jpe
-paired_br_limit pbar_closed_form pessimistic_value principal_value reduce_failure_wages rpe_value
+paired_br_limit pessimistic_value principal_value reduce_failure_wages rpe_value
 select_and_value sweep_regimes verify_profile worst_case worstcase
 """.split()
 SUBMODULES = {"errors", "extensions", "game", "model", "optimize", "worstcase"}
@@ -190,3 +191,17 @@ def test_cli_process_has_one_thread_after_a_numpy_verb(tmp_path):
             f"code = main({argv!r}); "
             "print(code, 'numpy' in sys.modules, len(os.listdir('/proc/self/task')))")
     assert run_python(code) == "0 True 1"
+
+
+def test_readme_quick_start_prints_what_its_comments_state():
+    readme = (SRC.parent / "README.md").read_text()
+    block = readme.split("## Library quick start", 1)[1].split("```python\n", 1)[1]
+    printed = []
+    exec(block.split("```", 1)[0], {"print": lambda *args: printed.append(args)})
+    (ipe,), (opt,), (pbar, per_agent, binding), (probs,) = printed
+    assert (ipe.w_star, ipe.per_agent) == (0.5, 0.25)
+    assert (opt.w11, opt.w10, opt.per_agent) == pytest.approx((2 / 3, 0.0, 1 / 3), abs=1e-3)
+    assert opt.regime == "POOLED"
+    assert (pbar, per_agent) == pytest.approx((0.5, 1 / 3), abs=1e-12)
+    assert binding == "SHIRK_EQ"
+    assert probs.tolist() == pytest.approx([1.0, 0.75, 5 / 12], abs=1e-6)

@@ -26,7 +26,6 @@ from teamcontracts import (
     ipe_value,
     jpe_value,
     jpe_value_w00,
-    pbar_closed_form,
     reduce_failure_wages,
     rpe_value,
     worst_case,
@@ -39,6 +38,7 @@ from teamcontracts.selftest import (
     ode_quadrature,
 )
 from teamcontracts.worstcase import (
+    JOINT,
     IpeOptimum,
     _endpoint,
     _stable_root,
@@ -56,35 +56,40 @@ A0 = ActionSet.from_pairs([(0.25, 1.0)])
 TARGET = ActionSpec(0.25, 1.0)
 
 
+def single(a: ActionSpec) -> ActionSet:
+    """The known set of the one target a."""
+    return ActionSet([a.cost], [a.prob])
+
+
 class TestClosedForm:
     def test_budget_exhausts_exactly(self):
-        sol = pbar_closed_form(0.5, 0.0, TARGET)
+        sol = best_known_solution(0.0, 0.5, A0)
         assert sol.p_end == 0.0
         assert sol.t_hat == 0.25
 
     def test_optimal_wage_endpoint(self):
-        sol = pbar_closed_form(2.0 / 3.0, 0.0, TARGET)
+        sol = best_known_solution(0.0, 2.0 / 3.0, A0)
         assert sol.p_end == pytest.approx(0.5, abs=1e-12)
         assert sol.t_hat == 0.25
 
     def test_calibrated_endpoint(self):
-        sol = pbar_closed_form(0.5, 0.32, TARGET)
+        sol = best_known_solution(0.32, 0.5, A0)
         assert sol.p_end == pytest.approx(4.0 / 9.0, abs=1e-12)
 
     def test_flat_wage_is_linear_dynamics(self):
-        sol = pbar_closed_form(0.5, 0.5, TARGET)
+        sol = best_known_solution(0.5, 0.5, A0)
         assert sol.p_end == pytest.approx(0.5, abs=1e-15)
 
     def test_rejects_relative_pattern(self):
         with pytest.raises(ContractPatternError):
-            pbar_closed_form(0.3, 0.5, TARGET)
+            best_known_solution(0.5, 0.3, A0)
 
     def test_flat_wage_matches_simple_formula_exactly(self):
         rng = np.random.default_rng(21)
         for _ in range(200):
             w = rng.uniform(0.01, 1.2)
             a = ActionSpec(rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0))
-            assert pbar_closed_form(w, w, a).p_end == max(0.0, a.prob - a.cost / w)
+            assert best_known_solution(w, w, single(a)).p_end == max(0.0, a.prob - a.cost / w)
 
 
 class TestJpeValue:
@@ -127,7 +132,7 @@ class TestJpeValue:
         res = jpe_value(Contract(2.0 / 3.0, 0.0, 0.0, 0.0),
                         ActionSet.from_pairs(pairs))
         solo = max(
-            pbar_closed_form(2.0 / 3.0, 0.0, ActionSpec(*p)).p_end for p in pairs
+            best_known_solution(0.0, 2.0 / 3.0, ActionSet.from_pairs([p])).p_end for p in pairs
         )
         assert res.pbar == solo
 
@@ -316,13 +321,16 @@ class TestMarginalWage:
     UNSUPPORTED = 9  # the first nine contracts: every reader refuses them
 
     def test_every_reader_refuses_as_before(self):
+        def chain_end(c):  # the endpoint a chain's caller reads off the contract
+            return best_known_solution(*marginal_wage(c, JOINT), A0)
+
         readers = {  # the entry point, and its former check of the same contract
             "worst_case": (lambda c: worst_case(c, A0), lambda c: worst_case_oracle(c, A0, 1.0)),
             "jpe_value": (lambda c: jpe_value(c, A0), lambda c: former.require_pattern(c, True)),
             "rpe_value": (lambda c: rpe_value(c, A0), lambda c: former.require_pattern(c, False)),
-            "euler_adversary": (lambda c: euler_adversary(c, TARGET, 2, verify=False),
+            "euler_adversary": (lambda c: euler_adversary(chain_end(c), 2, verify=False),
                                 lambda c: former.require_pattern(c, True)),
-            "euler_error_bound": (lambda c: euler_error_bound(c, TARGET, 2),
+            "euler_error_bound": (lambda c: euler_error_bound(chain_end(c), 2),
                                   lambda c: former.require_pattern(c, True)),
             "jpe_value_w00": (lambda c: jpe_value_w00(c, A0),
                               lambda c: former.jpe_value_w00(c, A0)),
@@ -546,7 +554,7 @@ class TestRpeValue:
 
 class TestEulerAdversary:
     def test_two_step_chain_at_binding_limits(self):
-        adv = euler_adversary(Contract(0.5, 0.0, 0.0, 0.0), TARGET, 2, rho=1e-9)
+        adv = euler_adversary(best_known_solution(0.0, 0.5, A0), 2, rho=1e-9)
         probs = adv.actions.probs
         assert probs[0] == 1.0
         assert probs[1] == pytest.approx(0.75, abs=1e-6)
@@ -557,7 +565,7 @@ class TestEulerAdversary:
 
     def test_single_undercut(self):
         w = calibrate_jpe(0.5, ActionSpec(0.2, 0.8), 0.1)
-        adv = euler_adversary(w, ActionSpec(0.2, 0.8), 1)
+        adv = euler_adversary(best_known_solution(w.w10, w.w11, ActionSet([0.2], [0.8])), 1)
         denom = 0.8 * w.w11 + 0.2 * w.w10
         assert adv.actions.probs[1] == pytest.approx(0.8 - 0.2 / denom + adv.rho, abs=1e-15)
         assert adv.verified
@@ -567,7 +575,8 @@ class TestEulerAdversary:
         # endpoint decays like n**-0.5; convergence is checked empirically.
         w = Contract(0.5, 0.0, 0.0, 0.0)
         ends = {
-            n: euler_adversary(w, TARGET, n).max_eq_prob for n in (625, 2500, 10_000)
+            n: euler_adversary(best_known_solution(w.w10, w.w11, A0), n).max_eq_prob
+            for n in (625, 2500, 10_000)
         }
         assert ends[2500] < ends[625]
         assert ends[10_000] < ends[2500]
@@ -575,7 +584,7 @@ class TestEulerAdversary:
         assert ends[10_000] <= 0.02
 
     def test_clamping_flagged(self):
-        adv = euler_adversary(Contract(0.5, 0.0, 0.0, 0.0), TARGET, 1, rho=2.0)
+        adv = euler_adversary(best_known_solution(0.0, 0.5, A0), 1, rho=2.0)
         assert adv.clamped
         assert adv.actions.probs[1] == 1.0
 
@@ -586,19 +595,29 @@ class TestEulerAdversary:
             w10 = rng.uniform(0.0, 0.6)
             w = Contract(rng.uniform(w10 + 0.02, 1.2), w10, 0.0, 0.0)
             target = ActionSpec(rng.uniform(0.01, 0.5), rng.uniform(0.5, 1.0))
-            adv = euler_adversary(w, target, n, verify=False)
+            adv = euler_adversary(best_known_solution(w.w10, w.w11, single(target)), n,
+                                  verify=False)
             t_hat = adv.t_hat
             assert t_hat > 0.0
             want = [target.cost] + [(n - k) * t_hat / n for k in range(1, n + 1)]
             assert adv.actions.costs.tobytes() == np.array(want).tobytes()
 
     def test_default_rho_schedule(self):
-        adv = euler_adversary(Contract(0.5, 0.0, 0.0, 0.0), TARGET, 4)
+        adv = euler_adversary(best_known_solution(0.0, 0.5, A0), 4)
         assert adv.step == pytest.approx(0.25 / 4)
         assert adv.rho == pytest.approx(0.25 / (16 * 1.5))
 
+    @pytest.mark.parametrize("s0, s1", [(0.5, 0.5), (0.6, 0.2), (-0.1, 0.6), (math.nan, 0.5)])
+    def test_refuses_an_endpoint_that_is_not_joint(self, s0, s1):
+        best = OdeSolution(TARGET, s0, s1, 0.25, 0.5, 0.5)
+        want = f"^joint evaluation requires w11 > w10, got \\({s1}, {s0}\\)$"
+        with pytest.raises(ContractPatternError, match=want):
+            euler_adversary(best, 2, verify=False)
+        with pytest.raises(ContractPatternError, match=want):
+            euler_error_bound(best, 2)
+
     def test_chain_set_shape(self):
-        adv = euler_adversary(Contract(2.0 / 3.0, 0.0, 0.0, 0.0), TARGET, 5)
+        adv = euler_adversary(best_known_solution(0.0, 2.0 / 3.0, A0), 5)
         assert len(adv.actions) == 6
         assert adv.actions.known_count == 1
         assert adv.actions[0] == TARGET
@@ -606,28 +625,28 @@ class TestEulerAdversary:
 
 class TestEulerErrorBound:
     def test_finite_and_decreasing(self):
-        w = Contract(2.0 / 3.0, 0.0, 0.0, 0.0)
-        b100 = euler_error_bound(w, TARGET, 100)
-        b200 = euler_error_bound(w, TARGET, 200)
+        best = best_known_solution(0.0, 2.0 / 3.0, A0)
+        b100 = euler_error_bound(best, 100)
+        b200 = euler_error_bound(best, 200)
         assert math.isfinite(b100) and b100 > 0
         assert b200 < b100
 
     def test_step_term_halves(self):
-        w = Contract(2.0 / 3.0, 0.0, 0.0, 0.0)
+        best = best_known_solution(0.0, 2.0 / 3.0, A0)
         d_min = 0.5 * (2.0 / 3.0)
         k1 = (2.0 / 3.0) / d_min**2
         lead = math.expm1(0.25 * k1) / k1
-        t1 = euler_error_bound(w, TARGET, 100) - lead / (100 * (2.0 / 3.0 + 1.0))
-        t2 = euler_error_bound(w, TARGET, 200) - lead / (200 * (2.0 / 3.0 + 1.0))
+        t1 = euler_error_bound(best, 100) - lead / (100 * (2.0 / 3.0 + 1.0))
+        t2 = euler_error_bound(best, 200) - lead / (200 * (2.0 / 3.0 + 1.0))
         assert t1 == pytest.approx(2.0 * t2, rel=1e-12)
 
     def test_degenerate_is_unbounded(self):
-        assert euler_error_bound(Contract(0.5, 0.0, 0.0, 0.0), TARGET, 100) == math.inf
+        assert euler_error_bound(best_known_solution(0.0, 0.5, A0), 100) == math.inf
 
     def test_empirical_convergence_when_unbounded(self):
-        w = Contract(0.5, 0.0, 0.0, 0.0)
-        coarse = euler_adversary(w, TARGET, 500).max_eq_prob
-        fine = euler_adversary(w, TARGET, 2000).max_eq_prob
+        best = best_known_solution(0.0, 0.5, A0)
+        coarse = euler_adversary(best, 500).max_eq_prob
+        fine = euler_adversary(best, 2000).max_eq_prob
         assert fine < coarse
 
 
@@ -741,7 +760,7 @@ class TestWorstCase:
         assert res.binding == "SHIRK_EQ" and res.witness is None
 
     @pytest.mark.parametrize("contract, endpoints, chains", [
-        (Contract(0.6, 0.0, 0.0, 0.0), 2, 1),  # the value's, and the chain's own
+        (Contract(0.6, 0.0, 0.0, 0.0), 1, 1),  # the value's, which the chain extends
         (Contract(1.2, 1.1, 0.0, 0.0), 1, 0),  # FULL_SUCCESS binds: no chain is built
     ])
     def test_no_repeated_work(self, monkeypatch, contract, endpoints, chains):
@@ -756,6 +775,27 @@ class TestWorstCase:
         assert (calls["_endpoint"], calls["euler_adversary"]) == (endpoints, chains)
 
 
+    @pytest.mark.parametrize("eps", [0.0, -1e-3, math.inf, math.nan])
+    @pytest.mark.parametrize("contract", [
+        Contract(0.6, 0.0, 0.0, 0.0), Contract(0.5, 0.5, 0.0, 0.0), Contract(0.2, 0.6, 0.0, 0.0),
+    ], ids=["joint", "independent", "relative"])
+    def test_refuses_eps_not_finite_and_positive(self, contract, eps):
+        with pytest.raises(ValueError, match="^eps must be finite and positive, got "):
+            worst_case(contract, A0, eps)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: best_known_solution(math.nan, 0.5, A0),
+    lambda: best_known_solution(0.0, math.nan, A0),
+    lambda: ipe_value(math.nan, A0),
+    lambda: ipe_adversary(math.nan, A0, 1e-3),
+    lambda: ipe_adversary(0.5, A0, math.nan),
+], ids=["best-s0", "best-s1", "ipe_value-w", "ipe_adversary-w", "ipe_adversary-eps"])
+def test_scalar_entry_points_refuse_nan(call):
+    with pytest.raises(ValueError):
+        call()
+
+
 class TestLowerBoundAndQuadrature:
     def test_floor_holds_on_random_supersets(self):
         from teamcontracts.game import extremal_br_path, induce_game
@@ -765,7 +805,7 @@ class TestLowerBoundAndQuadrature:
         for _ in range(60):
             w = draw_jpe(rng)
             a0 = draw_known_set(rng)
-            pbar = max(pbar_closed_form(w.w11, w.w10, a).p_end for a in a0.known)
+            pbar = max(best_known_solution(w.w10, w.w11, single(a)).p_end for a in a0.known)
             acts = draw_superset(rng, a0)
             g = induce_game(w, acts)
             hi, _ = extremal_br_path(g, "MAX")
@@ -784,8 +824,8 @@ class TestLowerBoundAndQuadrature:
         for k in range(n):
             if d_min[k] < 0.02:
                 continue
-            closed = pbar_closed_form(w10[k] + gap[k], w10[k],
-                                      ActionSpec(c0[k], p0[k])).p_end
+            closed = best_known_solution(w10[k], w10[k] + gap[k],
+                                         ActionSet([c0[k]], [p0[k]])).p_end
             assert abs(closed - p_num[k]) <= 1e-6
             checked += 1
         assert checked >= 40
@@ -795,7 +835,7 @@ class TestCalibrationLimits:
     def test_running_example_limits(self):
         def pbar_eps(eps):
             cal = calibrate_jpe(0.5, TARGET, eps)
-            return pbar_closed_form(cal.w11, cal.w10, TARGET).p_end
+            return best_known_solution(cal.w10, cal.w11, A0).p_end
 
         assert pbar_eps(1e-4) == pytest.approx(0.5, abs=1e-3)
         slope = (pbar_eps(1e-3) - pbar_eps(1e-4)) / (1e-3 - 1e-4)
@@ -811,7 +851,7 @@ class TestCalibrationLimits:
             w_star = math.sqrt(c0 / p0)
             eps = rng.uniform(1e-4, min(0.3, w_star * 0.9))
             cal = calibrate_jpe(w_star, ActionSpec(c0, p0), eps)
-            got = pbar_closed_form(cal.w11, cal.w10, ActionSpec(c0, p0)).p_end
+            got = best_known_solution(cal.w10, cal.w11, ActionSet([c0], [p0])).p_end
             # valid while the endpoint stays interior; the solver clamps at 0
             ref = p0 * (w_star * (math.sqrt(1 - 2 * eps) - 1) + eps) / eps
             assert got == pytest.approx(max(0.0, ref), abs=1e-10)
@@ -980,7 +1020,7 @@ class TestQuadratureCoordinates:
         kept = np.flatnonzero(d_min >= 0.02)
         assert len(kept) >= 40
         for k in kept:
-            closed = pbar_closed_form(w11[k], w10[k], ActionSpec(budget[k], p0[k])).p_end
+            closed = best_known_solution(w10[k], w11[k], ActionSet([budget[k]], [p0[k]])).p_end
             assert abs(closed - p_num[k]) <= 1e-6
 
     def test_a_path_past_its_singularity_is_never_kept(self):
@@ -1013,8 +1053,8 @@ class TestQuadratureCoordinates:
             ode_quadrature(w11, w10, p0, budget, steps=10)
 
 
-def _pbar_closed_form_reference(w11, w10, a0):
-    """pbar_closed_form as first written: the bitwise reference for t_hat,
+def _endpoint_reference(w11, w10, a0):
+    """The one-target endpoint as first written: the bitwise reference for t_hat,
     t_zero and the flat branch.  Its joint root cancels when w11 - w10 is
     small against w10."""
     if w11 < w10:
@@ -1041,7 +1081,7 @@ def _pbar_closed_form_reference(w11, w10, a0):
 
 def _pbar_grid_reference(w11, w10, a0_set):
     """pbar_grid as first written, with the same joint root as
-    ``_pbar_closed_form_reference``.  Away from that root it differs from the
+    ``_endpoint_reference``.  Away from that root it differs from the
     kernel only at zero wages with a free known action (0, not p0)."""
     w11 = np.asarray(w11, dtype=float)
     w10 = np.asarray(w10, dtype=float)
@@ -1091,8 +1131,8 @@ def _check_against_reference(w11, w10, a0):
     flat branch are the reference's bits, and the joint p_end is within
     4 ulps of 1 of the decimal oracle.  Returns whether the reference's own
     p_end also is."""
-    got = pbar_closed_form(w11, w10, a0)
-    want = _pbar_closed_form_reference(w11, w10, a0)
+    got = best_known_solution(w10, w11, single(a0))
+    want = _endpoint_reference(w11, w10, a0)
     assert (got.t_hat, got.t_zero) == (want.t_hat, want.t_zero)
     if w11 == w10:
         assert got.p_end == want.p_end
@@ -1153,7 +1193,7 @@ class TestEndpointBits:
             _check_against_reference(w11, w10, a0)
             return
         try:
-            got = pbar_closed_form(w11, w10, a0)
+            got = best_known_solution(w10, w11, single(a0))
         except OverflowError:
             assert _expect_overflow(w11, w10, a0)
             return
@@ -1164,9 +1204,9 @@ class TestEndpointBits:
         # w11 - w10 is half an ulp of w10, so the dynamics are all but flat
         for cost, want, former in ((0.1, 0.8, 1.0), (0.2, 0.6, 0.0)):
             a0 = ActionSpec(cost, 1.0)
-            got = pbar_closed_form(0.5 + 2**-53, 0.5, a0).p_end
+            got = best_known_solution(0.5, 0.5 + 2**-53, single(a0)).p_end
             assert got == pytest.approx(want, abs=4 * ULP1)
-            assert _pbar_closed_form_reference(0.5 + 2**-53, 0.5, a0).p_end == former
+            assert _endpoint_reference(0.5 + 2**-53, 0.5, a0).p_end == former
 
     def test_scalar_and_grid_bits_agree(self):
         rng = np.random.default_rng(55)
@@ -1176,7 +1216,7 @@ class TestEndpointBits:
         p0 = rng.uniform(0.0, 1.0, n)
         c0 = (w10 * p0 + (w11 - w10) * p0 * p0 / 2.0) * rng.uniform(0.0, 1.2, n)
         scalar = np.array([
-            astuple(pbar_closed_form(w11[k], w10[k], ActionSpec(c0[k], p0[k])))[3:]
+            astuple(best_known_solution(w10[k], w11[k], ActionSet([c0[k]], [p0[k]])))[3:]
             for k in range(n)])
         t_hat, p_end, t_zero = _endpoint(w10, w11, p0, c0)
         assert np.array_equal(_bits(scalar), _bits(np.stack([t_hat, p_end, t_zero], axis=1)))
@@ -1213,30 +1253,30 @@ class TestEndpointBits:
         assert np.array_equal(_bits(got[flat]), _bits(want[flat]))
         for k in range(len(w11)):
             if w11[k] >= w10[k]:
-                assert got[k] == max(pbar_closed_form(w11[k], w10[k], a).p_end
+                assert got[k] == max(best_known_solution(w10[k], w11[k], single(a)).p_end
                                      for a in known.known)
 
     def test_zero_wage_free_action(self):
         free = ActionSet.from_pairs([(0.0, 0.7)])
-        assert pbar_closed_form(0.0, 0.0, ActionSpec(0.0, 0.7)).p_end == 0.7
+        assert best_known_solution(0.0, 0.0, ActionSet([0.0], [0.7])).p_end == 0.7
         assert pbar_grid(0.0, 0.0, free) == 0.7
         assert _pbar_grid_reference(0.0, 0.0, free) == 0.0  # the former disagreement
 
     def test_overflow_raises(self):
         with pytest.raises(OverflowError):
-            pbar_closed_form(1e308, 0.2, TARGET)
+            best_known_solution(0.2, 1e308, A0)
         with pytest.raises(OverflowError):
             pbar_grid(np.array([0.5, 1e308]), np.array([0.0, 0.2]), A0)
         # the discriminant overflows though 2r/(b + inf) would be a finite 0
         with pytest.raises(OverflowError):
-            pbar_closed_form(2e200, 1e200, TARGET)
+            best_known_solution(1e200, 2e200, A0)
         # flat cells and spent budgets need no discriminant
-        assert pbar_closed_form(1e200, 1e200, TARGET).p_end == 1.0 - 0.25 / 1e200
-        assert pbar_closed_form(2e200, 1e200, ActionSpec(1e300, 1.0)).p_end == 0.0
+        assert best_known_solution(1e200, 1e200, A0).p_end == 1.0 - 0.25 / 1e200
+        assert best_known_solution(1e200, 2e200, ActionSet([1e300], [1.0])).p_end == 0.0
 
     def test_underflowing_squares_stay_below_p0(self):
         for w10, gap in ((0.0, 1e-300), (1e-295, 1e-295), (3e-160, 1e-300)):
-            sol = pbar_closed_form(w10 + gap, w10, ActionSpec(0.0, 0.5))
+            sol = best_known_solution(w10, w10 + gap, ActionSet([0.0], [0.5]))
             assert 0.0 <= sol.p_end <= 0.5
 
 
@@ -1254,9 +1294,9 @@ class TestBestKnownSolution:
         for _ in range(200):
             w = draw_jpe(rng)
             known = draw_known_set(rng)
-            sols = [pbar_closed_form(w.w11, w.w10, a) for a in known.known]
-            assert best_known_solution(w.w11, w.w10, known) == max(sols, key=lambda s: s.p_end)
+            sols = [best_known_solution(w.w10, w.w11, single(a)) for a in known.known]
+            assert best_known_solution(w.w10, w.w11, known) == max(sols, key=lambda s: s.p_end)
 
     def test_needs_known_prefix(self):
         with pytest.raises(ValueError):
-            best_known_solution(0.5, 0.0, ActionSet([TARGET.cost], [TARGET.prob], 0))
+            best_known_solution(0.0, 0.5, ActionSet([TARGET.cost], [TARGET.prob], 0))

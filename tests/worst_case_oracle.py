@@ -77,12 +77,12 @@ def _min_branch(pbar, full, shirk, a0_set, with_witness):
 
 def _jpe(contract, a0_set, witness_eps):
     w11, w10 = contract.w11, contract.w10
-    best = best_known_solution(w11, w10, a0_set)
+    best = best_known_solution(w10, w11, a0_set)
     pbar = best.p_end
     res = _min_branch(pbar, 1.0 - w11, shirk_branch(pbar, w11, w10), a0_set, True)
     if res.binding == SHIRK_EQ and best.t_hat > 0.0:
         n = int(min(max(2, math.ceil(best.t_hat / witness_eps)), MAX_WITNESS_CHAIN))
-        chain = euler_adversary(contract, best.a0, n, verify=False)
+        chain = euler_adversary(best, n, verify=False)
         res = replace(res, witness=Witness(a0_set.extend(chain.actions[1:]), witness_eps))
     return res
 
