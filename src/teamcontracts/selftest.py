@@ -1,10 +1,9 @@
 """Randomized property suites and independent numerical oracles.
 
 Everything here is driven by an explicit seed so runs are reproducible.
-The quadrature routine integrates the undercut dynamics by fixed-step
-Runge-Kutta in the wage denominator u = w10 + (w11 - w10)*p, and exists
-purely to cross-check the closed forms; production code never integrates
-numerically.
+The quadrature routine integrates the undercut dynamics in p with an
+error-controlled Dormand-Prince 5(4) pair, and exists purely to cross-check
+the closed forms; production code never integrates numerically.
 """
 
 from __future__ import annotations
@@ -24,67 +23,68 @@ from .extensions import pessimistic_value
 # Quadrature oracles
 # ---------------------------------------------------------------------------
 
-def ode_quadrature(w11, w10, p0, budget, steps: int = 1_000_000):
-    """Fixed-step RK4 integration of dp/dt = -1/(p*w11 + (1-p)*w10).
+ODE_RTOL, ODE_ATOL = 1e-12, 1e-13
+ODE_MAX_ROUNDS = 1000
 
-    All arguments broadcast, so a batch of instances integrates in one pass.
-    Returns (p_end, d_min) where d_min is the smallest wage denominator seen
-    along the path; results with small d_min approach the singular regime
-    and should not be trusted to tight tolerances.
+# Dormand-Prince 5(4): the stage rows, the last giving the fifth-order point, and
+# the fifth- less fourth-order weights, which estimate the error of a step.
+_DP_ROWS = ((), (1 / 5,), (3 / 40, 9 / 40), (44 / 45, -56 / 15, 32 / 9),
+            (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+            (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+            (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84))
+_DP_ERR = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
-    The integration runs in the wage denominator u = w10 + gap*p, gap =
-    w11 - w10, where the dynamics read du/dt = -gap/u.  Runge-Kutta methods
-    commute with affine changes of variable, so these are the iterates of
-    RK4 in p up to rounding, for 14 ufunc calls a step instead of 29.  With
-    a = -h*gap/2 and stage quantities q_i = a/x_i, the stage points are u,
-    u + q1, u + q2 and u + 2*q3, and the step is (q1 + 2q2 + 2q3 + q4)/3.
 
-    While every stage point is positive, every q_i is negative and u falls,
-    so d_min = min(u0, u_end).  A stage point at or below zero is the
-    singularity crossed; d_min is -inf wherever a step raised u, so such a
-    path is never kept.  A path that ends at u >= d and never rose had u >= d
-    at every step, and where h*gap/2 <= d*d/4 each of its stage points is
-    at least u/4: no path kept at d has crossed.
+def undercut_ode(w11, w10, p0, budget):
+    """Integrate dp/dt = -1/s(p), s(p) = w10 + (w11 - w10)*p, over ``budget``.
 
-    Raises ValueError unless every input is finite, gap > 0 and budget >= 0.
+    All arguments broadcast, so a batch of instances integrates in one pass,
+    each with its own step size: a Dormand-Prince 5(4) pair accepts a step
+    when its error estimate is within ODE_ATOL + ODE_RTOL*|p|.  Returns
+    (p_end, d_min, rounds, err): d_min is the smallest wage denominator s at
+    the accepted points of the path, rounds the number of steps, accepted or
+    not, the batch took, and err each path's largest accepted error estimate.
+
+    A stage with s <= 0 has crossed the singularity, and a path that has not
+    spent its budget within ODE_MAX_ROUNDS rounds counts as crossed too.  A
+    crossed path gets d_min = -inf, so no path kept at d_min >= d > 0 had a
+    stage at or past the singularity.
+
+    Raises ValueError unless every input is finite, w11 > w10 and budget >= 0.
     """
     w11 = np.atleast_1d(np.asarray(w11, dtype=float))
     w10, p0, budget = (np.broadcast_to(np.asarray(a, dtype=float), w11.shape).copy()
                        for a in (w10, p0, budget))
     if not all(np.isfinite(x).all() for x in (w11, w10, p0, budget)):
-        raise ValueError("ode_quadrature needs finite inputs")
+        raise ValueError("undercut_ode needs finite inputs")
     if not (w11 > w10).all() or not (budget >= 0.0).all():
-        raise ValueError("ode_quadrature needs w11 > w10 and budget >= 0")
-    if steps < 1:
-        raise ValueError(f"ode_quadrature needs steps >= 1, got {steps}")
+        raise ValueError("undercut_ode needs w11 > w10 and budget >= 0")
 
-    div, add, maximum = np.divide, np.add, np.maximum
+    gap = w11 - w10
+    p, t, err, d_min = p0.copy(), np.zeros_like(p0), np.zeros_like(p0), w10 + gap * p0
+    crossed = np.zeros_like(p0, dtype=bool)
+    # a first step that moves s by about ODE_RTOL**0.2 of itself
+    h = np.minimum(budget, ODE_RTOL ** 0.2 * d_min * d_min / gap)
     with np.errstate(all="ignore"):
-        gap = w11 - w10
-        u0 = w10 + gap * p0
-        u = u0.copy()
-        a = -0.5 * (budget / steps) * gap
-        two_a = 2.0 * a  # (2a)/x is 2*(a/x) exactly: the 2*q3 of the last stage point
-        q1, q2, q3, x = (np.empty_like(u) for _ in range(4))
-        rise = np.full_like(u, -np.inf)
-        for _ in range(steps):
-            div(a, u, out=q1)
-            add(u, q1, out=x)
-            div(a, x, out=q2)
-            add(u, q2, out=x)
-            div(two_a, x, out=q3)
-            add(u, q3, out=x)
-            div(a, x, out=x)
-            add(q2, q2, out=q2)
-            add(q2, q1, out=q2)
-            add(q2, q3, out=q2)
-            add(q2, x, out=q2)
-            div(q2, 3.0, out=q2)
-            add(u, q2, out=u)
-            maximum(rise, q2, out=rise)
-        p_end = (u - w10) / gap
-        d_min = np.where(rise <= 0.0, np.minimum(u0, u), -np.inf)
-    return p_end, d_min
+        for rounds in range(ODE_MAX_ROUNDS + 1):
+            live = ~crossed & (t < budget)
+            if rounds == ODE_MAX_ROUNDS or not live.any():
+                break
+            h = np.where(live, np.minimum(h, budget - t), 0.0)
+            ks = []
+            for row in _DP_ROWS:
+                x = p + h * sum(a * k for a, k in zip(row, ks) if a)
+                s = w10 + gap * x
+                crossed |= s <= 0.0
+                ks.append(-1.0 / s)
+            est = np.abs(h * sum(e * k for e, k in zip(_DP_ERR, ks) if e))
+            ratio = est / (ODE_ATOL + ODE_RTOL * np.maximum(np.abs(p), np.abs(x)))
+            ok = (ratio <= 1.0) & ~crossed
+            p, t = np.where(ok, x, p), np.where(ok, t + h, t)
+            d_min = np.where(ok, np.minimum(d_min, s), d_min)
+            err = np.where(ok, np.maximum(err, est), err)
+            h = h * np.clip(0.9 * ratio ** -0.2, 0.2, 5.0)
+    return p, np.where(crossed | live, -np.inf, d_min), rounds, err
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +156,7 @@ def _result(name, failures, total, extra=""):
     return SuiteResult(name, not failures, detail)
 
 
-def suite_classification(rng, trials=500) -> SuiteResult:
+def suite_classification(rng, trials) -> SuiteResult:
     failures = []
     for t in range(trials):
         w = draw_random_contract(rng)
@@ -189,7 +189,7 @@ def suite_classification(rng, trials=500) -> SuiteResult:
     return _result("contract classification and reductions", failures, trials)
 
 
-def suite_reduction_equilibria(rng, trials=100) -> SuiteResult:
+def suite_reduction_equilibria(rng, trials) -> SuiteResult:
     failures = []
     for t in range(trials):
         w = draw_random_contract(rng)
@@ -203,7 +203,7 @@ def suite_reduction_equilibria(rng, trials=100) -> SuiteResult:
     return _result("failure-wage reduction preserves equilibria", failures, trials)
 
 
-def suite_supermodular_dynamics(rng, trials=200) -> SuiteResult:
+def suite_supermodular_dynamics(rng, trials) -> SuiteResult:
     failures = []
     for t in range(trials):
         w = draw_jpe(rng)
@@ -229,7 +229,7 @@ def suite_supermodular_dynamics(rng, trials=200) -> SuiteResult:
     return _result("supermodular extremal dynamics bracket equilibria", failures, trials)
 
 
-def suite_submodular_paired_map(rng, trials=200) -> SuiteResult:
+def suite_submodular_paired_map(rng, trials) -> SuiteResult:
     failures = []
     for t in range(trials):
         w = draw_rpe(rng)
@@ -246,7 +246,7 @@ def suite_submodular_paired_map(rng, trials=200) -> SuiteResult:
     return _result("submodular paired best responses reach equilibria", failures, trials)
 
 
-def suite_rpe_dominance(rng, trials=500) -> SuiteResult:
+def suite_rpe_dominance(rng, trials) -> SuiteResult:
     failures = []
     for t in range(trials):
         w = draw_rpe(rng)
@@ -258,7 +258,7 @@ def suite_rpe_dominance(rng, trials=500) -> SuiteResult:
     return _result("relative evaluation never beats best independent", failures, trials)
 
 
-def suite_lower_bound_tightness(rng, trials=200, chain_n=2000) -> SuiteResult:
+def suite_lower_bound_tightness(rng, trials, chain_n) -> SuiteResult:
     failures = []
     for t in range(trials):
         w = draw_jpe(rng)
@@ -297,7 +297,7 @@ def suite_lower_bound_tightness(rng, trials=200, chain_n=2000) -> SuiteResult:
     return _result("worst-case floor is tight for undercut chains", failures, trials)
 
 
-def suite_quadrature(rng, trials=100, steps=1_000_000) -> SuiteResult:
+def suite_quadrature(rng, trials) -> SuiteResult:
     n_cand = trials * 3
     w10 = rng.uniform(0.0, 0.7, n_cand)
     gap = rng.uniform(0.05, 1.0, n_cand)
@@ -305,20 +305,19 @@ def suite_quadrature(rng, trials=100, steps=1_000_000) -> SuiteResult:
     p0 = rng.uniform(0.3, 1.0, n_cand)
     t_zero = w10 * p0 + gap * p0 * p0 / 2.0
     c0 = t_zero * rng.uniform(0.1, 0.85, n_cand)
-    p_num, d_min = ode_quadrature(w11, w10, p0, c0, steps)
+    p_num, d_min, _, err = undercut_ode(w11, w10, p0, c0)
     keep = np.flatnonzero(d_min >= 0.02)[:trials]
-    failures = []
+    failures = [f"trial {k}: no regular instance left" for k in range(len(keep), trials)]
     for t in keep:
         closed = wc.best_known_solution(w10[t], w11[t], md.ActionSet([c0[t]], [p0[t]])).p_end
-        if abs(closed - p_num[t]) > 1e-6:
-            failures.append(
-                f"instance {t}: closed {closed} vs quadrature {p_num[t]}"
-            )
+        if abs(closed - p_num[t]) > 1e-6 or err[t] > 1e-9:
+            failures.append(f"instance {t}: closed {closed} vs quadrature {p_num[t]}"
+                            f" (error estimate {err[t]:.1e})")
     extra = f"{len(keep)} regular instances of {n_cand} sampled"
-    return _result("closed form matches quadrature oracle", failures, len(keep), extra)
+    return _result("closed form matches quadrature oracle", failures, trials, extra)
 
 
-def suite_calibration_limits(rng, trials=50) -> SuiteResult:
+def suite_calibration_limits(rng, trials) -> SuiteResult:
     failures = []
     for t in range(trials):
         p0 = rng.uniform(0.3, 1.0)
@@ -350,7 +349,7 @@ def suite_calibration_limits(rng, trials=50) -> SuiteResult:
     return _result("calibration limit identities", failures, trials)
 
 
-def suite_calibration_improvement(rng, trials=20) -> SuiteResult:
+def suite_calibration_improvement(rng, trials) -> SuiteResult:
     failures = []
     for t in range(trials):
         p0 = rng.uniform(0.3, 1.0)
@@ -367,7 +366,7 @@ def suite_calibration_improvement(rng, trials=20) -> SuiteResult:
     return _result("calibrated team bonus beats best independent", failures, trials)
 
 
-def suite_w00_monotonicity(rng, trials=60) -> SuiteResult:
+def suite_w00_monotonicity(rng, trials) -> SuiteResult:
     failures = []
     for t in range(trials):
         w11 = rng.uniform(0.2, 1.0)
@@ -387,7 +386,7 @@ def suite_w00_monotonicity(rng, trials=60) -> SuiteResult:
                    failures, trials)
 
 
-def suite_pessimistic_selection(rng, trials=200) -> SuiteResult:
+def suite_pessimistic_selection(rng, trials) -> SuiteResult:
     failures = []
     for t in range(trials):
         w = draw_jpe(rng)
@@ -406,7 +405,7 @@ def suite_pessimistic_selection(rng, trials=200) -> SuiteResult:
                    failures, trials)
 
 
-def suite_optimizer(rng, trials=12) -> SuiteResult:
+def suite_optimizer(rng, trials) -> SuiteResult:
     failures = []
     for t in range(trials):
         a0 = draw_known_set(rng)
@@ -433,7 +432,6 @@ def run_all(seed: int = 0, quick: bool = False) -> list[SuiteResult]:
     def n(full):
         return max(3, int(full * scale))
 
-    steps = 100_000 if quick else 1_000_000
     chain = 500 if quick else 2000
     specs = [
         (suite_classification, dict(trials=n(500))),
@@ -442,7 +440,7 @@ def run_all(seed: int = 0, quick: bool = False) -> list[SuiteResult]:
         (suite_submodular_paired_map, dict(trials=n(200))),
         (suite_rpe_dominance, dict(trials=n(500))),
         (suite_lower_bound_tightness, dict(trials=n(200), chain_n=chain)),
-        (suite_quadrature, dict(trials=n(100), steps=steps)),
+        (suite_quadrature, dict(trials=n(100))),
         (suite_calibration_limits, dict(trials=n(50))),
         (suite_calibration_improvement, dict(trials=n(20))),
         (suite_w00_monotonicity, dict(trials=n(60))),

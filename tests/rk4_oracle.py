@@ -1,9 +1,10 @@
-"""RK4 in p: the oracle for ``selftest.ode_quadrature``.
+"""RK4 in p: the fixed-step oracle for ``selftest.undercut_ode``.
 
-``ode_quadrature`` integrates the undercut dynamics in the wage denominator
-u = w10 + (w11 - w10)*p.  This is the same fixed-step RK4 in p itself, as
-the package shipped it before, kept to check the u-form against and to
-back the tests that pin the p-form's bits, steps and tolerances.
+``undercut_ode`` integrates the undercut dynamics with an error-controlled
+Dormand-Prince 5(4) pair that sizes its own steps.  This is the fixed-step
+RK4 in p, as the package shipped it before, kept to check the adaptive pair
+against and to back the tests that pin the p-form's bits, steps and
+tolerances.
 """
 
 import numpy as np

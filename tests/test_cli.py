@@ -1036,6 +1036,28 @@ class TestSelftestVerb:
         want = (Path(__file__).parent / "documents" / "selftest-quick.txt").read_text()
         assert capsys.readouterr() == (want, "")
 
+    @pytest.mark.parametrize("d_shift, err, fragments", [
+        (-math.inf, 0.0, ["  0/30 ok; 0 regular instances of 90 sampled;"
+                          " first failure: trial 0: no regular instance left\n"]),
+        (0.0, 2e-9, ["  0/30 ok; 30 regular instances of 90 sampled; first failure: instance 0: ",
+                     " (error estimate 2.0e-09)\n"]),
+    ], ids=["none-kept", "error-estimate"])
+    def test_quadrature_suite_fails_short_or_inexact(self, capsys, monkeypatch, d_shift, err,
+                                                     fragments):
+        from teamcontracts import selftest
+        exact = selftest.undercut_ode
+
+        def integrator(*args):
+            p_end, d_min, rounds, _ = exact(*args)
+            return p_end, d_min + d_shift, rounds, np.full_like(p_end, err)
+
+        monkeypatch.setattr(selftest, "undercut_ode", integrator)
+        assert main(["selftest", "--quick", "--seed", "0"]) == 3
+        out = capsys.readouterr().out
+        assert "[FAIL] closed form matches quadrature oracle  " in out
+        assert all(f in out for f in fragments)
+        assert out.endswith("selftest: FAILURES detected (seed=0, quick=True)\n")
+
     def test_negative_seed_exits_2_naming_the_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["selftest", "--quick", "--seed", "-1"])

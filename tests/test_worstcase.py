@@ -30,12 +30,16 @@ from teamcontracts import (
     rpe_value,
     worst_case,
 )
+from teamcontracts import selftest
 from teamcontracts.selftest import (
+    ODE_ATOL,
+    ODE_MAX_ROUNDS,
+    ODE_RTOL,
     draw_jpe,
     draw_known_set,
     draw_random_contract,
     draw_rpe,
-    ode_quadrature,
+    undercut_ode,
 )
 from teamcontracts.worstcase import (
     JOINT,
@@ -1000,28 +1004,56 @@ def _suite_draws(seed, n, budget_hi):
 
 
 class TestQuadratureCoordinates:
-    """``ode_quadrature`` integrates in the wage denominator; the p-form in
+    """``undercut_ode`` sizes its own steps; the fixed-step p-form in
     ``rk4_oracle`` is its oracle."""
 
-    @pytest.mark.parametrize("steps", [400, 4000])
-    def test_keeps_what_the_p_form_keeps(self, steps):
+    def test_keeps_what_the_p_form_keeps(self):
         w11, w10, p0, budget = _suite_draws(41, 400, 1.3)
-        p_u, d_u = ode_quadrature(w11, w10, p0, budget, steps)
-        p_p, d_p = ode_quadrature_p(w11, w10, p0, budget, steps)
+        p_u, d_u, _, _ = undercut_ode(w11, w10, p0, budget)
+        p_p, d_p = ode_quadrature_p(w11, w10, p0, budget, 4000)
         kept = d_p >= 0.02
         assert np.array_equal(d_u >= 0.02, kept)
         assert 0 < np.count_nonzero(~kept) < 400 // 4  # past the collapse point
-        assert np.abs(p_u[kept] - p_p[kept]).max() <= 1e-12
-        assert np.abs(d_u[kept] - d_p[kept]).max() <= 1e-12
+        assert np.abs(p_u[kept] - p_p[kept]).max() <= 1e-10
+        assert np.abs(d_u[kept] - d_p[kept]).max() <= 1e-10
+
+    def test_accepts_no_step_over_its_tolerance(self):
+        # the paths past the collapse point reject steps before they cross
+        w11, w10, p0, budget = _suite_draws(41, 400, 1.3)
+        p_end, _, _, err = undercut_ode(w11, w10, p0, budget)
+        # p falls along every path, so no accepted step saw |p| above these
+        assert (err > 0.0).all()
+        assert (err <= ODE_ATOL + ODE_RTOL * np.maximum(abs(p0), abs(p_end))).all()
 
     def test_matches_the_closed_form_as_the_suite_checks_it(self):
         w11, w10, p0, budget = _suite_draws(31, 60, 0.85)
-        p_num, d_min = ode_quadrature(w11, w10, p0, budget, steps=100_000)
+        p_num, d_min, _, _ = undercut_ode(w11, w10, p0, budget)
         kept = np.flatnonzero(d_min >= 0.02)
         assert len(kept) >= 40
         for k in kept:
             closed = best_known_solution(w10[k], w11[k], ActionSet([budget[k]], [p0[k]])).p_end
             assert abs(closed - p_num[k]) <= 1e-6
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(st.lists(st.tuples(st.floats(0.0, 0.7), st.floats(1e-9, 1.0),
+                              st.floats(0.3, 1.0), st.floats(0.0, 1.3)),
+                    min_size=1, max_size=16))
+    def test_kept_paths_never_crossed_and_match_the_closed_form(self, rows):
+        # budgets up to 1.3 times the time p takes to reach 0: past it p goes
+        # negative while s stays positive, and the closed form clamps at 0
+        w10, drawn_gap, p0, frac = (np.array(c) for c in zip(*rows))
+        w11 = w10 + drawn_gap
+        gap = w11 - w10
+        budget = frac * (w10 * p0 + gap * p0 * p0 / 2)
+        p_end, d_min, rounds, err = undercut_ode(w11, w10, p0, budget)
+        assert rounds < ODE_MAX_ROUNDS
+        kept = np.flatnonzero(d_min >= 0.02)
+        # s reaches 0 at budget s0**2 / (2*gap)
+        assert ((budget * 2 * gap)[kept] < ((w10 + gap * p0) ** 2)[kept]).all()
+        for k in kept:
+            closed = best_known_solution(w10[k], w11[k], ActionSet([budget[k]], [p0[k]])).p_end
+            assert abs(max(p_end[k], 0.0) - closed) <= 1e-9
+            assert err[k] <= ODE_ATOL + ODE_RTOL * max(abs(p0[k]), abs(p_end[k]))
 
     def test_a_path_past_its_singularity_is_never_kept(self):
         # budgets at and far past the collapse point, then paths that start
@@ -1030,12 +1062,21 @@ class TestQuadratureCoordinates:
         p0, budget = np.array([1.0, 1.0, 0.0, -0.5]), np.array([0.3, 10.0, 0.1, 0.1])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, d_min = ode_quadrature(w11, w10, p0, budget, steps=50)
+            _, d_min, _, _ = undercut_ode(w11, w10, p0, budget)
         assert 0.0 < d_min[0] < 0.02
         assert np.isneginf(d_min[1:]).all()
 
+    def test_a_path_cut_at_the_round_cap_is_never_kept(self, monkeypatch):
+        draws = _suite_draws(31, 60, 0.85)
+        _, d_full, _, _ = undercut_ode(*draws)
+        monkeypatch.setattr(selftest, "ODE_MAX_ROUNDS", 5)
+        _, d_min, rounds, _ = undercut_ode(*draws)
+        cut = np.isneginf(d_min)
+        assert rounds == 5 and 0 < np.count_nonzero(cut) < 60
+        assert (d_full[cut] >= 0.02).all() and np.array_equal(d_min[~cut], d_full[~cut])
+
     def test_zero_budget_stays_put(self):
-        p_end, d_min = ode_quadrature(0.7, 0.1, 0.8, 0.0, steps=10)
+        p_end, d_min, _, _ = undercut_ode(0.7, 0.1, 0.8, 0.0)
         assert p_end[0] == pytest.approx(0.8, abs=1e-15)
         assert d_min[0] == 0.1 + (0.7 - 0.1) * 0.8
 
@@ -1049,8 +1090,8 @@ class TestQuadratureCoordinates:
         (0.6, 0.0, 1.0, math.nan),
     ])
     def test_refuses_inputs_outside_its_domain(self, w11, w10, p0, budget):
-        with pytest.raises(ValueError, match="^ode_quadrature needs "):
-            ode_quadrature(w11, w10, p0, budget, steps=10)
+        with pytest.raises(ValueError, match="^undercut_ode needs "):
+            undercut_ode(w11, w10, p0, budget)
 
 
 def _endpoint_reference(w11, w10, a0):
