@@ -1007,15 +1007,18 @@ class TestQuadratureCoordinates:
     """``undercut_ode`` sizes its own steps; the fixed-step p-form in
     ``rk4_oracle`` is its oracle."""
 
-    def test_keeps_what_the_p_form_keeps(self):
+    @pytest.mark.parametrize("steps", [400, 4000])
+    def test_keeps_what_the_p_form_keeps(self, steps):
         w11, w10, p0, budget = _suite_draws(41, 400, 1.3)
         p_u, d_u, _, _ = undercut_ode(w11, w10, p0, budget)
-        p_p, d_p = ode_quadrature_p(w11, w10, p0, budget, 4000)
+        p_p, d_p = ode_quadrature_p(w11, w10, p0, budget, steps)
         kept = d_p >= 0.02
         assert np.array_equal(d_u >= 0.02, kept)
         assert 0 < np.count_nonzero(~kept) < 400 // 4  # past the collapse point
-        assert np.abs(p_u[kept] - p_p[kept]).max() <= 1e-10
-        assert np.abs(d_u[kept] - d_p[kept]).max() <= 1e-10
+        # the p-form's fourth-order truncation error shrinks as steps**-4
+        tol = 1e-10 * (4000 / steps) ** 4
+        assert np.abs(p_u[kept] - p_p[kept]).max() <= tol
+        assert np.abs(d_u[kept] - d_p[kept]).max() <= tol
 
     def test_accepts_no_step_over_its_tolerance(self):
         # the paths past the collapse point reject steps before they cross
