@@ -14,6 +14,7 @@ from teamcontracts import (
     ActionSet,
     ActionSpec,
     Contract,
+    ConvergenceError,
     best_known_solution,
     calibrate_jpe,
     calibration_witness,
@@ -27,9 +28,20 @@ from teamcontracts import (
     optimize_jpe,
     worst_case,
 )
+from teamcontracts.worstcase import check_witness
 
 a0 = ActionSpec(0.25, 1.0)
 known = ActionSet.from_pairs([(0.25, 1.0)])
+
+
+def verified(contract, actions):
+    """Whether the last action is the maximal equilibrium (``check_witness``)."""
+    try:
+        check_witness(contract, actions)
+    except ConvergenceError:
+        return False
+    return True
+
 
 print("=== independent benchmark ===")
 ipe = ipe_optimal(known)
@@ -50,12 +62,14 @@ print("value of (0.5, 0, 0, 0):", jpe_value(pooled, known).per_agent)
 floor = best_known_solution(0.0, 0.5, known)
 chain = euler_adversary(floor, 2, rho=1e-9)
 print("two-step undercut probabilities:", np.round(chain.actions.probs, 6))
-print("costs:", chain.actions.costs.tolist(), "| best responses verified:", chain.verified)
+print("costs:", chain.actions.costs.tolist(), "| best responses verified:",
+      verified(pooled, chain.actions))
 
-# Longer chains approach the analytic floor.
+# Longer chains approach the analytic floor; each ends at its maximal equilibrium.
 for n in (10, 100, 1000):
-    c = euler_adversary(floor, n)
-    print(f"n={n:5d}: maximal-equilibrium probability {c.max_eq_prob:.4f}")
+    c = euler_adversary(floor, n).actions
+    check_witness(pooled, c)
+    print(f"n={n:5d}: maximal-equilibrium probability {c.probs[-1]:.4f}")
 print("analytic floor:", floor.p_end)
 
 print("\n=== the worst-case optimal team scheme ===")

@@ -382,11 +382,7 @@ def cmd_adversary(args) -> int:
 
     s0, s1 = wc.marginal_wage(contract, wc.JOINT)
     adv = wc.euler_adversary(wc.best_known_solution(s0, s1, a0), args.n, rho=args.rho)
-    if adv.verified is False:
-        raise CliError(
-            EXIT_NONCONVERGENCE,
-            f"chain construction failed verification at step {adv.failure_step}",
-        )
+    wc.check_witness(contract, adv.actions)
     if args.format == "csv":
         import numpy as np
 
@@ -400,7 +396,7 @@ def cmd_adversary(args) -> int:
         "rho": adv.rho,
         "t_hat": adv.t_hat,
         "clamped": adv.clamped,
-        "max_eq_prob": adv.max_eq_prob,
+        "max_eq_prob": float(adv.actions.probs[-1]),
     })
     return EXIT_OK
 

@@ -258,6 +258,12 @@ def suite_rpe_dominance(rng, trials) -> SuiteResult:
     return _result("relative evaluation never beats best independent", failures, trials)
 
 
+def _chain_max_eq(w, best, n) -> float:
+    """The maximal-equilibrium probability of the n-step chain extending ``best``."""
+    chain = wc.euler_adversary(best, n).actions
+    return float(chain.probs[gm.extremal_br_path(gm.induce_game(w, chain), "MAX")[0]])
+
+
 def suite_lower_bound_tightness(rng, trials, chain_n) -> SuiteResult:
     failures = []
     for t in range(trials):
@@ -276,20 +282,19 @@ def suite_lower_bound_tightness(rng, trials, chain_n) -> SuiteResult:
             )
             continue
 
-        adv = wc.euler_adversary(best, chain_n)
-        err = abs(adv.max_eq_prob - pbar)
+        end = _chain_max_eq(w, best, chain_n)
+        err = abs(end - pbar)
         bound = wc.euler_error_bound(best, chain_n)
         if np.isfinite(bound):
             if err > max(bound, 5e-3):
                 failures.append(
-                    f"trial {t}: chain endpoint {adv.max_eq_prob} misses floor "
+                    f"trial {t}: chain endpoint {end} misses floor "
                     f"{pbar} by {err} > {max(bound, 5e-3)}"
                 )
         else:
             # No finite bound at the collapse point; check convergence
             # empirically against a four-times-coarser chain.
-            coarse = wc.euler_adversary(best, max(2, chain_n // 4))
-            err_coarse = abs(coarse.max_eq_prob - pbar)
+            err_coarse = abs(_chain_max_eq(w, best, max(2, chain_n // 4)) - pbar)
             if not (err <= 5e-3 or err < err_coarse):
                 failures.append(
                     f"trial {t}: no empirical convergence ({err_coarse} -> {err})"

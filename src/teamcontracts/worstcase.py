@@ -26,7 +26,7 @@ branch and the relative-evaluation fixed point are ``_stable_root``'s roots.
 a negative s0 to the root of s; ``pbar_grid`` makes one per known target.
 ``worst_case`` is the one place that picks the value for a wage pattern and
 builds the witness attaining it; the ``*_value`` functions compute values only.
-Only chain verification builds a game, and it imports ``game`` when it runs.
+Only ``check_witness`` builds a game, and it imports ``game`` when it runs.
 """
 from __future__ import annotations
 
@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ContractPatternError
+from .errors import ContractPatternError, ConvergenceError
 from .model import (MAX_WITNESS_CHAIN, ActionSet, ActionSpec, Contract, check_known_assumptions,
                     classify)
 
@@ -294,16 +294,13 @@ def rpe_value(contract: Contract, a0_set: ActionSet) -> WorstCaseResult:
 
 @dataclass(frozen=True)
 class EulerAdversary:
-    """An undercut chain plus its construction and verification record."""
+    """An undercut chain and its construction record (``check_witness`` checks it)."""
 
     actions: ActionSet
     step: float
     rho: float
     t_hat: float
     clamped: bool
-    verified: bool | None
-    failure_step: int | None
-    max_eq_prob: float | None
 
 
 def _joint_chain(best: OdeSolution, n: int) -> tuple[float, float]:
@@ -316,8 +313,7 @@ def _joint_chain(best: OdeSolution, n: int) -> tuple[float, float]:
     return best.s0, best.s1
 
 
-def euler_adversary(best: OdeSolution, n: int, rho: float | None = None,
-                    verify: bool = True) -> EulerAdversary:
+def euler_adversary(best: OdeSolution, n: int, rho: float | None = None) -> EulerAdversary:
     """Chain of n undercutting actions from the target ``best.a0`` of the
     joint-evaluation endpoint ``best``, spending its budget ``best.t_hat``.
 
@@ -330,15 +326,13 @@ def euler_adversary(best: OdeSolution, n: int, rho: float | None = None,
     default (pass ``rho`` to override, e.g. a tiny value to sit at the
     binding best-response limits).  Probabilities are clamped to [0, 1] with
     the ``clamped`` flag raised, since clamped steps leave the recursion.
-    With ``verify=True`` the maximal best-response path of the game induced
-    by (s1, s0, 0, 0) is computed; ``verified`` records whether it reaches
-    the final chain action and ``failure_step`` the first deviation otherwise.
+    The chain is built, not checked: ``check_witness`` under the contract
+    (s1, s0, 0, 0) decides whether its last action is the maximal equilibrium.
     """
     s0, s1 = _joint_chain(best, n)
     a0, t_hat = best.a0, best.t_hat
     if t_hat <= 0.0:
-        chain = ActionSet([a0.cost], [a0.prob])
-        return EulerAdversary(chain, 0.0, 0.0, 0.0, False, True, None, a0.prob)
+        return EulerAdversary(ActionSet([a0.cost], [a0.prob]), 0.0, 0.0, 0.0, False)
 
     eps = t_hat / n
     rho_n = t_hat / (n * n * (s1 + 1.0)) if rho is None else float(rho)
@@ -361,19 +355,20 @@ def euler_adversary(best: OdeSolution, n: int, rho: float | None = None,
     # (n - k)*t_hat/n with that Python expression's bits: n - k is exact
     costs = np.arange(n, -1, -1, dtype=float) * t_hat / n
     costs[0] = a0.cost
-    chain = ActionSet(costs, probs, 1)
+    return EulerAdversary(ActionSet(costs, probs, 1), eps, rho_n, t_hat, clamped)
 
-    verified = failure_step = max_eq_prob = None
-    if verify:
-        from .game import extremal_br_path, induce_game
 
-        game = induce_game(Contract(s1, s0, 0.0, 0.0), chain)
-        limit, path = extremal_br_path(game, "MAX")
-        max_eq_prob = float(chain.probs[limit])
-        verified = limit == n
-        if not verified:
-            failure_step = next((k for k, got in enumerate(path) if got != k), len(path))
-    return EulerAdversary(chain, eps, rho_n, t_hat, clamped, verified, failure_step, max_eq_prob)
+def check_witness(contract: Contract, actions: ActionSet) -> None:
+    """Raise ConvergenceError unless the last action of ``actions`` is the
+    maximal equilibrium of the game ``contract`` induces on them: the limit of
+    maximal best responses from the top action, in a supermodular game
+    (Milgrom & Roberts, Econometrica 1990)."""
+    from .game import extremal_br_path, induce_game
+
+    limit, last = extremal_br_path(induce_game(contract, actions), "MAX")[0], len(actions) - 1
+    if limit != last:
+        raise ConvergenceError(f"witness failed verification: the maximal best-response path "
+                               f"stops at action {limit}, not at the last action {last}")
 
 
 def euler_error_bound(best: OdeSolution, n: int) -> float:
@@ -441,7 +436,8 @@ def worst_case(contract: Contract, a0_set: ActionSet,
     undercut of an independent one (s1 = s0) or the undercut just above p*
     plus the null action of a relative one (s1 < s0).  w11/w00 (s0 < 0), a
     spent budget and a zero wage carry no witness; patterns without a closed
-    form raise ContractPatternError, and eps outside (0, inf) ValueError."""
+    form raise ContractPatternError, eps outside (0, inf) ValueError, and a
+    joint witness that fails ``check_witness`` ConvergenceError."""
     if not 0.0 < eps < math.inf:
         raise ValueError(f"eps must be finite and positive, got {eps}")
     s0, s1 = marginal_wage(contract)
@@ -463,7 +459,8 @@ def worst_case(contract: Contract, a0_set: ActionSet,
         actions = ipe_adversary(s1, a0_set, eps).actions
     elif best.t_hat > 0.0:
         n = max(2, math.ceil(min(best.t_hat / eps, MAX_WITNESS_CHAIN)))
-        actions = a0_set.extend(euler_adversary(best, n, verify=False).actions[1:])
+        actions = a0_set.extend(euler_adversary(best, n).actions[1:])
+        check_witness(contract, actions)
     else:
         return res
     return replace(res, witness=Witness(actions, eps))

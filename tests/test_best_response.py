@@ -138,7 +138,7 @@ def test_seeded_games_match_dense_oracle():
 def test_undercut_chains_match_dense_paths(w11, w10, target, n):
     contract = Contract(w11, w10, 0.0, 0.0)
     best = best_known_solution(w10, w11, ActionSet.from_pairs([target]))
-    chain = euler_adversary(best, n, verify=False).actions
+    chain = euler_adversary(best, n).actions
     game = induce_game(contract, chain)
     for start in ("MAX", "MIN"):
         assert extremal_br_path(game, start) == dense_path(game, start)

@@ -9,7 +9,6 @@ import sys
 import threading
 import tracemalloc
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -275,14 +274,14 @@ class TestGameDump:
     def test_non_finite_payoff_exits_2_writing_nothing(self, tmp_path, capsys, monkeypatch):
         seen = {}
 
-        def poisoned(contract, actions):
-            payoff = dense_payoff(induce_game(contract, actions))
+        def poisoned(game, i):
+            payoff = dense_payoff(game)
             # the first in row-major order is named, not the first by column
             payoff[1, 2], payoff[2, 1] = -math.inf, math.nan
-            seen.update(actions=actions, payoff=payoff)
-            return SimpleNamespace(payoff_row=payoff.__getitem__)
+            seen.update(actions=game.actions, payoff=payoff)
+            return payoff[i]
 
-        monkeypatch.setattr(gm, "induce_game", poisoned)
+        monkeypatch.setattr(gm.InducedGame, "payoff_row", poisoned)
         inp = write(tmp_path, "in.json", {
             "contract": {"w11": 2 / 3, "w10": 0.0, "w01": 0.0, "w00": 0.0},
             "actions": A0_JSON,
@@ -450,7 +449,9 @@ class TestAdversary:
         adv = self.chain()
         want = self.former_json(argv, {
             "chain": actions_json(adv.actions)["actions"], "eps": adv.step, "rho": adv.rho,
-            "t_hat": adv.t_hat, "clamped": adv.clamped, "max_eq_prob": adv.max_eq_prob})
+            "t_hat": adv.t_hat, "clamped": adv.clamped,
+            "max_eq_prob": float(adv.actions.probs[gm.extremal_br_path(
+                induce_game(Contract.from_json(JPE_JSON["contract"]), adv.actions), "MAX")[0]])})
         assert self.run(tmp_path, capsys, argv, to_file) == want
 
     @pytest.mark.parametrize("to_file", [True, False])
@@ -477,6 +478,35 @@ class TestAdversary:
                   "classification": "JPE", "contract_evaluated": contract.to_json(),
                   "reduction_applied": False}
         assert self.run(tmp_path, capsys, argv, to_file) == self.former_json(argv, result)
+
+
+# A known set whose best target (the second) is not the top-ranked action:
+# the one-chain witness keeps its maximal equilibrium at known action 0.
+UNCHECKED_JSON = {"contract": {"w11": 0.7, "w10": 0.05, "w01": 0.0, "w00": 0.0},
+                  "actions": {"actions": [{"cost": 0.3, "prob": 0.94},
+                                          {"cost": 0.12, "prob": 0.64}], "known": 2}}
+
+
+class TestWitnessCheck:
+    """A chain or witness that fails ``worstcase.check_witness`` exits 3 with
+    one line naming where the maximal best-response path stops, and writes
+    nothing."""
+
+    @pytest.mark.parametrize("doc, flags, last", [
+        ({"contract": {"w11": 0.5, "w10": 0.0, "w01": 0.0, "w00": 0.0}, "actions": A0_JSON},
+         ["adversary", "--n", "2", "--rho", "0"], 2),
+        (UNCHECKED_JSON, ["evaluate", "--eps", "1e-3", "--dump-game", "game.json"], 121),
+    ], ids=["adversary", "evaluate"])
+    def test_exits_3_writing_nothing(self, tmp_path, capsys, monkeypatch, doc, flags, last):
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "out.json"
+        argv = [flags[0], "--input", write(tmp_path, "in.json", doc), *flags[1:],
+                "--output", str(out)]
+        assert main(argv) == 3
+        assert capsys.readouterr() == ("", (
+            "error: witness failed verification: the maximal best-response path stops at "
+            f"action 0, not at the last action {last}\n"))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.json"]
 
 
 class TestDocuments:

@@ -16,11 +16,13 @@ from teamcontracts import (
     AssumptionError,
     Contract,
     ContractPatternError,
+    ConvergenceError,
     OdeSolution,
     calibrate_jpe,
     check_known_assumptions,
     euler_adversary,
     euler_error_bound,
+    induce_game,
     ipe_adversary,
     ipe_optimal,
     ipe_value,
@@ -47,12 +49,14 @@ from teamcontracts.worstcase import (
     _endpoint,
     _stable_root,
     best_known_solution,
+    check_witness,
     marginal_wage,
     pbar_grid,
 )
 
 import worst_case_oracle as former
 from rk4_oracle import ode_quadrature_p
+from test_best_response import dense_path
 from test_game import unique_pure_equilibrium
 from worst_case_oracle import worst_case_oracle
 
@@ -63,6 +67,13 @@ TARGET = ActionSpec(0.25, 1.0)
 def single(a: ActionSpec) -> ActionSet:
     """The known set of the one target a."""
     return ActionSet([a.cost], [a.prob])
+
+
+def checked_end(contract, adv):
+    """The last probability of the chain ``adv``, once ``check_witness`` has
+    found that its last action is the maximal equilibrium under ``contract``."""
+    check_witness(contract, adv.actions)
+    return adv.actions.probs[-1]
 
 
 class TestClosedForm:
@@ -258,7 +269,7 @@ class TestMarginalWage:
     @staticmethod
     def former_jpe_value(contract, a0_set):
         former.require_pattern(contract, jpe=True)
-        return worst_case_oracle(contract, a0_set, 1.0)
+        return former._jpe(contract, a0_set, 1.0)
 
     @staticmethod
     def draws(rng):
@@ -332,7 +343,7 @@ class TestMarginalWage:
             "worst_case": (lambda c: worst_case(c, A0), lambda c: worst_case_oracle(c, A0, 1.0)),
             "jpe_value": (lambda c: jpe_value(c, A0), lambda c: former.require_pattern(c, True)),
             "rpe_value": (lambda c: rpe_value(c, A0), lambda c: former.require_pattern(c, False)),
-            "euler_adversary": (lambda c: euler_adversary(chain_end(c), 2, verify=False),
+            "euler_adversary": (lambda c: euler_adversary(chain_end(c), 2),
                                 lambda c: former.require_pattern(c, True)),
             "euler_error_bound": (lambda c: euler_error_bound(chain_end(c), 2),
                                   lambda c: former.require_pattern(c, True)),
@@ -564,22 +575,21 @@ class TestEulerAdversary:
         assert probs[1] == pytest.approx(0.75, abs=1e-6)
         assert probs[2] == pytest.approx(5.0 / 12.0, abs=1e-6)
         assert adv.actions.costs.tolist() == [0.25, 0.125, 0.0]
-        assert adv.verified
-        assert adv.max_eq_prob == probs[2]
+        check_witness(Contract(0.5, 0.0, 0.0, 0.0), adv.actions)
 
     def test_single_undercut(self):
         w = calibrate_jpe(0.5, ActionSpec(0.2, 0.8), 0.1)
         adv = euler_adversary(best_known_solution(w.w10, w.w11, ActionSet([0.2], [0.8])), 1)
         denom = 0.8 * w.w11 + 0.2 * w.w10
         assert adv.actions.probs[1] == pytest.approx(0.8 - 0.2 / denom + adv.rho, abs=1e-15)
-        assert adv.verified
+        check_witness(w, adv.actions)
 
     def test_long_chain_approaches_collapsed_floor(self):
         # At the collapse point the error bound degenerates, and the chain
         # endpoint decays like n**-0.5; convergence is checked empirically.
         w = Contract(0.5, 0.0, 0.0, 0.0)
         ends = {
-            n: euler_adversary(best_known_solution(w.w10, w.w11, A0), n).max_eq_prob
+            n: checked_end(w, euler_adversary(best_known_solution(w.w10, w.w11, A0), n))
             for n in (625, 2500, 10_000)
         }
         assert ends[2500] < ends[625]
@@ -599,8 +609,7 @@ class TestEulerAdversary:
             w10 = rng.uniform(0.0, 0.6)
             w = Contract(rng.uniform(w10 + 0.02, 1.2), w10, 0.0, 0.0)
             target = ActionSpec(rng.uniform(0.01, 0.5), rng.uniform(0.5, 1.0))
-            adv = euler_adversary(best_known_solution(w.w10, w.w11, single(target)), n,
-                                  verify=False)
+            adv = euler_adversary(best_known_solution(w.w10, w.w11, single(target)), n)
             t_hat = adv.t_hat
             assert t_hat > 0.0
             want = [target.cost] + [(n - k) * t_hat / n for k in range(1, n + 1)]
@@ -616,7 +625,7 @@ class TestEulerAdversary:
         best = OdeSolution(TARGET, s0, s1, 0.25, 0.5, 0.5)
         want = f"^joint evaluation requires w11 > w10, got \\({s1}, {s0}\\)$"
         with pytest.raises(ContractPatternError, match=want):
-            euler_adversary(best, 2, verify=False)
+            euler_adversary(best, 2)
         with pytest.raises(ContractPatternError, match=want):
             euler_error_bound(best, 2)
 
@@ -649,8 +658,9 @@ class TestEulerErrorBound:
 
     def test_empirical_convergence_when_unbounded(self):
         best = best_known_solution(0.0, 0.5, A0)
-        coarse = euler_adversary(best, 500).max_eq_prob
-        fine = euler_adversary(best, 2000).max_eq_prob
+        w = Contract(0.5, 0.0, 0.0, 0.0)
+        coarse = checked_end(w, euler_adversary(best, 500))
+        fine = checked_end(w, euler_adversary(best, 2000))
         assert fine < coarse
 
 
@@ -710,11 +720,11 @@ class TestWorstCase:
     @staticmethod
     def same(contract, a0_set, eps):
         """worst_case's result, checked against the oracle's; None where both
-        refuse the pattern with the same message."""
+        refuse the pattern, or the witness, with the same message."""
         try:
             want = worst_case_oracle(contract, a0_set, eps)
-        except ContractPatternError as exc:
-            with pytest.raises(ContractPatternError) as got:
+        except (ContractPatternError, ConvergenceError) as exc:
+            with pytest.raises(type(exc)) as got:
                 worst_case(contract, a0_set, eps)
             assert str(got.value) == str(exc)
             return None
@@ -762,6 +772,36 @@ class TestWorstCase:
     def test_no_witness(self, contract, a0_set):
         res = self.same(contract, a0_set, 1e-3)
         assert res.binding == "SHIRK_EQ" and res.witness is None
+
+    def test_refuses_the_witness_whose_maximal_equilibrium_is_a_known_action(self):
+        known = ActionSet.from_pairs([(0.3, 0.94), (0.12, 0.64)])
+        contract = Contract(0.7, 0.05, 0.0, 0.0)
+        unchecked = former._jpe(contract, known, 1e-3).witness.actions
+        assert len(unchecked) == 122
+        assert dense_path(induce_game(contract, unchecked), "MAX")[0] == 0
+        with pytest.raises(ConvergenceError, match="at action 0, not at the last action 121$"):
+            worst_case(contract, known, 1e-3)
+
+    def test_joint_witnesses_end_at_their_maximal_equilibrium(self):
+        # the witness sets worst_case returns, known actions and chain
+        # together: each ends at its dense maximal equilibrium, or is refused
+        # where the dense path stops earlier
+        rng = np.random.default_rng(12)
+        chains = Counter()  # by whether worst_case refused the witness
+        for _ in range(1000):
+            w, known, eps = draw_jpe(rng), draw_known_set(rng), float(10 ** rng.uniform(-3, -2))
+            try:
+                res, refused = worst_case(w, known, eps), False
+            except ConvergenceError:
+                res, refused = former._jpe(w, known, eps), True
+            if res.binding == "SHIRK_EQ" and res.witness is not None:
+                actions = res.witness.actions
+                ends = dense_path(induce_game(w, actions), "MAX")[0] == len(actions) - 1
+                assert ends != refused
+                chains[refused] += 1
+            else:
+                assert not refused
+        assert chains[True] > 0 and chains[False] > 700, chains
 
     @pytest.mark.parametrize("contract, endpoints, chains", [
         (Contract(0.6, 0.0, 0.0, 0.0), 1, 1),  # the value's, which the chain extends

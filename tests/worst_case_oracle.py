@@ -2,7 +2,9 @@
 ``worstcase.worst_case``: the branch of the ``evaluate`` verb and the
 ``with_witness`` paths of ``jpe_value``, ``ipe_value`` and ``rpe_value``,
 kept as the oracle ``worst_case`` is checked against.  Import it from a
-test module in this directory.
+test module in this directory.  ``worst_case_oracle`` checks each chain
+witness with the dense best-response path of ``test_best_response``, not
+with ``worstcase.check_witness``.
 
 Beside it are the readers of raw wages that ``worstcase.marginal_wage``
 replaced: ``require_pattern``, ``jpe_value_w00`` with its own checks and its
@@ -16,16 +18,20 @@ from dataclasses import replace
 from teamcontracts import (
     ActionSpec,
     ContractPatternError,
+    ConvergenceError,
     Witness,
     WorstCaseResult,
     best_known_solution,
     classify,
     euler_adversary,
+    induce_game,
     ipe_adversary,
     rpe_value,
 )
 from teamcontracts.model import MAX_WITNESS_CHAIN, Contract
 from teamcontracts.worstcase import FULL_SUCCESS, SHIRK_EQ, _endpoint, shirk_branch
+
+from test_best_response import dense_path
 
 
 def require_pattern(contract, jpe):
@@ -82,8 +88,21 @@ def _jpe(contract, a0_set, witness_eps):
     res = _min_branch(pbar, 1.0 - w11, shirk_branch(pbar, w11, w10), a0_set, True)
     if res.binding == SHIRK_EQ and best.t_hat > 0.0:
         n = int(min(max(2, math.ceil(best.t_hat / witness_eps)), MAX_WITNESS_CHAIN))
-        chain = euler_adversary(best, n, verify=False)
+        chain = euler_adversary(best, n)
         res = replace(res, witness=Witness(a0_set.extend(chain.actions[1:]), witness_eps))
+    return res
+
+
+def _checked(contract, res):
+    """``res``, once the dense maximal best-response path of its chain witness
+    ends at the witness's last action; ConvergenceError otherwise."""
+    if res.binding == SHIRK_EQ and res.witness is not None:
+        actions = res.witness.actions
+        limit, _ = dense_path(induce_game(contract, actions), "MAX")
+        if limit != len(actions) - 1:
+            raise ConvergenceError(
+                f"witness failed verification: the maximal best-response path "
+                f"stops at action {limit}, not at the last action {len(actions) - 1}")
     return res
 
 
@@ -106,11 +125,12 @@ def _rpe(contract, a0_set, witness_eps):
 
 def worst_case_oracle(reduced, a0, eps):
     """The worst case and witness the ``evaluate`` verb computed for the
-    reduced contract, or the ContractPatternError it refused with."""
+    reduced contract, or the ContractPatternError it refused with; a joint
+    chain witness that fails the dense check raises ConvergenceError."""
     w11, w10, w01, w00 = reduced.as_tuple()
     if w01 == 0.0 and w00 == 0.0:
         if w11 > w10:
-            return _jpe(reduced, a0, eps)
+            return _checked(reduced, _jpe(reduced, a0, eps))
         if w11 < w10:
             return _rpe(reduced, a0, eps)
         return _ipe(w11, a0, eps)
