@@ -8,10 +8,10 @@ embed a metadata block echoing the exact configuration, and are
 byte-identical across runs given the same config.
 
 Each verb names its input's fields once, in a table of readers for
-``model.json_object``, through ``_read``, which labels a refusal.  Then it
-imports the solver modules it calls, so a process loads only those: where
-no bytecode is cached, every module a process imports is compiled from
-source.  numpy loads with the first action set or solver module, so
+``model.json_object``, through ``_read``, which labels a refusal by field.
+Then it imports the solver modules it calls, so a process loads only those:
+where no bytecode is cached, every module a process imports is compiled
+from source.  numpy loads with the first action set or solver module, so
 ``--version``, ``bayes``, ``asym`` and input refused before either run
 without it: about 0.09 s a call instead of 0.18 s on a 2-core x86_64 host.
 """
@@ -310,19 +310,18 @@ def _grid(value, low=-math.inf, high=math.inf) -> list:
 
 
 _probabilities = functools.partial(_grid, low=0.0, high=1.0)
-_LABELS = {"Contract.from_json": "bad contract: ", "ActionSet.from_json": "bad action set: ",
-           "_grid": "bad grid: {name} "}
+_LABELS = {"contract": "bad contract: ", "actions": "bad action set: ",
+           "p_grid": "bad grid: p_grid ", "c_grid": "bad grid: c_grid "}
 
 
-def _read(read, value, name=None):
-    """``read(value)`` of the input's field ``name``, or of the whole input.  A
-    refusal exits 2 labelled by ``_LABELS`` under the qualified name of ``read``
-    or of the function it partially applies (wrappers keep it), else ``bad field 'name':``."""
+def _read(read, value, name):
+    """``read(value)`` of the input's field ``name`` (``actions`` for a whole
+    input that is an action set).  A refusal exits 2 labelled by ``_LABELS``
+    under ``name``, else ``bad field 'name':``."""
     try:
         return read(value)
     except (TypeError, ValueError) as exc:
-        label = _LABELS.get(getattr(read, "func", read).__qualname__, "bad field {name!r}: ")
-        raise CliError(EXIT_VALIDATION, label.format(name=name) + str(exc))
+        raise CliError(EXIT_VALIDATION, _LABELS.get(name, f"bad field {name!r}: ") + str(exc))
 
 
 def _payload(args, *tables) -> list:
@@ -367,7 +366,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    a0 = _read(md.ActionSet.from_json, _load_json(args.input))
+    a0 = _read(md.ActionSet.from_json, _load_json(args.input), "actions")
     from . import optimize as opt
 
     res = opt.optimize_jpe(a0, coarse=args.grid_step, refine_rounds=args.refine)
@@ -415,7 +414,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_discriminate(args) -> int:
-    a0 = _read(md.ActionSet.from_json, _load_json(args.input))
+    a0 = _read(md.ActionSet.from_json, _load_json(args.input), "actions")
     from . import optimize as opt
 
     res = opt.discriminatory_ipe(a0, grid=args.grid_step)
@@ -554,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_discriminate)
 
     p = sub.add_parser("bayes", help="scheme comparison under technology uncertainty")
-    p.add_argument("--input", required=True, help='JSON {"mu","p0","c0","p_star"[,"w0"]}')
+    p.add_argument("--input", required=True, help='JSON {"p0","c0","p_star"[,"mu","w0"]}')
     p.add_argument("--mu", type=float, help="override mu from the input file")
     common(p)
     p.set_defaults(func=cmd_bayes)

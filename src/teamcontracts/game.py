@@ -372,10 +372,9 @@ def enumerate_equilibria(game: InducedGame, mixed: bool = False) -> list[Profile
 
 @dataclass(frozen=True)
 class EquilibriumReport:
-    equilibria: list[Profile]
-    selection: str
+    """The selected equilibrium, the principal's total, the agents' payoffs."""
+
     selected: Profile
-    principal_per_agent: float
     principal_total: float
     agent_payoffs: tuple[float, float]
 
@@ -383,12 +382,12 @@ class EquilibriumReport:
 def select_and_value(
     game: InducedGame, equilibria: list[Profile], rule: str
 ) -> EquilibriumReport:
-    """Apply an equilibrium-selection rule and value it for the principal.
+    """Select one of ``equilibria`` by ``rule`` and value it for the principal.
 
     PRINCIPAL_BEST picks the equilibrium maximizing the principal's total.
     PESSIMISTIC_PARETO keeps the weakly Pareto-efficient equilibria (those no
     other equilibrium improves strictly for both agents) and then minimizes
-    the principal's total.
+    the principal's total.  Ties go to the first listed.
     """
     if not equilibria:
         raise ValueError("equilibrium list is empty")
@@ -399,8 +398,7 @@ def select_and_value(
     payoffs = [agent_payoffs(game, e) for e in equilibria]
 
     if rule == PRINCIPAL_BEST:
-        best = max(range(len(equilibria)), key=lambda k: values[k])
-        chosen = best
+        chosen = max(range(len(equilibria)), key=lambda k: values[k])
     else:
         efficient = [
             k
@@ -411,13 +409,4 @@ def select_and_value(
             )
         ]
         chosen = min(efficient, key=lambda k: values[k])
-
-    total = values[chosen]
-    return EquilibriumReport(
-        equilibria=list(equilibria),
-        selection=rule,
-        selected=equilibria[chosen],
-        principal_per_agent=total / 2.0,
-        principal_total=total,
-        agent_payoffs=payoffs[chosen],
-    )
+    return EquilibriumReport(equilibria[chosen], values[chosen], payoffs[chosen])

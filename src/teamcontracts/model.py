@@ -46,10 +46,10 @@ class ActionSpec:
             raise ValueError(f"success probability must be in [0, 1], got {self.prob}")
 
 
-def clip(x, limit: int = 60) -> str:
-    """``repr(x)`` for a refusal line, cut to ``limit`` characters and ``...``."""
+def clip(x) -> str:
+    """``repr(x)`` for a refusal line, cut to 60 characters and ``...``."""
     text = repr(x)
-    return text if len(text) <= limit else text[:limit] + "..."
+    return text if len(text) <= 60 else text[:60] + "..."
 
 
 def number(x, what: str = "value") -> float:
@@ -247,46 +247,32 @@ class Contract:
 
 @dataclass(frozen=True)
 class ContractClass:
+    """A contract's class tag (IPE, JPE, RPE or OTHER) and whether it is affine."""
+
     tag: str
     affine: bool
-    affine_coeffs: tuple[float, float, float] | None = None
 
 
-def classify(contract: Contract, tol: float = 0.0) -> ContractClass:
-    """Classify a contract as IPE, RPE, JPE, or OTHER, and test affinity.
+def classify(contract: Contract) -> ContractClass:
+    """Classify a contract as IPE, JPE, RPE, or OTHER, and test affinity.
 
-    Comparisons are exact by default because the class boundaries are
-    definitional; pass ``tol`` > 0 to absorb optimizer round-off.  A contract
-    is affine when w = a0 + ai*yi + aj*yj with non-negative coefficients,
-    equivalently w11 = w10 + w01 - w00 with w10 >= w00 and w01 >= w00.
+    The classes are definitional, so they are decided exactly: IPE when
+    w11 = w10 and w01 = w00, else JPE when w11 >= w10 and w01 >= w00, else
+    RPE when w11 <= w10 and w01 <= w00.  A contract is affine when
+    w = a0 + ai*yi + aj*yj with non-negative coefficients, equivalently
+    w11 = w10 + w01 - w00 with w10 >= w00 and w01 >= w00, to AFFINE_TOL.
     """
     w11, w10, w01, w00 = contract.as_tuple()
-
-    def eq(a, b):
-        return abs(a - b) <= tol
-
-    def gt(a, b):
-        return a > b + tol
-
-    if eq(w11, w10) and eq(w01, w00):
+    if w11 == w10 and w01 == w00:
         tag = IPE
-    elif w11 >= w10 - tol and w01 >= w00 - tol and (gt(w11, w10) or gt(w01, w00)):
+    elif w11 >= w10 and w01 >= w00:
         tag = JPE
-    elif w11 <= w10 + tol and w01 <= w00 + tol and (gt(w10, w11) or gt(w00, w01)):
+    elif w11 <= w10 and w01 <= w00:
         tag = RPE
     else:
         tag = OTHER
-
-    atol = max(tol, AFFINE_TOL)
-    affine = (
-        abs(w11 - (w10 + w01 - w00)) <= atol
-        and w10 >= w00 - atol
-        and w01 >= w00 - atol
-    )
-    coeffs = None
-    if affine:
-        coeffs = (w00, max(0.0, w10 - w00), max(0.0, w01 - w00))
-    return ContractClass(tag, affine, coeffs)
+    affine = abs(w11 - (w10 + w01 - w00)) <= AFFINE_TOL and min(w10, w01) >= w00 - AFFINE_TOL
+    return ContractClass(tag, affine)
 
 
 def reduce_failure_wages(contract: Contract) -> Contract:

@@ -418,7 +418,7 @@ def suite_optimizer(rng, trials) -> SuiteResult:
         ipe = wc.ipe_optimal(a0).per_agent
         if res.per_agent < ipe - 1e-12:
             failures.append(f"trial {t}: optimum {res.per_agent} below independent {ipe}")
-        cls = md.classify(md.Contract(res.w11, res.w10, 0.0, 0.0), tol=1e-9)
+        cls = md.classify(md.Contract(res.w11, res.w10, 0.0, 0.0))
         if cls.tag != md.JPE or cls.affine:
             failures.append(f"trial {t}: optimum not a nonaffine joint evaluation")
         coarse_only = opt.optimize_jpe(a0, coarse=1e-2, refine_rounds=0)

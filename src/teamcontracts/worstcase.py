@@ -400,10 +400,9 @@ def euler_error_bound(best: OdeSolution, n: int) -> float:
 
 @dataclass(frozen=True)
 class AdversarySet:
-    """Single-undercut adversary for an independent evaluation."""
+    """An independent evaluation's one-undercut witness; ``clamped`` if its target left [0, 1]."""
 
     actions: ActionSet
-    eps: float
     clamped: bool
 
 
@@ -424,7 +423,7 @@ def ipe_adversary(w: float, a0_set: ActionSet, eps: float) -> AdversarySet:
     target = float((known.probs - known.costs / w).max()) + eps
     clamped = target < 0.0 or target > 1.0
     target = min(1.0, max(0.0, target))
-    return AdversarySet(a0_set.extend([ActionSpec(0.0, target)]), eps, clamped)
+    return AdversarySet(a0_set.extend([ActionSpec(0.0, target)]), clamped)
 
 
 def worst_case(contract: Contract, a0_set: ActionSet,

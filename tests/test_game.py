@@ -314,7 +314,6 @@ class TestSelection:
         rep = select_and_value(g, eqs, "PRINCIPAL_BEST")
         assert rep.selected.indices == (0, 0)
         assert rep.principal_total == pytest.approx(1.0)
-        assert rep.principal_per_agent == pytest.approx(0.5)
 
     def test_pessimistic_pareto_agrees_under_dominance(self):
         g = self.game_with_two_equilibria()

@@ -202,7 +202,7 @@ class TestOptimizeJpe:
             p0 = rng.uniform(0.4, 1.0)
             c0 = p0 * rng.uniform(0.1, 0.8)
             res = optimize_jpe(ActionSet.from_pairs([(c0, p0)]), refine_rounds=2)
-            cls = classify(Contract(res.w11, res.w10, 0.0, 0.0), tol=1e-9)
+            cls = classify(Contract(res.w11, res.w10, 0.0, 0.0))
             assert cls.tag == "JPE" and not cls.affine
 
     def test_assumption_checked(self):
