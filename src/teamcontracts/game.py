@@ -34,7 +34,7 @@ cross-partial, in O(n).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -326,7 +326,8 @@ def enumerate_equilibria(game: InducedGame, mixed: bool = False) -> list[Profile
     """All pure Nash profiles, plus strictly-mixed 2x2-support equilibria.
 
     Pure profiles come, in row-major order, from each column's EQ_TOL
-    best-response set, built one column at a time.  With ``mixed=True``
+    best-response set, built one column at a time, and share one one-hot
+    mixture tuple per action that appears.  With ``mixed=True``
     (allowed up to MIXED_CAP actions) every support pair of size two per
     player is solved in closed form for the indifference mixture;
     candidates must mix strictly inside (0, 1) and survive the full
@@ -340,7 +341,9 @@ def enumerate_equilibria(game: InducedGame, mixed: bool = False) -> list[Profile
     best = [(col >= col.max() - EQ_TOL).nonzero()[0].tolist()
             for col in map(game.payoff_column, range(n))]
     is_best = [set(b) for b in best]
-    out = [Profile.pure(i, j, n) for i in range(n) for j in best[i] if i in is_best[j]]
+    one_hot = cache(lambda i: (0.0,) * i + (1.0,) + (0.0,) * (n - 1 - i))
+    out = [Profile(one_hot(i), one_hot(j), (i, j))
+           for i in range(n) for j in best[i] if i in is_best[j]]
     if not mixed:
         return out
 
@@ -385,9 +388,9 @@ def select_and_value(
     """Select one of ``equilibria`` by ``rule`` and value it for the principal.
 
     PRINCIPAL_BEST picks the equilibrium maximizing the principal's total.
-    PESSIMISTIC_PARETO keeps the weakly Pareto-efficient equilibria (those no
-    other equilibrium improves strictly for both agents) and then minimizes
-    the principal's total.  Ties go to the first listed.
+    PESSIMISTIC_PARETO scans the equilibria in increasing principal total
+    and stops at the first weakly Pareto-efficient one, which no other
+    equilibrium improves strictly for both agents.  Ties go to the first listed.
     """
     if not equilibria:
         raise ValueError("equilibrium list is empty")
@@ -395,18 +398,11 @@ def select_and_value(
         raise ValueError(f"unknown selection rule {rule!r}")
 
     values = [principal_value(game, e) for e in equilibria]
-    payoffs = [agent_payoffs(game, e) for e in equilibria]
-
     if rule == PRINCIPAL_BEST:
         chosen = max(range(len(equilibria)), key=lambda k: values[k])
     else:
-        efficient = [
-            k
-            for k in range(len(equilibria))
-            if not any(
-                payoffs[m][0] > payoffs[k][0] and payoffs[m][1] > payoffs[k][1]
-                for m in range(len(equilibria))
-            )
-        ]
-        chosen = min(efficient, key=lambda k: values[k])
-    return EquilibriumReport(equilibria[chosen], values[chosen], payoffs[chosen])
+        u = np.array([agent_payoffs(game, e) for e in equilibria])
+        chosen = next(k for k in sorted(range(len(values)), key=lambda k: values[k])
+                      if not (u > u[k]).all(axis=1).any())
+    return EquilibriumReport(equilibria[chosen], values[chosen],
+                             agent_payoffs(game, equilibria[chosen]))

@@ -2,14 +2,15 @@
 
 ``teamcontracts.game`` evaluates the bilinear payoff cell by cell and
 builds no matrix; these are the matrix versions it replaced, kept as the
-oracles it is checked against.  Import them from a test module in this
-directory.
+oracles it is checked against, with the all-pairs Pareto test that
+``select_and_value`` replaced by an ordered scan.  Import them from a test
+module in this directory.
 """
 
 import numpy as np
 
-from teamcontracts import GameSizeError, Profile
-from teamcontracts.game import EQ_TOL, MIXED_CAP
+from teamcontracts import EquilibriumReport, GameSizeError, Profile, principal_value
+from teamcontracts.game import EQ_TOL, MIXED_CAP, PRINCIPAL_BEST, agent_payoffs
 
 
 def dense_payoff(game):
@@ -75,3 +76,24 @@ def dense_enumerate_equilibria(game, mixed=False, tol=EQ_TOL):
                     if dense_verify_profile(game, prof, tol):
                         out.append(prof)
     return out
+
+
+def dense_select(game, equilibria, rule):
+    """``select_and_value`` as first written: PESSIMISTIC_PARETO compares
+    every pair of equilibria to keep the weakly Pareto-efficient ones, then
+    minimizes the principal's total.  Ties go to the first listed."""
+    values = [principal_value(game, e) for e in equilibria]
+    payoffs = [agent_payoffs(game, e) for e in equilibria]
+    if rule == PRINCIPAL_BEST:
+        chosen = max(range(len(equilibria)), key=lambda k: values[k])
+    else:
+        efficient = [
+            k
+            for k in range(len(equilibria))
+            if not any(
+                payoffs[m][0] > payoffs[k][0] and payoffs[m][1] > payoffs[k][1]
+                for m in range(len(equilibria))
+            )
+        ]
+        chosen = min(efficient, key=lambda k: values[k])
+    return EquilibriumReport(equilibria[chosen], values[chosen], payoffs[chosen])

@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -12,6 +13,7 @@ from teamcontracts import (
     Contract,
     ContractPatternError,
     MultiAgentContract,
+    Profile,
     asym_unknown_value,
     bayesian_eval,
     best_ipe_value,
@@ -21,6 +23,7 @@ from teamcontracts import (
     calibration_witness,
     enumerate_equilibria,
     euler_adversary,
+    extremal_br_path,
     induce_game,
     ipe_adversary,
     ipe_optimal,
@@ -30,6 +33,7 @@ from teamcontracts import (
     mu_threshold_jpe,
     multi_agent_value,
     pessimistic_value,
+    principal_value,
     select_and_value,
 )
 from teamcontracts import extensions
@@ -409,3 +413,20 @@ class TestPessimistic:
         best = select_and_value(g, eqs, "PRINCIPAL_BEST").principal_total
         assert pess == pytest.approx(0.5)
         assert best == pytest.approx(1.0)
+
+    def test_identical_actions_stay_small(self):
+        # every one of the 150^2 pure profiles is an equilibrium and all pay
+        # alike, so each is the maximal one
+        n = 150
+        w, acts = Contract(0.5, 0.2, 0.0, 0.0), ActionSet([0.1] * n, [0.5] * n)
+        g = induce_game(w, acts)
+        hi, _ = extremal_br_path(g, "MAX")
+        maximal = principal_value(g, Profile.pure(hi, hi, n))
+        tracemalloc.start()
+        try:
+            pess = pessimistic_value(w, acts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(pess - maximal) <= 1e-12
+        assert peak < 20e6, peak

@@ -21,12 +21,14 @@ from teamcontracts import (
     select_and_value,
     verify_profile,
 )
-from teamcontracts.game import agent_payoffs
+from teamcontracts.game import PESSIMISTIC_PARETO, PRINCIPAL_BEST, agent_payoffs
+from teamcontracts.selftest import draw_action_set, draw_jpe, draw_random_contract, draw_superset
 
 from dense_game import (
     dense_agent_payoffs,
     dense_enumerate_equilibria,
     dense_payoff,
+    dense_select,
     dense_verify_profile,
 )
 from test_best_response import games
@@ -336,6 +338,31 @@ class TestSelection:
         assert pess.selected.indices == (0, 0)
         assert pess.principal_total == pytest.approx(2.0 / 3.0)
         assert pess.principal_total < best.principal_total
+
+    def test_ordered_scan_matches_the_pairwise_rule(self):
+        """Both rules equal the all-pairs selection they replaced, field for
+        field, on joint and random contracts; one set in five repeats some
+        of its actions, which ties payoffs exactly."""
+        rng = np.random.default_rng(34)
+        seen = dict.fromkeys(("mixed", "rules differ", "cheapest dominated", "tied"), 0)
+        for t in range(6000):
+            contract = draw_jpe(rng) if t % 2 else draw_random_contract(rng)
+            acts = draw_superset(rng, draw_action_set(rng))
+            if t % 5 == 0:
+                acts = acts.extend([acts[int(k)] for k in
+                                    rng.integers(len(acts), size=int(rng.integers(1, 4)))])
+            g = induce_game(contract, acts)
+            eqs = enumerate_equilibria(g, mixed=True)  # at most 11 actions
+            best = select_and_value(g, eqs, PRINCIPAL_BEST)
+            pess = select_and_value(g, eqs, PESSIMISTIC_PARETO)
+            assert best == dense_select(g, eqs, PRINCIPAL_BEST)
+            assert pess == dense_select(g, eqs, PESSIMISTIC_PARETO)
+            values = [principal_value(g, e) for e in eqs]
+            seen["mixed"] += any(not e.is_pure for e in eqs)
+            seen["rules differ"] += best.selected != pess.selected
+            seen["cheapest dominated"] += pess.principal_total > min(values)
+            seen["tied"] += len(set(values)) < len(values)
+        assert min(seen.values()) > 100, seen
 
     def test_principal_value_mixed_matches_direct(self):
         g = self.game_with_two_equilibria()

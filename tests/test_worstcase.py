@@ -56,7 +56,7 @@ from teamcontracts.worstcase import (
 
 import worst_case_oracle as former
 from rk4_oracle import ode_quadrature_p
-from test_best_response import dense_path
+from test_best_response import COST, PROB, WAGE, dense_path
 from test_game import unique_pure_equilibrium
 from worst_case_oracle import worst_case_oracle
 
@@ -713,6 +713,21 @@ class TestIpeValue:
         assert peak < 3001 ** 2 * 8 / 8, peak  # an eighth of one dense payoff matrix
 
 
+@st.composite
+def worst_case_inputs(draw):
+    """A contract on a sign-table boundary or drawn freely, 1-3 known
+    actions with repeats, and a coarse eps."""
+    w10 = draw(WAGE)
+    w11 = draw(st.sampled_from([w10, math.nextafter(w10, math.inf),
+                                math.nextafter(w10, 0.0), 0.0]) | WAGE)
+    contract = draw(st.sampled_from([Contract(w11, w10, 0.0, 0.0), Contract(w11, 0.0, 0.0, w10),
+                                     Contract(w11, 0.0, 0.0, 0.0)]))
+    base = draw(st.lists(st.tuples(COST, PROB), min_size=1, max_size=3))
+    repeats = draw(st.lists(st.sampled_from(base), max_size=2))
+    eps = draw(st.sampled_from([1e-2, 5e-3]))
+    return contract, ActionSet.from_pairs(base + repeats), eps
+
+
 class TestWorstCase:
     """``worst_case`` against the dispatch and witnesses it replaced
     (``worst_case_oracle``), field for field and bit for bit."""
@@ -762,6 +777,11 @@ class TestWorstCase:
         assert seen["RPE", shirk] == seen["IPE", shirk] == seen["IPE above 1", full] == 200
         assert seen["W00", ("SHIRK_EQ", True)] > 150
         assert seen["any", None] > 50
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(worst_case_inputs())
+    def test_matches_the_oracle_on_boundaries(self, inputs):
+        self.same(*inputs)
 
     @pytest.mark.parametrize("contract, a0_set", [
         (Contract(0.6, 0.0, 0.0, 0.1), A0),  # w11/w00
