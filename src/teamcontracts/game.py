@@ -14,8 +14,9 @@ against opponent action j (success probability q_j),
     U[i, j] = p_i*S_j + (1-p_i)*F_j - c_i = p_i*s_j - c_i + F_j,    s_j = S_j - F_j.
 
 No n x n matrix is built: cells, rows and columns evaluate the first form
-over broadcast indices, and U @ y against a mixture y needs only y.S and
-y.F, so profile verification and agent payoffs are O(n).
+over broadcast indices.  A profile holds each player's support and the
+weights on it, so valuing it reads only the supports, in O(support), and
+U @ y against a mixture y needs only y.S and y.F, so verifying it is O(n).
 
 F_j does not depend on i, so the best response to j maximises the line
 x -> p_i*x - c_i at x = s_j: a query on the upper envelope of the n lines.
@@ -34,7 +35,7 @@ cross-partial, in O(n).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -82,12 +83,13 @@ class InducedGame:
         p = self.actions.probs[i]
         return p * pay_success[j] + (1.0 - p) * pay_failure[j] - self.actions.costs[i]
 
-    def _against(self, y: np.ndarray) -> np.ndarray:
-        """Expected utility of every own action against the mixture ``y``:
-        U @ y, in O(n) from y.S and y.F."""
+    def _against(self, j: tuple[int, ...], y: tuple[float, ...]) -> np.ndarray:
+        """Expected utility of every own action against the mixture ``y`` on
+        the actions ``j``: U[:, j] @ y, in O(n) from y.S[j] and y.F[j]."""
         pay_success, pay_failure = self._pay
         p = self.actions.probs
-        return p * (y @ pay_success) + (1.0 - p) * (y @ pay_failure) - self.actions.costs
+        return (p * np.dot(y, pay_success.take(j)) + (1.0 - p) * np.dot(y, pay_failure.take(j))
+                - self.actions.costs)
 
     def payoff_column(self, j: int) -> np.ndarray:
         """Expected utilities of every own action against opponent action j."""
@@ -272,62 +274,62 @@ def paired_br_limit(game: InducedGame) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class Profile:
-    """A strategy profile; pure profiles carry their action-index pair."""
+    """A strategy profile: the first player mixes the actions ``i`` with the
+    weights ``x``, the second the actions ``j`` with the weights ``y``.  A
+    pure profile has one action each, with weight 1."""
 
+    i: tuple[int, ...]
     x: tuple[float, ...]
+    j: tuple[int, ...]
     y: tuple[float, ...]
-    indices: tuple[int, int] | None = None
 
     @property
     def is_pure(self) -> bool:
-        return self.indices is not None
+        return len(self.i) == len(self.j) == 1
+
+    @property
+    def indices(self) -> tuple[int, int] | None:
+        """The action-index pair of a pure profile, None for a mixed one."""
+        return (self.i[0], self.j[0]) if self.is_pure else None
 
     @classmethod
-    def pure(cls, i: int, j: int, n: int) -> "Profile":
-        x = [0.0] * n
-        y = [0.0] * n
-        x[i] = 1.0
-        y[j] = 1.0
-        return cls(tuple(x), tuple(y), (i, j))
+    def pure(cls, i: int, j: int) -> "Profile":
+        return cls((i,), (1.0,), (j,), (1.0,))
 
 
 def agent_payoffs(game: InducedGame, profile: Profile) -> tuple[float, float]:
-    if profile.is_pure:
-        i, j = profile.indices
-        return tuple(game._cells([i, j], [j, i]).tolist())
-    x = np.asarray(profile.x)
-    y = np.asarray(profile.y)
-    return float(x @ game._against(y)), float(y @ game._against(x))
+    """x.U[i, j].y and y.U[j, i].x, from the cells on the joint support i + j."""
+    a = len(profile.i)
+    k, w = np.array(profile.i + profile.j), np.array(profile.x + profile.y)
+    u = game._cells(k[:, None], k)
+    return float(w[:a] @ u[:a, a:] @ w[a:]), float(w[a:] @ u[a:, :a] @ w[:a])
 
 
 def principal_value(game: InducedGame, profile: Profile) -> float:
     """Expected output minus total wage bill under the profile.
 
-    Wages are bilinear in the two success indicators, so mixed profiles
-    reduce to the mean success probabilities.
+    Wages are bilinear in the two success indicators, so a profile reduces
+    to the mean success probabilities on its two supports.
     """
-    x = np.asarray(profile.x)
-    y = np.asarray(profile.y)
-    px = float(x @ game.actions.probs)
-    py = float(y @ game.actions.probs)
+    probs = game.actions.probs
+    px = float(np.dot(profile.x, probs.take(profile.i)))
+    py = float(np.dot(profile.y, probs.take(profile.j)))
     w = game.contract
     return px + py - expected_wage(w, px, py) - expected_wage(w, py, px)
 
 
 def verify_profile(game: InducedGame, profile: Profile) -> bool:
     """Independent check: no pure deviation gains more than EQ_TOL."""
-    x = np.asarray(profile.x)
-    y = np.asarray(profile.y)
-    ex1, ex2 = game._against(y), game._against(x)
-    return bool(x @ ex1 >= ex1.max() - EQ_TOL and y @ ex2 >= ex2.max() - EQ_TOL)
+    ex1, ex2 = game._against(profile.j, profile.y), game._against(profile.i, profile.x)
+    return bool(np.dot(profile.x, ex1.take(profile.i)) >= ex1.max() - EQ_TOL
+                and np.dot(profile.y, ex2.take(profile.j)) >= ex2.max() - EQ_TOL)
 
 
 def enumerate_equilibria(game: InducedGame, mixed: bool = False) -> list[Profile]:
     """All pure Nash profiles, plus strictly-mixed 2x2-support equilibria.
 
     Pure profiles come, in row-major order, from each column's EQ_TOL
-    best-response set, built one column at a time, and share one one-hot
-    mixture tuple per action that appears.  With ``mixed=True``
+    best-response set, built one column at a time.  With ``mixed=True``
     (allowed up to MIXED_CAP actions) every support pair of size two per
     player is solved in closed form for the indifference mixture;
     candidates must mix strictly inside (0, 1) and survive the full
@@ -341,9 +343,7 @@ def enumerate_equilibria(game: InducedGame, mixed: bool = False) -> list[Profile
     best = [(col >= col.max() - EQ_TOL).nonzero()[0].tolist()
             for col in map(game.payoff_column, range(n))]
     is_best = [set(b) for b in best]
-    one_hot = cache(lambda i: (0.0,) * i + (1.0,) + (0.0,) * (n - 1 - i))
-    out = [Profile(one_hot(i), one_hot(j), (i, j))
-           for i in range(n) for j in best[i] if i in is_best[j]]
+    out = [Profile.pure(i, j) for i in range(n) for j in best[i] if i in is_best[j]]
     if not mixed:
         return out
 
@@ -363,11 +363,10 @@ def enumerate_equilibria(game: InducedGame, mixed: bool = False) -> list[Profile
     r = b[cols, rows] / d[cols, rows]
     interior = 1e-9
     keep = (interior < q) & (q < 1.0 - interior) & (interior < r) & (r < 1.0 - interior)
+    pairs = list(zip(lo.tolist(), hi.tolist()))
     for k in np.flatnonzero(keep):
-        x, y = [0.0] * n, [0.0] * n
-        x[lo[rows[k]]], x[hi[rows[k]]] = r[k], 1.0 - r[k]
-        y[lo[cols[k]]], y[hi[cols[k]]] = q[k], 1.0 - q[k]
-        prof = Profile(tuple(x), tuple(y))
+        prof = Profile(pairs[rows[k]], (float(r[k]), float(1.0 - r[k])),
+                       pairs[cols[k]], (float(q[k]), float(1.0 - q[k])))
         if verify_profile(game, prof):
             out.append(prof)
     return out

@@ -214,10 +214,9 @@ def suite_supermodular_dynamics(rng, trials) -> SuiteResult:
             continue
         hi, _ = gm.extremal_br_path(g, "MAX")
         lo, _ = gm.extremal_br_path(g, "MIN")
-        n = len(acts)
-        if not gm.verify_profile(g, gm.Profile.pure(hi, hi, n)):
+        if not gm.verify_profile(g, gm.Profile.pure(hi, hi)):
             failures.append(f"trial {t}: max-BR limit not an equilibrium")
-        if not gm.verify_profile(g, gm.Profile.pure(lo, lo, n)):
+        if not gm.verify_profile(g, gm.Profile.pure(lo, lo)):
             failures.append(f"trial {t}: min-BR limit not an equilibrium")
         rank = {idx: r for r, idx in enumerate(acts.ranking())}
         for prof in gm.enumerate_equilibria(g):
@@ -239,9 +238,8 @@ def suite_submodular_paired_map(rng, trials) -> SuiteResult:
             failures.append(f"trial {t}: relative evaluation not submodular")
             continue
         a, b = gm.paired_br_limit(g)
-        n = len(acts)
-        if not (gm.verify_profile(g, gm.Profile.pure(a, b, n))
-                and gm.verify_profile(g, gm.Profile.pure(b, a, n))):
+        if not (gm.verify_profile(g, gm.Profile.pure(a, b))
+                and gm.verify_profile(g, gm.Profile.pure(b, a))):
             failures.append(f"trial {t}: paired-map limit not an equilibrium")
     return _result("submodular paired best responses reach equilibria", failures, trials)
 
@@ -400,7 +398,7 @@ def suite_pessimistic_selection(rng, trials) -> SuiteResult:
         eqs = gm.enumerate_equilibria(g, mixed=True)
         best = gm.select_and_value(g, eqs, gm.PRINCIPAL_BEST).principal_total
         hi, _ = gm.extremal_br_path(g, "MAX")
-        maximal = gm.principal_value(g, gm.Profile.pure(hi, hi, len(acts)))
+        maximal = gm.principal_value(g, gm.Profile.pure(hi, hi))
         pess = pessimistic_value(w, acts)
         if abs(pess - maximal) > 1e-12:
             failures.append(f"trial {t}: pessimistic {pess} != maximal eq {maximal}")

@@ -1,7 +1,8 @@
 """The dense n x n payoff matrix and the game-layer code that read it.
 
-``teamcontracts.game`` evaluates the bilinear payoff cell by cell and
-builds no matrix; these are the matrix versions it replaced, kept as the
+``teamcontracts.game`` evaluates the bilinear payoff cell by cell, builds
+no matrix and keeps each player's mixture as a support and its weights;
+these are the matrix and dense-vector versions it replaced, kept as the
 oracles it is checked against, with the all-pairs Pareto test that
 ``select_and_value`` replaced by an ordered scan.  Import them from a test
 module in this directory.
@@ -10,7 +11,7 @@ module in this directory.
 import numpy as np
 
 from teamcontracts import EquilibriumReport, GameSizeError, Profile, principal_value
-from teamcontracts.game import EQ_TOL, MIXED_CAP, PRINCIPAL_BEST, agent_payoffs
+from teamcontracts.game import EQ_TOL, MIXED_CAP, PRINCIPAL_BEST, agent_payoffs, expected_wage
 
 
 def dense_payoff(game):
@@ -22,20 +23,34 @@ def dense_payoff(game):
     return p * pay_success[None, :] + (1.0 - p) * pay_failure[None, :] - c
 
 
+def dense_mixtures(game, profile):
+    """The two players' mixtures as n-vectors, zero off their supports."""
+    x, y = np.zeros(len(game)), np.zeros(len(game))
+    x[list(profile.i)], y[list(profile.j)] = profile.x, profile.y
+    return x, y
+
+
 def dense_agent_payoffs(game, profile):
     u = dense_payoff(game)
     if profile.is_pure:
         i, j = profile.indices
         return float(u[i, j]), float(u[j, i])
-    x = np.asarray(profile.x)
-    y = np.asarray(profile.y)
+    x, y = dense_mixtures(game, profile)
     return float(x @ u @ y), float(y @ u @ x)
+
+
+def dense_principal_value(game, profile):
+    """``principal_value`` on the n-vector mixtures."""
+    x, y = dense_mixtures(game, profile)
+    px = float(x @ game.actions.probs)
+    py = float(y @ game.actions.probs)
+    w = game.contract
+    return px + py - expected_wage(w, px, py) - expected_wage(w, py, px)
 
 
 def dense_verify_profile(game, profile, tol=EQ_TOL):
     u = dense_payoff(game)
-    x = np.asarray(profile.x)
-    y = np.asarray(profile.y)
+    x, y = dense_mixtures(game, profile)
     ex1 = u @ y
     ex2 = u @ x
     return bool(x @ ex1 >= ex1.max() - tol and y @ ex2 >= ex2.max() - tol)
@@ -49,7 +64,7 @@ def dense_enumerate_equilibria(game, mixed=False, tol=EQ_TOL):
         raise GameSizeError(f"mixed enumeration capped at {MIXED_CAP} actions, got {n}")
     u = dense_payoff(game)
     ok = u >= u.max(axis=0) - tol  # ok[i, j]: i is a best response to j
-    out = [Profile.pure(int(i), int(j), n) for i, j in np.argwhere(ok & ok.T)]
+    out = [Profile.pure(int(i), int(j)) for i, j in np.argwhere(ok & ok.T)]
     if not mixed:
         return out
 
@@ -68,11 +83,7 @@ def dense_enumerate_equilibria(game, mixed=False, tol=EQ_TOL):
                     r = b2 / (a2 + b2)
                     if not (interior < q < 1.0 - interior and interior < r < 1.0 - interior):
                         continue
-                    x = [0.0] * n
-                    y = [0.0] * n
-                    x[i1], x[i2] = r, 1.0 - r
-                    y[j1], y[j2] = q, 1.0 - q
-                    prof = Profile(tuple(x), tuple(y))
+                    prof = Profile((i1, i2), (r, 1.0 - r), (j1, j2), (q, 1.0 - q))
                     if dense_verify_profile(game, prof, tol):
                         out.append(prof)
     return out

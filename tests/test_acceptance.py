@@ -218,7 +218,7 @@ def test_c14_pessimistic_selection(jpe_instances):
     for w, _, acts in jpe_instances:
         game = induce_game(w, acts)
         hi, _ = extremal_br_path(game, "MAX")
-        maximal = tc.principal_value(game, tc.Profile.pure(hi, hi, len(acts)))
+        maximal = tc.principal_value(game, tc.Profile.pure(hi, hi))
         eqs = tc.enumerate_equilibria(game, mixed=True)
         best = tc.select_and_value(game, eqs, "PRINCIPAL_BEST").principal_total
         pess = tc.pessimistic_value(w, acts)
@@ -242,7 +242,7 @@ def test_c14_instances_match_dense_oracle(jpe_instances, monkeypatch):
         n = len(acts)
         eqs = tc.enumerate_equilibria(game, mixed=True)
         assert eqs == dense_enumerate_equilibria(game, mixed=True)
-        for prof in [tc.Profile.pure(i, j, n) for i in range(n) for j in range(n)] + eqs:
+        for prof in [tc.Profile.pure(i, j) for i in range(n) for j in range(n)] + eqs:
             assert tc.verify_profile(game, prof) == dense_verify_profile(game, prof)
         for rule in ("PRINCIPAL_BEST", "PESSIMISTIC_PARETO"):
             got = tc.select_and_value(game, eqs, rule)

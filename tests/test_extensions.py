@@ -421,7 +421,7 @@ class TestPessimistic:
         w, acts = Contract(0.5, 0.2, 0.0, 0.0), ActionSet([0.1] * n, [0.5] * n)
         g = induce_game(w, acts)
         hi, _ = extremal_br_path(g, "MAX")
-        maximal = principal_value(g, Profile.pure(hi, hi, n))
+        maximal = principal_value(g, Profile.pure(hi, hi))
         tracemalloc.start()
         try:
             pess = pessimistic_value(w, acts)

@@ -28,6 +28,7 @@ from dense_game import (
     dense_agent_payoffs,
     dense_enumerate_equilibria,
     dense_payoff,
+    dense_principal_value,
     dense_select,
     dense_verify_profile,
 )
@@ -43,6 +44,17 @@ def unique_pure_equilibrium(contract, actions):
     pure = enumerate_equilibria(induce_game(contract, actions), mixed=False)
     idx = len(actions) - 1
     return len(pure) == 1 and pure[0].indices == (idx, idx)
+
+
+def assert_principal_values_match_dense(game, equilibria):
+    """``principal_value`` on the supports equals the dense-vector oracle:
+    bit for bit on pure profiles, within rel 1e-15 on mixed ones."""
+    for e in equilibria:
+        got, want = principal_value(game, e), dense_principal_value(game, e)
+        if e.is_pure:
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), e
+        else:
+            assert got == pytest.approx(want, rel=1e-15, abs=0.0), e
 
 
 class TestInduceGame:
@@ -121,7 +133,7 @@ def dense_pure_equilibria(game, tol=1e-9):
     for i in range(n):
         for j in range(n):
             if u[i, j] >= colmax[j] - tol and u[j, i] >= colmax[i] - tol:
-                out.append(Profile.pure(i, j, n))
+                out.append(Profile.pure(i, j))
     return out
 
 
@@ -187,9 +199,8 @@ class TestExtremalPath:
         acts = ActionSet.from_pairs([(0.08, 0.8), (0.0, 0.3)])
         g = induce_game(Contract(0.0, 0.6, 0.0, 0.0), acts)
         a, b = paired_br_limit(g)
-        n = len(acts)
-        assert verify_profile(g, Profile.pure(a, b, n))
-        assert verify_profile(g, Profile.pure(b, a, n))
+        assert verify_profile(g, Profile.pure(a, b))
+        assert verify_profile(g, Profile.pure(b, a))
 
 
 class TestEnumerate:
@@ -238,6 +249,7 @@ class TestEnumerate:
             counts.add(min(len(got), 3))
             got = enumerate_equilibria(g, mixed=True)
             assert got == dense_enumerate_equilibria(g, mixed=True)
+            assert_principal_values_match_dense(g, got)
             mixed_found += sum(not e.is_pure for e in got)
         assert counts == {1, 2, 3}
         assert mixed_found > 400
@@ -277,6 +289,9 @@ class TestEnumerate:
                                                            rel=1e-15, abs=1e-15)
             if e.is_pure:
                 assert agent_payoffs(game, e) == dense_agent_payoffs(game, e)
+        assert_principal_values_match_dense(game, got)
+        for rule in (PRINCIPAL_BEST, PESSIMISTIC_PARETO):
+            assert select_and_value(game, got, rule) == dense_select(game, got, rule)
 
     def test_large_games_hold_no_n_by_n_array(self):
         # free actions below the undercut, which is every action's unique best response
@@ -289,13 +304,31 @@ class TestEnumerate:
         tracemalloc.start()
         try:
             eqs = enumerate_equilibria(game)
-            verified = verify_profile(game, Profile.pure(n - 1, n - 1, n))
+            verified = verify_profile(game, Profile.pure(n - 1, n - 1))
             unique = unique_pure_equilibrium(Contract(0.5, 0.5, 0.0, 0.0), adv.actions)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert [e.indices for e in eqs] == [(n - 1, n - 1)] and verified and unique
         assert peak < n ** 2 * 8, peak
+
+    def test_pure_profiles_allocate_no_n_vector(self):
+        # a pure profile is its index pair: building and valuing one reads
+        # no n-length vector, so n^2 pure equilibria cost O(n^2), not O(n^3)
+        n = 100_000
+        game = induce_game(Contract(0.5, 0.2, 0.0, 0.0), ActionSet([0.1] * n, [0.5] * n))
+        game.payoff_column(0)  # the cached pay vectors are the game's
+        tracemalloc.start()
+        try:
+            profile = Profile.pure(n - 1, 0)
+            peaks = [tracemalloc.get_traced_memory()[1]]
+            for value in (principal_value, agent_payoffs):
+                tracemalloc.reset_peak()
+                value(game, profile)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert max(peaks) < 16 * 1024, peaks
 
     def test_cap(self):
         acts = ActionSet.from_pairs([(0.01 * k, 0.05 * k) for k in range(1, 14)])
