@@ -24,9 +24,9 @@ from teamcontracts import (
     induce_game,
     ipe_adversary,
     ipe_optimal,
-    jpe_value,
     optimize_jpe,
     worst_case,
+    worst_case_value,
 )
 from teamcontracts.worstcase import check_witness
 
@@ -54,7 +54,7 @@ print("worst adversary adds", adv.actions[-1],
 
 print("\n=== pooling the same wage fails ===")
 pooled = Contract(0.5, 0.0, 0.0, 0.0)
-print("value of (0.5, 0, 0, 0):", jpe_value(pooled, known).per_agent)
+print("value of (0.5, 0, 0, 0):", worst_case_value(pooled, known).per_agent)
 
 # The undercut chain that destroys the pooled scheme, shortest version.  A
 # chain extends the closed-form endpoint of the marginal wage (s0, s1) =
@@ -91,4 +91,4 @@ print(f"offset eps = {eps}: wages ({contract.w11}, {contract.w10}) "
 for eps in (0.2, 0.1, 0.05, 0.01):
     c = calibrate_jpe(ipe.w_star, a0, eps)
     print(f"  eps={eps:4}: w11={c.w11:.3f} w10={c.w10:.3f} "
-          f"-> {jpe_value(c, known).per_agent:.5f} per agent")
+          f"-> {worst_case_value(c, known).per_agent:.5f} per agent")

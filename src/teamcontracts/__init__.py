@@ -78,11 +78,8 @@ _EXPORTS = {
         "euler_error_bound",
         "ipe_adversary",
         "ipe_optimal",
-        "ipe_value",
-        "jpe_value",
-        "jpe_value_w00",
-        "rpe_value",
         "worst_case",
+        "worst_case_value",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -44,27 +44,21 @@ EXIT_NONCONVERGENCE = 3
 MAX_DUMP_CELLS = 4 * 10**7
 
 
-class CliError(Exception):
-    def __init__(self, code: int, message: str):
-        self.code = code
-        super().__init__(message)
-
-
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             # every number a double, so no integer meets int()'s digit limit or float()'s range
             obj = json.load(fh, parse_int=float)
     except FileNotFoundError:
-        raise CliError(EXIT_VALIDATION, f"input file not found: {path}")
+        raise ValueError(f"input file not found: {path}")
     except OSError as exc:
-        raise CliError(EXIT_VALIDATION, f"cannot read {path}: {exc.strerror or exc}")
+        raise ValueError(f"cannot read {path}: {exc.strerror or exc}")
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise CliError(EXIT_VALIDATION, f"malformed JSON in {path}: {exc}")
+        raise ValueError(f"malformed JSON in {path}: {exc}")
     except RecursionError:
-        raise CliError(EXIT_VALIDATION, f"JSON in {path} is nested too deeply to read")
+        raise ValueError(f"JSON in {path} is nested too deeply to read")
     if not isinstance(obj, dict):
-        raise CliError(EXIT_VALIDATION, f"top-level JSON object expected in {path}")
+        raise ValueError(f"top-level JSON object expected in {path}")
     return obj
 
 
@@ -142,7 +136,7 @@ def _write(targets) -> None:
         for tmp, real in temps.values():
             os.replace(tmp, real)
     except OSError as exc:
-        raise CliError(EXIT_VALIDATION, f"cannot write {where}: {exc.strerror or exc}")
+        raise ValueError(f"cannot write {where}: {exc.strerror or exc}")
     finally:
         for tmp, _ in temps.values():
             if os.path.exists(tmp):
@@ -321,7 +315,7 @@ def _read(read, value, name):
     try:
         return read(value)
     except (TypeError, ValueError) as exc:
-        raise CliError(EXIT_VALIDATION, _LABELS.get(name, f"bad field {name!r}: ") + str(exc))
+        raise ValueError(_LABELS.get(name, f"bad field {name!r}: ") + str(exc))
 
 
 def _payload(args, *tables) -> list:
@@ -337,8 +331,7 @@ def _payload(args, *tables) -> list:
 
 def cmd_evaluate(args) -> int:
     if args.output and args.dump_game and _same_file(args.output, args.dump_game):
-        raise CliError(EXIT_VALIDATION,
-                       f"--output and --dump-game name the same file: {args.dump_game}")
+        raise ValueError(f"--output and --dump-game name the same file: {args.dump_game}")
     contract, a0 = _payload(args, {"contract": md.Contract.from_json,
                                    "actions": md.ActionSet.from_json})
     from . import worstcase as wc
@@ -355,9 +348,9 @@ def cmd_evaluate(args) -> int:
     if args.dump_game:
         base = res.witness.actions if res.witness is not None else a0
         if len(base) ** 2 > MAX_DUMP_CELLS:
-            raise CliError(EXIT_VALIDATION, f"--dump-game of {len(base)} actions asks for about "
-                           f"{len(base) ** 2:.3g} payoff cells, above the cap of "
-                           f"{MAX_DUMP_CELLS:.3g}; use a larger --eps")
+            raise ValueError(f"--dump-game of {len(base)} actions asks for about "
+                             f"{len(base) ** 2:.3g} payoff cells, above the cap of "
+                             f"{MAX_DUMP_CELLS:.3g}; use a larger --eps")
         from .game import induce_game
 
         files.append((args.dump_game, _game_doc(base, induce_game(reduced, base).payoff_row)))
@@ -428,7 +421,7 @@ def cmd_bayes(args) -> int:
     p0, c0, p_star, mu, w0 = _payload(args, dict.fromkeys(("p0", "c0", "p_star"), md.number),
                                       dict.fromkeys(("mu", "w0"), md.number))
     if args.mu is None and mu is None:
-        raise CliError(EXIT_VALIDATION, "mu required (field or --mu)")
+        raise ValueError("mu required (field or --mu)")
     from . import extensions as ext
 
     env = ext.BayesianEnv(mu if args.mu is None else args.mu, p0, c0, p_star)
@@ -580,9 +573,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
     except AssumptionError as exc:
         print(f"error: infeasible model: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

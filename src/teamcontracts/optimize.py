@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .model import ActionSet, calibrate_jpe, check_known_assumptions, Contract
-from .worstcase import ipe_optimal, jpe_value, value_grid
+from .worstcase import ipe_optimal, value_grid, worst_case_value
 
 POOLED = "POOLED"
 MIXED = "MIXED"
@@ -182,7 +182,7 @@ def calibration_witness(a0_set: ActionSet) -> tuple[float, Contract, float]:
         if eps >= ipe.w_star:
             continue
         contract = calibrate_jpe(ipe.w_star, ipe.a0_star, eps)
-        val = jpe_value(contract, a0_set).per_agent
+        val = worst_case_value(contract, a0_set).per_agent
         if val >= ipe.per_agent + 1e-6:
             return eps, contract, val
     raise ConvergenceError(

@@ -249,7 +249,7 @@ def suite_rpe_dominance(rng, trials) -> SuiteResult:
     for t in range(trials):
         w = draw_rpe(rng)
         a0 = draw_known_set(rng)
-        lhs = wc.rpe_value(w, a0).per_agent
+        lhs = wc.worst_case_value(w, a0).per_agent
         rhs = wc.ipe_optimal(a0).per_agent
         if lhs > rhs + 1e-9:
             failures.append(f"trial {t}: relative {lhs} > independent {rhs}")
@@ -343,7 +343,7 @@ def suite_calibration_limits(rng, trials) -> SuiteResult:
 
         def profit(eps):
             cal = md.calibrate_jpe(w_star, a0, eps)
-            return wc.jpe_value(cal, a0_set).per_agent
+            return wc.worst_case_value(cal, a0_set).per_agent
 
         d_profit = (profit(1e-4) - base) / 1e-4
         target = 0.5 * p0 * w_star * (1.0 - w_star)

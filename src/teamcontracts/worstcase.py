@@ -7,10 +7,10 @@ when the other agent succeeds w.p. p, with Bernstein coefficients (s0, s1) =
 a reduced contract; their signs pick the closed form, and every other
 contract is refused:
 
-    s1 > s0 >= 0   joint evaluation           jpe_value, undercut chain
-    s1 = s0 >= 0   independent evaluation     ipe_value, single undercut
-    s0 > s1 >= 0   relative evaluation        rpe_value, fixed point
-    s0 < 0 < s1    w11/w00 (w10 = w01 = 0)    jpe_value_w00, no witness
+    s1 > s0 >= 0   joint evaluation           undercut chain
+    s1 = s0 >= 0   independent evaluation     single undercut
+    s0 > s1 >= 0   relative evaluation        fixed point, undercut above it
+    s0 < 0 < s1    w11/w00 (w10 = w01 = 0)    no witness
 
 The worst-case success probability solves the undercut dynamics
 dp/dt = -1/s(p), p(0) = p(a0), where t is cost reduction relative to the
@@ -24,8 +24,8 @@ The endpoint is written once, as the array kernel ``_endpoint``; its joint
 branch and the relative-evaluation fixed point are ``_stable_root``'s roots.
 ``_best_solution`` makes one kernel call over its targets, and it alone moves
 a negative s0 to the root of s; ``pbar_grid`` makes one per known target.
-``worst_case`` is the one place that picks the value for a wage pattern and
-builds the witness attaining it; the ``*_value`` functions compute values only.
+``_value`` is the one place that picks a row of the table; ``worst_case_value``
+returns its value and ``worst_case`` adds the witness attaining it.
 Only ``check_witness`` builds a game, and it imports ``game`` when it runs.
 """
 from __future__ import annotations
@@ -44,26 +44,20 @@ SHIRK_EQ = "SHIRK_EQ"
 
 DEFAULT_WITNESS_EPS = 1e-4
 
-JOINT, RELATIVE, W00 = "joint", "relative", "w11/w00"  # what a caller may need
+JOINT = "joint"  # the one row a caller may need
 
 
 def marginal_wage(contract: Contract, need: str | None = None) -> tuple[float, float]:
     """(s0, s1) = (w10 - w00, w11 - w01) of a contract in the table above,
-    or in its row ``need`` (JOINT and RELATIVE with zero failure wages, W00
-    with w00 = 0 too); any other contract raises ContractPatternError."""
+    or in its joint row with zero failure wages (``need`` JOINT); any other
+    contract raises ContractPatternError."""
     w11, w10, w01, w00 = contract.as_tuple()
     s0, s1 = w10 - w00, w11 - w01
-    if need == W00:
-        if w10 != 0.0 or w01 != 0.0:
-            raise ContractPatternError("pattern requires w10 = w01 = 0")
-        if w11 <= 0.0:
-            raise ContractPatternError("pattern requires w11 > 0")
-    elif need:
+    if need == JOINT:
         if w01 != 0.0 or w00 != 0.0:
             raise ContractPatternError("failure wages must be zero (w01 = w00 = 0)")
-        if not (s1 > s0 if need == JOINT else s1 < s0):
-            raise ContractPatternError(f"{need} evaluation requires w11 "
-                                       f"{'>' if need == JOINT else '<'} w10, got ({w11}, {w10})")
+        if not s1 > s0:
+            raise ContractPatternError(f"joint evaluation requires w11 > w10, got ({w11}, {w10})")
     elif w01 != 0.0 or w00 != 0.0 and not (w10 == 0.0 and w11 > 0.0):
         raise ContractPatternError(
             "worst-case evaluation is not defined for this wage pattern even after "
@@ -202,35 +196,61 @@ def _min_branch(pbar: float, full: float, shirk: float) -> WorstCaseResult:
     return WorstCaseResult(pbar, per_agent, 2.0 * per_agent, binding)
 
 
-def jpe_value(contract: Contract, a0_set: ActionSet) -> WorstCaseResult:
-    """Worst-case value of a joint evaluation with zero failure wages.
-
-    Per agent the value is min{1 - w11, pbar*[pbar*(1-w11) + (1-pbar)*(1-w10)]}
-    with pbar the best closed-form endpoint over targeted known actions.  The
-    first branch binds when the adversary prefers a free full-success action
-    (always so once w10 >= 1); the second is the compounding-shirking limit.
-    """
-    return _joint_value(*marginal_wage(contract, JOINT), a0_set)[0]
-
-
 def _joint_value(s0: float, s1: float, a0_set: ActionSet) -> tuple[WorstCaseResult, OdeSolution]:
-    """``jpe_value`` of the marginal wage (s0, s1) and the endpoint it rests on."""
+    """The joint row of ``_value``, and the value of the n-agent scheme
+    (``extensions.multi_agent_value``) even where s1 rounds to s0."""
     best = best_known_solution(s0, s1, a0_set)
     pbar = best.p_end
     return _min_branch(pbar, 1.0 - s1, shirk_branch(pbar, s1, s0)), best
 
 
-def jpe_value_w00(contract: Contract, a0_set: ActionSet) -> WorstCaseResult:
-    """Worst case for the variant paying w11 on joint success, w00 on joint
-    failure (w10 = w01 = 0).  Its marginal wage s(p) = p*w11 - (1-p)*w00 has
-    a root p_sing = w00/(w11 + w00): a budget that reaches it collapses the
-    worst-case probability to zero (``_best_solution``), and joint failures
-    are paid."""
-    s0, s1 = marginal_wage(contract, W00)
-    pbar = best_known_solution(s0, s1, a0_set).p_end
-    w11, w00 = contract.w11, contract.w00
-    shirk = pbar * pbar * (1.0 - w11) + (1.0 - pbar) ** 2 * (-w00)
-    return _min_branch(pbar, 1.0 - w11, shirk)
+def _value(s0: float, s1: float, a0_set: ActionSet) -> tuple[WorstCaseResult, OdeSolution | None]:
+    """Worst case of the marginal wage (s0, s1) in the row of the table
+    above that its signs pick, and the endpoint it rests on (None for a
+    relative evaluation).
+
+    Per agent the value is min{1 - w11, shirking branch} with pbar the best
+    closed-form endpoint over targeted known actions.  The first branch binds
+    when the adversary prefers a free full-success action (always so once
+    w10 >= 1); the second is the compounding-shirking limit, where w11/w00
+    also pays joint failures: s(p) = p*w11 - (1-p)*w00 has a root p_sing =
+    w00/(w11 + w00), and a budget that reaches it collapses pbar to zero
+    (``_best_solution``).
+
+    A relative evaluation's limiting adversary action solves the fixed point
+    p* = min{1, max over a0 (and the free null action) of p(a0) -
+    c(a0)/s(p*)}.  Each action's map falls in p*, so p* is the largest
+    per-action fixed point.  Divided by s0 > 0, that of a0 is the root of
+    a*p^2 + b*p = r with a = s1/s0 - 1, b = 1 - a*p(a0) and r = p(a0) -
+    c(a0)/s0, which is positive exactly when r is; other actions lose to the
+    null action.
+    """
+    if s1 < s0:
+        known = a0_set.known
+        if not known:
+            raise ValueError("action set has no known prefix")
+        surplus = known.probs - known.costs / s0
+        keep = surplus > 0.0
+        a = s1 / s0 - 1.0
+        roots = _stable_root(a, 1.0 - a * known.probs[keep], surplus[keep])
+        p_star = min(1.0, float(roots.max(initial=0.0)))
+        per_agent = shirk_branch(p_star, s1, s0)
+        return WorstCaseResult(p_star, per_agent, 2.0 * per_agent, SHIRK_EQ), None
+    if s1 > s0 >= 0.0:
+        return _joint_value(s0, s1, a0_set)
+    best = best_known_solution(s0, s1, a0_set)
+    pbar = best.p_end
+    if s0 < 0.0:  # w11/w00: s0 = -w00 and s1 = w11
+        shirk = pbar * pbar * (1.0 - s1) + (1.0 - pbar) ** 2 * s0
+    else:  # shirk_branch(pbar, s1, s1) in fewer roundings, which the output bits rest on
+        shirk = pbar * (1.0 - s1)
+    return _min_branch(pbar, 1.0 - s1, shirk), best
+
+
+def worst_case_value(contract: Contract, a0_set: ActionSet) -> WorstCaseResult:
+    """Worst case of an already-reduced contract in the table above, with
+    no witness; other patterns raise ContractPatternError."""
+    return _value(*marginal_wage(contract), a0_set)[0]
 
 
 @dataclass(frozen=True)
@@ -257,39 +277,6 @@ def ipe_optimal(a0_set: ActionSet) -> IpeOptimum:
     if a.cost < a.prob:
         w, val = math.sqrt(a.cost / a.prob), float(root_gap[k]) ** 2
     return IpeOptimum(w, a, val, 2.0 * val)
-
-
-def ipe_value(w: float, a0_set: ActionSet) -> WorstCaseResult:
-    """Worst case of the independent evaluation paying w for own success."""
-    if not w >= 0.0:
-        raise ContractPatternError("wage must be non-negative")
-    pbar = best_known_solution(w, w, a0_set).p_end
-    # shirk_branch(pbar, w, w) in fewer roundings, which the output bits rest on
-    return _min_branch(pbar, 1.0 - w, pbar * (1.0 - w))
-
-
-def rpe_value(contract: Contract, a0_set: ActionSet) -> WorstCaseResult:
-    """Worst case of a relative evaluation (s0 > s1 >= 0, failure wages zero).
-
-    The limiting adversary action solves the fixed point p* = min{1, max over
-    a0 (and the free null action) of p(a0) - c(a0)/s(p*)}.  Each action's
-    map falls in p*, so p* is the largest per-action fixed point.  Divided by
-    s0 > 0, that of a0 is the root of a*p^2 + b*p = r with a = s1/s0 - 1,
-    b = 1 - a*p(a0) and r = p(a0) - c(a0)/s0, which is positive exactly when
-    r is; other actions lose to the null action.
-    """
-    s0, s1 = marginal_wage(contract, RELATIVE)
-    known = a0_set.known
-    if not known:
-        raise ValueError("action set has no known prefix")
-    surplus = known.probs - known.costs / s0
-    keep = surplus > 0.0
-    a = s1 / s0 - 1.0
-    roots = _stable_root(a, 1.0 - a * known.probs[keep], surplus[keep])
-    p_star = min(1.0, float(roots.max(initial=0.0)))
-
-    per_agent = shirk_branch(p_star, s1, s0)
-    return WorstCaseResult(p_star, per_agent, 2.0 * per_agent, SHIRK_EQ)
 
 
 @dataclass(frozen=True)
@@ -440,19 +427,15 @@ def worst_case(contract: Contract, a0_set: ActionSet,
     if not 0.0 < eps < math.inf:
         raise ValueError(f"eps must be finite and positive, got {eps}")
     s0, s1 = marginal_wage(contract)
+    res, best = _value(s0, s1, a0_set)
     if s0 < 0.0:
-        return jpe_value_w00(contract, a0_set)
+        return res
     if s1 < s0:
-        res = rpe_value(contract, a0_set)
         free = [ActionSpec(0.0, min(1.0, res.pbar + eps)), ActionSpec(0.0, 0.0)]
         return replace(res, witness=Witness(a0_set.extend(free), eps))
-    if s1 > s0:
-        res, best = _joint_value(s0, s1, a0_set)
-    else:
-        res, best = ipe_value(s1, a0_set), None
     if res.binding == FULL_SUCCESS:
         actions, eps = a0_set.extend([ActionSpec(0.0, 1.0)]), 0.0
-    elif best is None:
+    elif s1 == s0:
         if s1 == 0.0:
             return res
         actions = ipe_adversary(s1, a0_set, eps).actions

@@ -63,7 +63,7 @@ def test_c02_joint_evaluation_optimum():
 
 
 def test_c03_naive_pooling_collapses():
-    res = tc.jpe_value(tc.Contract(0.5, 0.0, 0.0, 0.0), A0)
+    res = tc.worst_case_value(tc.Contract(0.5, 0.0, 0.0, 0.0), A0)
     assert res.pbar == 0.0
     report(3, "pooled bonus at the independent wage collapses to pbar = 0")
 
@@ -92,7 +92,7 @@ def test_c05_calibration_limit_identities():
 
     base = tc.ipe_optimal(A0).per_agent
     cal = tc.calibrate_jpe(0.5, TARGET, 1e-4)
-    deriv = (tc.jpe_value(cal, A0).per_agent - base) / 1e-4
+    deriv = (tc.worst_case_value(cal, A0).per_agent - base) / 1e-4
     assert abs(deriv - 0.125) <= 1e-2
     report(5, "offset limits: pbar -> 0.5, slope -> -1/4, profit slope -> 1/8")
 
@@ -103,7 +103,7 @@ def test_c06_relative_never_beats_independent():
     for _ in range(500):
         w = draw_rpe(rng)
         a0 = draw_known_set(rng)
-        gap = tc.rpe_value(w, a0).per_agent - tc.ipe_optimal(a0).per_agent
+        gap = tc.worst_case_value(w, a0).per_agent - tc.ipe_optimal(a0).per_agent
         worst_gap = max(worst_gap, gap)
         assert gap <= 1e-9
     report(6, f"500/500 relative evaluations below the independent optimum "

@@ -27,7 +27,6 @@ from teamcontracts import (
     induce_game,
     ipe_adversary,
     ipe_optimal,
-    jpe_value,
     linear_contract,
     mu_threshold_ipe,
     mu_threshold_jpe,
@@ -35,6 +34,7 @@ from teamcontracts import (
     pessimistic_value,
     principal_value,
     select_and_value,
+    worst_case_value,
 )
 from teamcontracts import extensions
 from teamcontracts.selftest import draw_known_set
@@ -49,7 +49,7 @@ class TestMultiAgent:
     def test_two_agents_reduce_exactly(self):
         mac = MultiAgentContract(2, 0.4, 0.1)
         per_agent, total = multi_agent_value(mac, A0)
-        direct = jpe_value(Contract(0.5, 0.4, 0.0, 0.0), A0).per_agent
+        direct = worst_case_value(Contract(0.5, 0.4, 0.0, 0.0), A0).per_agent
         assert per_agent == direct
         assert total == 2 * per_agent
 
@@ -67,7 +67,7 @@ class TestMultiAgent:
             w0 = 0.0 if rng.random() < 0.3 else rng.uniform(0.0, 0.6)
             mac = MultiAgentContract(int(rng.integers(2, 7)), w0, rng.uniform(0.01, 0.8))
             known = draw_known_set(rng, 3)
-            per_agent = jpe_value(two_agent_equivalent(mac), known).per_agent
+            per_agent = worst_case_value(two_agent_equivalent(mac), known).per_agent
             assert repr(multi_agent_value(mac, known)) == repr((per_agent, mac.n * per_agent))
 
     def test_per_agent_invariant_in_n(self):

@@ -16,9 +16,9 @@ from teamcontracts import (
     discriminatory_inner,
     discriminatory_ipe,
     ipe_optimal,
-    jpe_value,
     optimize_jpe,
     sweep_regimes,
+    worst_case_value,
 )
 from teamcontracts.cli import main
 from teamcontracts.optimize import (
@@ -164,7 +164,7 @@ class TestOptimizeJpe:
         rng = np.random.default_rng(45)
         for a0 in [A0, pinned] + [_seeded_known_set(rng) for _ in range(30)]:
             res = optimize_jpe(a0, refine_rounds=2)
-            direct = jpe_value(Contract(res.w11, res.w10, 0.0, 0.0), a0).per_agent
+            direct = worst_case_value(Contract(res.w11, res.w10, 0.0, 0.0), a0).per_agent
             assert res.per_agent == direct
 
     def test_grid_best_is_first_maximum(self):
@@ -261,7 +261,7 @@ class TestCalibrationWitness:
             for larger in EPS_LADDER:
                 if eps < larger < ipe.w_star:
                     cal = calibrate_jpe(ipe.w_star, ipe.a0_star, larger)
-                    assert jpe_value(cal, a0).per_agent < ipe.per_agent + 1e-6
+                    assert worst_case_value(cal, a0).per_agent < ipe.per_agent + 1e-6
                     skipped += 1
         assert skipped > 0  # one instance passes over 0.1 to 0.05
 

@@ -16,8 +16,9 @@ import teamcontracts
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Every public name of the package when its __init__ imported all submodules,
-# with worst_case, added since, and without the one-target endpoint function,
-# folded into best_known_solution since.
+# with worst_case and worst_case_value, added since, and without the one-target
+# endpoint function, folded into best_known_solution since, or the four
+# per-pattern value functions, folded into worst_case_value since.
 EAGER_NAMES = """
 ActionSet ActionSpec AdversarySet AssumptionError BayesianEnv BestResponseCycleError Contract
 ContractClass ContractPatternError ConvergenceError DiscriminatoryResult EquilibriumReport
@@ -26,10 +27,10 @@ OptimizationResult Profile SweepCell Witness WorstCaseResult asym_unknown_value 
 best_ipe_value best_jpe_value best_known_solution calibrate_jpe calibration_witness
 check_known_assumptions check_modularity classify discriminatory_inner discriminatory_ipe
 enumerate_equilibria errors euler_adversary euler_error_bound extensions extremal_br_path game
-induce_game ipe_adversary ipe_optimal ipe_value jpe_team_bonus jpe_value jpe_value_w00
+induce_game ipe_adversary ipe_optimal jpe_team_bonus
 linear_contract model mu_threshold_ipe mu_threshold_jpe multi_agent_value optimize optimize_jpe
-paired_br_limit pessimistic_value principal_value reduce_failure_wages rpe_value
-select_and_value sweep_regimes verify_profile worst_case worstcase
+paired_br_limit pessimistic_value principal_value reduce_failure_wages
+select_and_value sweep_regimes verify_profile worst_case worst_case_value worstcase
 """.split()
 SUBMODULES = {"errors", "extensions", "game", "model", "optimize", "worstcase"}
 

@@ -25,12 +25,9 @@ from teamcontracts import (
     induce_game,
     ipe_adversary,
     ipe_optimal,
-    ipe_value,
-    jpe_value,
-    jpe_value_w00,
     reduce_failure_wages,
-    rpe_value,
     worst_case,
+    worst_case_value,
 )
 from teamcontracts import selftest
 from teamcontracts.selftest import (
@@ -48,6 +45,7 @@ from teamcontracts.worstcase import (
     IpeOptimum,
     _endpoint,
     _stable_root,
+    _value,
     best_known_solution,
     check_witness,
     marginal_wage,
@@ -109,19 +107,19 @@ class TestClosedForm:
 
 class TestJpeValue:
     def test_optimal_contract_value(self):
-        res = jpe_value(Contract(2.0 / 3.0, 0.0, 0.0, 0.0), A0)
+        res = worst_case_value(Contract(2.0 / 3.0, 0.0, 0.0, 0.0), A0)
         assert res.pbar == pytest.approx(0.5, abs=1e-12)
         assert res.per_agent == pytest.approx(1.0 / 3.0, abs=1e-12)
         assert res.total == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_naive_pooling_collapses(self):
-        res = jpe_value(Contract(0.5, 0.0, 0.0, 0.0), A0)
+        res = worst_case_value(Contract(0.5, 0.0, 0.0, 0.0), A0)
         assert res.pbar == 0.0
         assert res.per_agent == 0.0
         assert res.binding == "SHIRK_EQ"
 
     def test_high_wage_full_success_branch(self):
-        res = jpe_value(Contract(1.2, 1.1, 0.0, 0.0), A0)
+        res = worst_case_value(Contract(1.2, 1.1, 0.0, 0.0), A0)
         assert res.per_agent == pytest.approx(-0.2, abs=1e-12)
         assert res.binding == "FULL_SUCCESS"
 
@@ -137,14 +135,16 @@ class TestJpeValue:
         assert res.witness.actions.known == A0
 
     def test_rejects_wrong_class(self):
+        # a relative contract is valued in its own row; a pattern with no
+        # closed form is refused
+        relative = Contract(0.3, 0.5, 0.0, 0.0)
+        assert repr(worst_case_value(relative, A0)) == repr(former.rpe_value(relative, A0))
         with pytest.raises(ContractPatternError):
-            jpe_value(Contract(0.3, 0.5, 0.0, 0.0), A0)
-        with pytest.raises(ContractPatternError):
-            jpe_value(Contract(0.6, 0.2, 0.0, 0.1), A0)
+            worst_case_value(Contract(0.6, 0.2, 0.0, 0.1), A0)
 
     def test_multiple_targets_take_best(self):
         pairs = [(0.25, 1.0), (0.05, 0.4)]
-        res = jpe_value(Contract(2.0 / 3.0, 0.0, 0.0, 0.0),
+        res = worst_case_value(Contract(2.0 / 3.0, 0.0, 0.0, 0.0),
                         ActionSet.from_pairs(pairs))
         solo = max(
             best_known_solution(0.0, 2.0 / 3.0, ActionSet.from_pairs([p])).p_end for p in pairs
@@ -161,17 +161,28 @@ def w00_quadrature():
 
 class TestJpeValueW00:
     def test_vanishing_joint_failure_pay_recovers_pooled(self):
-        res = jpe_value_w00(Contract(2.0 / 3.0, 0.0, 0.0, 1e-12), A0)
+        res = worst_case_value(Contract(2.0 / 3.0, 0.0, 0.0, 1e-12), A0)
         assert res.pbar == pytest.approx(0.5, abs=1e-9)
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 1A: the w11/w00 shirk branch omits pbar*(1 - pbar), the output of an "
+        "agent who succeeds alone and is paid w10 = 0; perfbench/oracle.py's w11/w00 branch "
+        "shares the defect"))
+    def test_vanishing_joint_failure_pay_recovers_the_pooled_value(self):
+        # reads 0.0666667 against 0.3082483 at w00 = 0; item 1A's wage bill
+        # gives 0.30824829046315
+        pooled = worst_case_value(Contract(0.6, 0.0, 0.0, 0.0), A0).per_agent
+        got = worst_case_value(Contract(0.6, 0.0, 0.0, 1e-12), A0).per_agent
+        assert got == pytest.approx(pooled, abs=1e-9)
+
     def test_positive_joint_failure_pay_hurts(self, w00_quadrature):
-        res = jpe_value_w00(Contract(2.0 / 3.0, 0.0, 0.0, 0.1), A0)
+        res = worst_case_value(Contract(2.0 / 3.0, 0.0, 0.0, 0.1), A0)
         assert res.per_agent < 1.0 / 3.0
         assert res.pbar == pytest.approx(0.45287819509111576, abs=1e-12)
         assert res.pbar == pytest.approx(float(w00_quadrature[0]), abs=1e-5)
 
     def test_singularity_collapse_goes_negative(self, w00_quadrature):
-        res = jpe_value_w00(Contract(0.5, 0.0, 0.0, 0.5), A0)
+        res = worst_case_value(Contract(0.5, 0.0, 0.0, 0.5), A0)
         assert res.pbar == 0.0
         assert res.per_agent == pytest.approx(-0.5, abs=1e-15)
         assert res.per_agent < 0.0
@@ -179,7 +190,7 @@ class TestJpeValueW00:
 
     def test_rejects_wrong_pattern(self):
         with pytest.raises(ContractPatternError):
-            jpe_value_w00(Contract(0.5, 0.1, 0.0, 0.2), A0)
+            worst_case_value(Contract(0.5, 0.1, 0.0, 0.2), A0)
 
     def test_endpoint_against_80_digit_reference(self):
         # 20 000 seeded single-target draws: three in four with a budget of
@@ -197,7 +208,7 @@ class TestJpeValueW00:
             t_sing = (w11 + w00) / 2.0 * max(p0 - p_sing, 0.0) ** 2
             c0 = t_sing * rng.uniform(0.0, 0.9) if rng.uniform() < 0.75 else \
                 t_sing * rng.uniform(1.0, 2.0)
-            got = jpe_value_w00(Contract(w11, 0.0, 0.0, w00), ActionSet([c0], [p0])).pbar
+            got = worst_case_value(Contract(w11, 0.0, 0.0, w00), ActionSet([c0], [p0])).pbar
             parent = _w00_endpoint_parent(w11, w00, np.array([p0]), np.array([c0]))
             assert abs(got - parent) <= 8 * math.ulp(parent), (got, parent)
             former = _w00_endpoint_former(w11, w00, p0, c0)
@@ -217,31 +228,31 @@ class TestJpeValueW00:
         for _ in range(300):
             w = Contract(rng.uniform(0.1, 1.2), 0.0, 0.0, rng.uniform(0.0, 1.0))
             known = draw_known_set(rng, 4)
-            ends = [jpe_value_w00(w, ActionSet([a.cost], [a.prob])).pbar for a in known]
-            assert jpe_value_w00(w, known).pbar == max(ends)
+            ends = [worst_case_value(w, ActionSet([a.cost], [a.prob])).pbar for a in known]
+            assert worst_case_value(w, known).pbar == max(ends)
 
     def test_zero_joint_failure_pay_is_the_pooled_endpoint(self):
         # p_sing = 0 and w11 + 0 = w11 are exact, so the shifted kernel call
-        # is jpe_value's own, bit for bit
+        # (the oracle's) is the joint row's own, bit for bit
         rng = np.random.default_rng(97)
         for _ in range(500):
             w11 = rng.uniform(0.05, 1.5)
             known = draw_known_set(rng, 4)
-            got = jpe_value_w00(Contract(w11, 0.0, 0.0, 0.0), known).pbar
-            assert got == jpe_value(Contract(w11, 0.0, 0.0, 0.0), known).pbar
+            got = former.jpe_value_w00(Contract(w11, 0.0, 0.0, 0.0), known).pbar
+            assert got == worst_case_value(Contract(w11, 0.0, 0.0, 0.0), known).pbar
         s = ActionSet.from_pairs([(0.2, 0.9)])
-        got = jpe_value_w00(Contract(0.6, 0.0, 0.0, 0.0), s).pbar
-        assert got == jpe_value(Contract(0.6, 0.0, 0.0, 0.0), s).pbar == 0.3785938897200183
+        got = former.jpe_value_w00(Contract(0.6, 0.0, 0.0, 0.0), s).pbar
+        assert got == worst_case_value(Contract(0.6, 0.0, 0.0, 0.0), s).pbar == 0.3785938897200183
 
     def test_targets_at_or_below_the_singularity_end_at_zero(self):
         # p_sing = 1/2: targets at it and below it, free or not, end at 0;
         # above it a free target keeps its probability
         w = Contract(0.5, 0.0, 0.0, 0.5)
         for pairs in ([(0.1, 0.4)], [(0.0, 0.4)], [(0.0, 0.5)], [(0.1, 0.5), (0.0, 0.2)]):
-            assert jpe_value_w00(w, ActionSet.from_pairs(pairs)).pbar == 0.0
-        res = jpe_value_w00(w, ActionSet.from_pairs([(0.0, 0.4), (0.0, 0.9)]))
+            assert worst_case_value(w, ActionSet.from_pairs(pairs)).pbar == 0.0
+        res = worst_case_value(w, ActionSet.from_pairs([(0.0, 0.4), (0.0, 0.9)]))
         assert res.pbar == pytest.approx(0.9, abs=1e-15)
-        res = jpe_value_w00(w, ActionSet.from_pairs([(0.0, 0.4), (0.02, 0.9)]))
+        res = worst_case_value(w, ActionSet.from_pairs([(0.0, 0.4), (0.02, 0.9)]))
         assert res.pbar == _w00_endpoint_parent(0.5, 0.5, np.array([0.4, 0.9]),
                                                 np.array([0.0, 0.02]))
 
@@ -249,12 +260,13 @@ class TestJpeValueW00:
         # w11 + w00 overflows even where every target has p = 0
         for pairs in ([(0.2, 0.9)], [(0.1, 0.0)]):
             with pytest.raises(OverflowError):
-                jpe_value_w00(Contract(1e308, 0.0, 0.0, 1e308), ActionSet.from_pairs(pairs))
+                worst_case_value(Contract(1e308, 0.0, 0.0, 1e308), ActionSet.from_pairs(pairs))
 
 
 class TestMarginalWage:
-    """``marginal_wage`` and the sign-pattern dispatch against the readers of
-    raw wages they replaced (``worst_case_oracle``), bit for bit."""
+    """``marginal_wage`` and the one sign-pattern dispatch of
+    ``worst_case_value`` against the per-pattern readers of raw wages they
+    replaced (``worst_case_oracle``), bit for bit."""
 
     @staticmethod
     def outcome(fn, *args):
@@ -267,7 +279,16 @@ class TestMarginalWage:
         return repr(replace(res, witness=None))
 
     @staticmethod
-    def former_jpe_value(contract, a0_set):
+    def former_value(contract, a0_set):
+        """The value of the former reader of the contract's pattern, with no
+        witness check."""
+        w11, w10, _, w00 = contract.as_tuple()
+        if w00 != 0.0:
+            return former.jpe_value_w00(contract, a0_set)
+        if w11 == w10:
+            return former._ipe(w11, a0_set, 1.0)
+        if w11 < w10:
+            return former.rpe_value(contract, a0_set)
         former.require_pattern(contract, jpe=True)
         return former._jpe(contract, a0_set, 1.0)
 
@@ -305,14 +326,8 @@ class TestMarginalWage:
                 assert marginal_wage(contract) == (w10 - w00, w11 - w01)
                 alone = ActionSet([c0], [p0])
                 for known in (alone, ActionSet([c0, *extra.costs], [p0, *extra.probs])):
-                    for new, old in ((jpe_value, self.former_jpe_value),
-                                     (jpe_value_w00, former.jpe_value_w00)):
-                        assert self.outcome(new, contract, known) == \
-                            self.outcome(old, contract, known), (name, new.__name__)
-                    try:
-                        former.require_pattern(contract, jpe=False)
-                    except ContractPatternError as exc:
-                        assert self.outcome(rpe_value, contract, known) == f"refused: {exc}"
+                    assert self.outcome(worst_case_value, contract, known) == \
+                        self.outcome(self.former_value, contract, known), name
                     TestWorstCase.same(contract, known, 1.0)
                 ends[name, worst_case(contract, alone).pbar > 0.0] += 1
         assert ends.keys() == {*((k, True) for k in ("pooled", "interior", "independent",
@@ -328,7 +343,7 @@ class TestMarginalWage:
         Contract(0.6, 0.2, 0.1, 0.1), Contract(0.5, 0.5, 0.1, 0.1),
         Contract(0.15, 0.55, 0.05, 0.05), Contract(0.6, 0.1, 0.0, 0.3),
         Contract(0.6, 0.0, 0.2, 0.0),
-        # supported, refused by the readers of other patterns: joint, pooled,
+        # supported, refused by a chain's reader unless joint: joint, pooled,
         # independent, relative, w11/w00 and the zero contract
         Contract(0.6, 0.2, 0.0, 0.0), Contract(0.6, 0.0, 0.0, 0.0), Contract(0.5, 0.5, 0.0, 0.0),
         Contract(0.2, 0.6, 0.0, 0.0), Contract(0.6, 0.0, 0.0, 0.1), Contract(0.0, 0.0, 0.0, 0.0),
@@ -341,14 +356,12 @@ class TestMarginalWage:
 
         readers = {  # the entry point, and its former check of the same contract
             "worst_case": (lambda c: worst_case(c, A0), lambda c: worst_case_oracle(c, A0, 1.0)),
-            "jpe_value": (lambda c: jpe_value(c, A0), lambda c: former.require_pattern(c, True)),
-            "rpe_value": (lambda c: rpe_value(c, A0), lambda c: former.require_pattern(c, False)),
+            "worst_case_value": (lambda c: worst_case_value(c, A0),
+                                 lambda c: worst_case_oracle(c, A0, 1.0)),
             "euler_adversary": (lambda c: euler_adversary(chain_end(c), 2),
                                 lambda c: former.require_pattern(c, True)),
             "euler_error_bound": (lambda c: euler_error_bound(chain_end(c), 2),
                                   lambda c: former.require_pattern(c, True)),
-            "jpe_value_w00": (lambda c: jpe_value_w00(c, A0),
-                              lambda c: former.jpe_value_w00(c, A0)),
         }
         refusals = Counter()
         for k, contract in enumerate(self.CONTRACTS):
@@ -363,8 +376,9 @@ class TestMarginalWage:
                     continue
                 new(contract)
         assert all(refusals[k] == len(readers) for k in range(self.UNSUPPORTED))
-        # and 21 refusals of a supported pattern by a reader of another one
-        assert sum(refusals.values()) == self.UNSUPPORTED * len(readers) + 21
+        # and 8 refusals of a supported pattern by a chain's reader, which
+        # needs a joint evaluation
+        assert sum(refusals.values()) == self.UNSUPPORTED * len(readers) + 8
 
 
 # Bound on the relative error of the W00 endpoint.  On the seeded draws of
@@ -517,16 +531,16 @@ def _rpe_bisection_reference(w11, w10, known, tol=1e-10):
 
 class TestRpeValue:
     def test_pure_relative_fixed_point(self):
-        res = rpe_value(Contract(0.0, 0.5, 0.0, 0.0), A0)
+        res = worst_case_value(Contract(0.0, 0.5, 0.0, 0.0), A0)
         assert res.pbar == pytest.approx(1.0 - math.sqrt(0.5), abs=1e-9)
         assert res.per_agent == pytest.approx(0.18933982822729536, abs=1e-9)
 
     def test_never_beats_independent(self):
-        res = rpe_value(Contract(0.4, 0.5, 0.0, 0.0), A0)
+        res = worst_case_value(Contract(0.4, 0.5, 0.0, 0.0), A0)
         assert res.per_agent <= 0.25 + 1e-9
 
     def test_zero_surplus_known_actions(self):
-        res = rpe_value(Contract(0.1, 0.6, 0.0, 0.0),
+        res = worst_case_value(Contract(0.1, 0.6, 0.0, 0.0),
                         ActionSet.from_pairs([(0.7, 0.7)]))
         assert res.pbar == 0.0
         assert res.per_agent == 0.0
@@ -537,7 +551,7 @@ class TestRpeValue:
             w10 = rng.uniform(0.05, 1.0)
             w11 = rng.uniform(0.0, w10 * 0.95)
             a0 = draw_known_set(rng)
-            res = rpe_value(Contract(w11, w10, 0.0, 0.0), a0)
+            res = worst_case_value(Contract(w11, w10, 0.0, 0.0), a0)
             p = res.pbar
             denom = p * w11 + (1 - p) * w10
             best = max(
@@ -552,19 +566,19 @@ class TestRpeValue:
             w10 = rng.uniform(0.01, 1.5)
             w11 = 0.0 if t % 5 == 0 else rng.uniform(0.0, w10)
             known = draw_known_set(rng)
-            got = rpe_value(Contract(w11, w10, 0.0, 0.0), known).pbar
+            got = worst_case_value(Contract(w11, w10, 0.0, 0.0), known).pbar
             want, fixed_point_map = _rpe_bisection_reference(w11, w10, known.known)
             assert abs(got - want) <= 1e-10
             assert abs(fixed_point_map(got) - got) <= 1e-14
 
     def test_sure_free_action_and_extreme_wages(self):
         sure = ActionSet.from_pairs([(0.0, 1.0), (0.25, 1.0)])
-        assert rpe_value(Contract(0.3, 0.6, 0.0, 0.0), sure).pbar == 1.0
+        assert worst_case_value(Contract(0.3, 0.6, 0.0, 0.0), sure).pbar == 1.0
         # dividing through by w10 keeps the squares in range at any scale
         for scale in (1e-300, 1e-150, 1e150, 1e300):
             w = Contract(0.0, 0.5 * scale, 0.0, 0.0)
             a0 = ActionSet.from_pairs([(0.25 * scale, 1.0)])
-            assert rpe_value(w, a0).pbar == pytest.approx(1.0 - math.sqrt(0.5), abs=1e-15)
+            assert worst_case_value(w, a0).pbar == pytest.approx(1.0 - math.sqrt(0.5), abs=1e-15)
 
 
 class TestEulerAdversary:
@@ -686,17 +700,17 @@ class TestIpeAdversary:
 
 class TestIpeValue:
     def test_given_wage_worst_case(self):
-        res = ipe_value(0.5, A0)
+        res = worst_case_value(Contract(0.5, 0.5, 0.0, 0.0), A0)
         assert res.pbar == pytest.approx(0.5, abs=1e-12)
         assert res.per_agent == pytest.approx(0.25, abs=1e-12)
 
     def test_excessive_wage_uses_full_branch(self):
-        res = ipe_value(1.25, A0)
+        res = worst_case_value(Contract(1.25, 1.25, 0.0, 0.0), A0)
         assert res.per_agent == pytest.approx(-0.25, abs=1e-12)
         assert res.binding == "FULL_SUCCESS"
 
     def test_zero_wage_contract(self):
-        res = ipe_value(0.0, A0)
+        res = worst_case_value(Contract(0.0, 0.0, 0.0, 0.0), A0)
         assert res.per_agent == 0.0
 
     def test_witness_builds_no_dense_game(self):
@@ -781,7 +795,19 @@ class TestWorstCase:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(worst_case_inputs())
     def test_matches_the_oracle_on_boundaries(self, inputs):
+        contract, a0_set, eps = inputs
         self.same(*inputs)
+        # the value-only path agrees with the witness path, refusals too
+        try:
+            res = worst_case(contract, a0_set, eps)
+        except ConvergenceError:
+            return
+        except Exception as exc:
+            with pytest.raises(type(exc)) as got:
+                worst_case_value(contract, a0_set)
+            assert str(got.value) == str(exc)
+            return
+        assert repr(replace(res, witness=None)) == repr(worst_case_value(contract, a0_set))
 
     @pytest.mark.parametrize("contract, a0_set", [
         (Contract(0.6, 0.0, 0.0, 0.1), A0),  # w11/w00
@@ -851,10 +877,10 @@ class TestWorstCase:
 @pytest.mark.parametrize("call", [
     lambda: best_known_solution(math.nan, 0.5, A0),
     lambda: best_known_solution(0.0, math.nan, A0),
-    lambda: ipe_value(math.nan, A0),
+    lambda: _value(math.nan, math.nan, A0),
     lambda: ipe_adversary(math.nan, A0, 1e-3),
     lambda: ipe_adversary(0.5, A0, math.nan),
-], ids=["best-s0", "best-s1", "ipe_value-w", "ipe_adversary-w", "ipe_adversary-eps"])
+], ids=["best-s0", "best-s1", "value-s", "ipe_adversary-w", "ipe_adversary-eps"])
 def test_scalar_entry_points_refuse_nan(call):
     with pytest.raises(ValueError):
         call()
@@ -926,7 +952,7 @@ class TestCalibrationLimits:
 
         def profit(eps):
             cal = calibrate_jpe(0.5, TARGET, eps)
-            return jpe_value(cal, a0_set).per_agent
+            return worst_case_value(cal, a0_set).per_agent
 
         deriv = (profit(1e-4) - base) / 1e-4
         assert deriv == pytest.approx(0.125, abs=1e-2)
@@ -982,7 +1008,7 @@ def _rk4_w00_reference(w11, w00, p0, budget, steps):
 
 def ode_quadrature_w00(w11, w00, p0, budget, steps: int = 200_000):
     """RK4 for the joint-failure variant dp/dt = -1/(p*w11 - (1-p)*w00):
-    the oracle for ``jpe_value_w00``.
+    the oracle for the w11/w00 row of ``worstcase._value``.
 
     Integration freezes once the denominator comes within ``sing_tol`` of
     its singularity; a frozen path with leftover budget collapses to zero,

@@ -1,15 +1,16 @@
-"""Pattern dispatch and witness construction as the package had them before
-``worstcase.worst_case``: the branch of the ``evaluate`` verb and the
-``with_witness`` paths of ``jpe_value``, ``ipe_value`` and ``rpe_value``,
-kept as the oracle ``worst_case`` is checked against.  Import it from a
-test module in this directory.  ``worst_case_oracle`` checks each chain
-witness with the dense best-response path of ``test_best_response``, not
-with ``worstcase.check_witness``.
+"""Pattern dispatch, values and witness construction as the package had them
+before ``worstcase.worst_case`` and ``worstcase.worst_case_value``: the
+branch of the ``evaluate`` verb and the ``with_witness`` paths of
+``jpe_value``, ``ipe_value`` and ``rpe_value``, kept as the oracle both are
+checked against.  Import it from a test module in this directory.
+``worst_case_oracle`` checks each chain witness with the dense best-response
+path of ``test_best_response``, not with ``worstcase.check_witness``.
 
 Beside it are the readers of raw wages that ``worstcase.marginal_wage``
-replaced: ``require_pattern``, ``jpe_value_w00`` with its own checks and its
-own shift of the kernel to the singularity, and the n-agent scheme's
-``two_agent_equivalent`` contract.
+replaced: ``require_pattern``, ``rpe_value`` and ``jpe_value_w00``, each
+with its own checks (``jpe_value_w00`` also with its own shift of the kernel
+to the singularity), and the n-agent scheme's ``two_agent_equivalent``
+contract.
 """
 
 import math
@@ -26,10 +27,9 @@ from teamcontracts import (
     euler_adversary,
     induce_game,
     ipe_adversary,
-    rpe_value,
 )
 from teamcontracts.model import MAX_WITNESS_CHAIN, Contract
-from teamcontracts.worstcase import FULL_SUCCESS, SHIRK_EQ, _endpoint, shirk_branch
+from teamcontracts.worstcase import FULL_SUCCESS, SHIRK_EQ, _endpoint, _stable_root, shirk_branch
 
 from test_best_response import dense_path
 
@@ -64,6 +64,23 @@ def jpe_value_w00(contract, a0_set):
     pbar = p_sing + q_end if q_end > 0.0 else 0.0
     shirk = pbar * pbar * (1.0 - w11) + (1.0 - pbar) ** 2 * (-w00)
     return _min_branch(pbar, 1.0 - w11, shirk, a0_set, False)
+
+
+def rpe_value(contract, a0_set):
+    """``rpe_value``: ``require_pattern``'s relative check, then the largest
+    per-action root of the fixed point p = p(a0) - c(a0)/s(p), capped at 1."""
+    require_pattern(contract, jpe=False)
+    s0, s1 = contract.w10, contract.w11
+    known = a0_set.known
+    if not known:
+        raise ValueError("action set has no known prefix")
+    surplus = known.probs - known.costs / s0
+    keep = surplus > 0.0
+    a = s1 / s0 - 1.0
+    roots = _stable_root(a, 1.0 - a * known.probs[keep], surplus[keep])
+    p_star = min(1.0, float(roots.max(initial=0.0)))
+    per_agent = shirk_branch(p_star, s1, s0)
+    return WorstCaseResult(p_star, per_agent, 2.0 * per_agent, SHIRK_EQ)
 
 
 def two_agent_equivalent(mac):
