@@ -86,10 +86,10 @@ def _write(targets) -> None:
     """Write each ``(path, chunks)`` pair, to stdout where the path is None.
 
     Files are written to temp files beside them, all created, with the mode
-    of ``_mode_for``, before anything is written, and stdout is written after
-    them; the files are renamed into place only once all are complete.  So a
-    failure leaves none of them and prints nothing.  The ``OSError`` of a
-    write is a validation error naming where it went.
+    of ``_mode_for``, before anything is written; stdout is written next, and
+    the files are renamed into place last.  So a failed create or write leaves
+    no file and prints nothing; a failed rename follows stdout and the renames
+    before it.  An ``OSError`` is a validation error naming the file it was for.
 
     A symlink is written through: the temp file goes beside the file it
     resolves to, and replaces that file, not the link.  An existing target
@@ -133,7 +133,7 @@ def _write(targets) -> None:
                 dest = temps[path][0] if path in temps else os.path.realpath(path)
                 with open(dest, "w", encoding="utf-8", newline="\n") as fh:
                     fh.writelines(chunks)
-        for tmp, real in temps.values():
+        for where, (tmp, real) in temps.items():
             os.replace(tmp, real)
     except OSError as exc:
         raise ValueError(f"cannot write {where}: {exc.strerror or exc}")

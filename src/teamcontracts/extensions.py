@@ -38,13 +38,13 @@ def multi_agent_value(mac: MultiAgentContract, a0_set: ActionSet) -> tuple[float
     """Worst-case value of the n-agent scheme.  When each other agent
     succeeds w.p. p, own success pays w0 + b*p more than failure: the
     marginal wage with coefficients (s0, s1) = (w0, w0 + b), which is valued
-    per agent as a two-agent joint evaluation.  The total is n times that,
-    since each agent's incentives depend on the others only through their
-    common equilibrium success probability."""
-    from .worstcase import _joint_value
+    per agent as the two-agent contract (w0 + b, w0, 0, 0).  The total is n
+    times that, since each agent's incentives depend on the others only
+    through their common equilibrium success probability."""
+    from .worstcase import worst_case_value
 
     check_known_assumptions(a0_set)
-    per_agent = _joint_value(mac.w0, mac.w0 + mac.b, a0_set)[0].per_agent
+    per_agent = worst_case_value(Contract(mac.w0 + mac.b, mac.w0, 0.0, 0.0), a0_set).per_agent
     return per_agent, mac.n * per_agent
 
 

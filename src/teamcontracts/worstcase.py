@@ -24,8 +24,8 @@ The endpoint is written once, as the array kernel ``_endpoint``; its joint
 branch and the relative-evaluation fixed point are ``_stable_root``'s roots.
 ``_best_solution`` makes one kernel call over its targets, and it alone moves
 a negative s0 to the root of s; ``pbar_grid`` makes one per known target.
-``_value`` is the one place that picks a row of the table; ``worst_case_value``
-returns its value and ``worst_case`` adds the witness attaining it.
+``_value`` alone reads the table, each row returning its value and witness
+builder; ``worst_case_value`` keeps the value, ``worst_case`` builds the witness.
 Only ``check_witness`` builds a game, and it imports ``game`` when it runs.
 """
 from __future__ import annotations
@@ -84,7 +84,7 @@ class OdeSolution:
 
 @dataclass(frozen=True)
 class Witness:
-    """Adversarial action set approximating a worst case within O(eps)."""
+    """Adversarial action set whose value tends to a worst case as eps -> 0."""
 
     actions: ActionSet
     eps: float
@@ -196,18 +196,9 @@ def _min_branch(pbar: float, full: float, shirk: float) -> WorstCaseResult:
     return WorstCaseResult(pbar, per_agent, 2.0 * per_agent, binding)
 
 
-def _joint_value(s0: float, s1: float, a0_set: ActionSet) -> tuple[WorstCaseResult, OdeSolution]:
-    """The joint row of ``_value``, and the value of the n-agent scheme
-    (``extensions.multi_agent_value``) even where s1 rounds to s0."""
-    best = best_known_solution(s0, s1, a0_set)
-    pbar = best.p_end
-    return _min_branch(pbar, 1.0 - s1, shirk_branch(pbar, s1, s0)), best
-
-
-def _value(s0: float, s1: float, a0_set: ActionSet) -> tuple[WorstCaseResult, OdeSolution | None]:
-    """Worst case of the marginal wage (s0, s1) in the row of the table
-    above that its signs pick, and the endpoint it rests on (None for a
-    relative evaluation).
+def _value(s0: float, s1: float, a0_set: ActionSet):
+    """Worst case of the marginal wage (s0, s1) in its row of the table above,
+    and that row's witness builder: None, or a function of eps to a ``Witness``.
 
     Per agent the value is min{1 - w11, shirking branch} with pbar the best
     closed-form endpoint over targeted known actions.  The first branch binds
@@ -224,6 +215,12 @@ def _value(s0: float, s1: float, a0_set: ActionSet) -> tuple[WorstCaseResult, Od
     a*p^2 + b*p = r with a = s1/s0 - 1, b = 1 - a*p(a0) and r = p(a0) -
     c(a0)/s0, which is positive exactly when r is; other actions lose to the
     null action.
+
+    Witnesses: the free undercut above p* and the null action (relative); the
+    free sure action at eps 0 (FULL_SUCCESS); one undercut (independent); the
+    checked t_hat/eps-step chain (joint); none for w11/w00, a spent budget or a
+    zero wage.  Their value tends to the worst case as eps -> 0, like eps on the
+    running example, like sqrt(eps) at a w10 = 0 collapse (``euler_error_bound`` inf).
     """
     if s1 < s0:
         known = a0_set.known
@@ -235,16 +232,32 @@ def _value(s0: float, s1: float, a0_set: ActionSet) -> tuple[WorstCaseResult, Od
         roots = _stable_root(a, 1.0 - a * known.probs[keep], surplus[keep])
         p_star = min(1.0, float(roots.max(initial=0.0)))
         per_agent = shirk_branch(p_star, s1, s0)
-        return WorstCaseResult(p_star, per_agent, 2.0 * per_agent, SHIRK_EQ), None
-    if s1 > s0 >= 0.0:
-        return _joint_value(s0, s1, a0_set)
+        res = WorstCaseResult(p_star, per_agent, 2.0 * per_agent, SHIRK_EQ)
+        return res, lambda eps: Witness(
+            a0_set.extend([ActionSpec(0.0, min(1.0, p_star + eps)), ActionSpec(0.0, 0.0)]), eps)
     best = best_known_solution(s0, s1, a0_set)
     pbar = best.p_end
     if s0 < 0.0:  # w11/w00: s0 = -w00 and s1 = w11
         shirk = pbar * pbar * (1.0 - s1) + (1.0 - pbar) ** 2 * s0
-    else:  # shirk_branch(pbar, s1, s1) in fewer roundings, which the output bits rest on
+    elif s1 == s0:  # shirk_branch(pbar, s1, s1) in fewer roundings, which the output bits rest on
         shirk = pbar * (1.0 - s1)
-    return _min_branch(pbar, 1.0 - s1, shirk), best
+    else:
+        shirk = shirk_branch(pbar, s1, s0)
+    res = _min_branch(pbar, 1.0 - s1, shirk)
+    if s0 < 0.0:
+        return res, None
+    if res.binding == FULL_SUCCESS:
+        return res, lambda eps: Witness(a0_set.extend([ActionSpec(0.0, 1.0)]), 0.0)
+    if s1 == s0:
+        return res, None if s1 == 0.0 else lambda eps: Witness(
+            ipe_adversary(s1, a0_set, eps).actions, eps)
+
+    def chain(eps):
+        n = max(2, math.ceil(min(best.t_hat / eps, MAX_WITNESS_CHAIN)))
+        actions = a0_set.extend(euler_adversary(best, n).actions[1:])
+        check_witness(Contract(s1, s0, 0.0, 0.0), actions)  # the reduced contract in this row
+        return Witness(actions, eps)
+    return res, chain if best.t_hat > 0.0 else None
 
 
 def worst_case_value(contract: Contract, a0_set: ActionSet) -> WorstCaseResult:
@@ -415,37 +428,13 @@ def ipe_adversary(w: float, a0_set: ActionSet, eps: float) -> AdversarySet:
 
 def worst_case(contract: Contract, a0_set: ActionSet,
                eps: float = DEFAULT_WITNESS_EPS) -> WorstCaseResult:
-    """Worst case of an already-reduced contract and a witness attaining it
-    within O(eps), dispatched on the sign pattern of its marginal wage (s0,
-    s1): the free sure action (eps 0) where FULL_SUCCESS binds, else the
-    eps-step undercut chain of a joint evaluation (s1 > s0 >= 0), the single
-    undercut of an independent one (s1 = s0) or the undercut just above p*
-    plus the null action of a relative one (s1 < s0).  w11/w00 (s0 < 0), a
-    spent budget and a zero wage carry no witness; patterns without a closed
-    form raise ContractPatternError, eps outside (0, inf) ValueError, and a
-    joint witness that fails ``check_witness`` ConvergenceError."""
+    """Worst case of an already-reduced contract, with the witness ``_value``
+    builds for its row at eps.  Other patterns raise ContractPatternError, eps
+    outside (0, inf) ValueError, a failing joint witness ConvergenceError."""
     if not 0.0 < eps < math.inf:
         raise ValueError(f"eps must be finite and positive, got {eps}")
-    s0, s1 = marginal_wage(contract)
-    res, best = _value(s0, s1, a0_set)
-    if s0 < 0.0:
-        return res
-    if s1 < s0:
-        free = [ActionSpec(0.0, min(1.0, res.pbar + eps)), ActionSpec(0.0, 0.0)]
-        return replace(res, witness=Witness(a0_set.extend(free), eps))
-    if res.binding == FULL_SUCCESS:
-        actions, eps = a0_set.extend([ActionSpec(0.0, 1.0)]), 0.0
-    elif s1 == s0:
-        if s1 == 0.0:
-            return res
-        actions = ipe_adversary(s1, a0_set, eps).actions
-    elif best.t_hat > 0.0:
-        n = max(2, math.ceil(min(best.t_hat / eps, MAX_WITNESS_CHAIN)))
-        actions = a0_set.extend(euler_adversary(best, n).actions[1:])
-        check_witness(contract, actions)
-    else:
-        return res
-    return replace(res, witness=Witness(actions, eps))
+    res, witness = _value(*marginal_wage(contract), a0_set)
+    return res if witness is None else replace(res, witness=witness(eps))
 
 
 # ---------------------------------------------------------------------------

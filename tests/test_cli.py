@@ -1264,6 +1264,29 @@ class TestUnwritableOutput:
             "", f"error: cannot write {dump}: No space left on device\n")
         assert [p.name for p in tmp_path.iterdir()] == ["in.json"]
 
+    @pytest.mark.parametrize("output", [True, False], ids=["output", "stdout"])
+    def test_failed_rename_names_its_file(self, tmp_path, capsys, monkeypatch, output):
+        # rename(2) refuses to replace another user's file in a sticky directory;
+        # the output is renamed first, and stdout is printed before any rename
+        inp = write(tmp_path, "in.json", JPE_JSON)
+        out, dump = tmp_path / "out.json", tmp_path / "g.json"
+        bad = out if output else dump
+        replace = os.replace
+
+        def refuse(src, dst):
+            if dst == os.path.realpath(bad):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", refuse)
+        code = main(["evaluate", "--input", inp, "--eps", "0.05", "--dump-game", str(dump),
+                     *(["--output", str(out)] if output else [])])
+        assert code == 2
+        printed, err = capsys.readouterr()
+        assert err == f"error: cannot write {bad}: Permission denied\n"
+        assert (printed == "") == output
+        assert [p.name for p in tmp_path.iterdir()] == ["in.json"]
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
     @pytest.mark.parametrize("unbuffered", ["", "1"])
     @pytest.mark.parametrize("verb", ["optimize", "adversary", "selftest"])

@@ -69,6 +69,18 @@ class TestMultiAgent:
             known = draw_known_set(rng, 3)
             per_agent = worst_case_value(two_agent_equivalent(mac), known).per_agent
             assert repr(multi_agent_value(mac, known)) == repr((per_agent, mac.n * per_agent))
+        # b below half an ulp of w0, so w0 + b rounds to w0 and the contract is
+        # an independent evaluation; at the first, the joint row's shirk term
+        # shirk_branch(pbar, s1, s0) differs from the independent one in the last bit
+        edge = [(0.7375172376794694, 7.375172376794694e-18,
+                 ActionSet.from_pairs([(0.26697800472467365, 0.407005516201971)]))]
+        edge += [(w0, w0 * 1e-17, draw_known_set(rng, 3))
+                 for w0 in rng.uniform(0.01, 0.8, size=200)]
+        for w0, b, known in edge:
+            mac = MultiAgentContract(int(rng.integers(2, 7)), w0, b)
+            assert w0 + b == w0
+            per_agent = worst_case_value(two_agent_equivalent(mac), known).per_agent
+            assert repr(multi_agent_value(mac, known)) == repr((per_agent, mac.n * per_agent))
 
     def test_per_agent_invariant_in_n(self):
         values = {

@@ -20,16 +20,19 @@ from teamcontracts import (
     OdeSolution,
     calibrate_jpe,
     check_known_assumptions,
+    enumerate_equilibria,
     euler_adversary,
     euler_error_bound,
     induce_game,
     ipe_adversary,
     ipe_optimal,
     reduce_failure_wages,
+    select_and_value,
     worst_case,
     worst_case_value,
 )
 from teamcontracts import selftest
+from teamcontracts.game import MIXED_CAP, PRINCIPAL_BEST
 from teamcontracts.selftest import (
     ODE_ATOL,
     ODE_MAX_ROUNDS,
@@ -864,6 +867,28 @@ class TestWorstCase:
         worst_case(contract, A0, eps=1e-2)
         assert (calls["_endpoint"], calls["euler_adversary"]) == (endpoints, chains)
 
+    def test_every_witness_is_worth_at_least_its_value(self):
+        # the worst case is an infimum over supersets of the known set, and a
+        # witness is one: its preferred equilibrium pays the principal no less
+        rng = np.random.default_rng(17)
+        rows = (draw_jpe, draw_rpe, lambda rng: Contract(*[rng.uniform(0.05, 1.0)] * 2, 0.0, 0.0))
+        sizes, skipped = [], 0
+        for k in range(600):
+            contract, known = rows[k % 3](rng), draw_known_set(rng)
+            eps = float(10 ** rng.uniform(-3, -1.5))
+            try:
+                res = worst_case(contract, known, eps)
+            except ConvergenceError:  # a chain whose maximal equilibrium is a known action
+                skipped += 1
+                continue
+            actions = res.witness.actions
+            game = induce_game(contract, actions)
+            eqs = enumerate_equilibria(game, mixed=len(actions) <= MIXED_CAP)
+            worth = select_and_value(game, eqs, PRINCIPAL_BEST).principal_total
+            assert worth >= res.total - 1e-12, (contract, known, eps)
+            sizes.append(len(actions))
+        assert skipped < 10
+        assert min(sizes) <= MIXED_CAP < max(sizes)
 
     @pytest.mark.parametrize("eps", [0.0, -1e-3, math.inf, math.nan])
     @pytest.mark.parametrize("contract", [
